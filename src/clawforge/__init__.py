@@ -7,8 +7,8 @@ from .expr import (Atom, DomainError, Expr, FuncSym, IndepVar, Jet,
 from .parse import ParseError, parse
 from .calculus import (Equation, Generator, PdeSystem, Prolongation,
                        SolvedFormError, apply_generator, divergence, euler,
-                       prolong, reduce_mod_system, symmetry_residual,
-                       total_derivative, zero_generator)
+                       prolong, symmetry_residual, total_derivative,
+                       zero_generator)
 from .linsolve import (RationalMatrix, SolutionSpace, nullspace, rank, rref,
                        solve, span_equal)
 from .lawgen import (Ansatz, AnsatzError, ConservedVector, DeterminingSystem,

@@ -13,10 +13,7 @@ from .expr import Expr, Jet, Param, ZERO, pdiff, substitute
 
 class SolvedFormError(ValueError):
     """Raised when a system violates the solved-form contract or its
-    reduction does not terminate."""
-
-
-REDUCTION_PASS_CAP = 50
+    prolongation is cyclic."""
 
 
 # ---------------------------------------------------------------------------
@@ -163,25 +160,19 @@ class PdeSystem:
             return self._reduce(e)
 
     def _reduce(self, e):
-        for _ in range(REDUCTION_PASS_CAP):
-            target = None
-            for a in sorted(e.atoms()):
-                if isinstance(a, Jet):
-                    idx = self._reducing_equation(a)
-                    if idx is not None:
-                        target = (a, idx)
-                        break
-            if target is None:
-                return e
-            a, idx = target
-            mi_key = tuple(sorted(v.index for v in a.minus(self.equations[idx].lead)))
-            e = substitute(e, a, self._prolonged_rhs(idx, mi_key))
-        raise SolvedFormError(
-            f"{self.name}: reduction exceeded {REDUCTION_PASS_CAP} passes")
-
-
-def reduce_mod_system(e, system):
-    return system.reduce(e)
+        # the prolonged right-hand sides are already reduced, so one
+        # simultaneous substitution leaves no reducible jet behind
+        subs = {}
+        for a in sorted(e.atoms()):
+            if isinstance(a, Jet):
+                idx = self._reducing_equation(a)
+                if idx is not None:
+                    mi_key = tuple(sorted(
+                        v.index for v in a.minus(self.equations[idx].lead)))
+                    subs[a] = self._prolonged_rhs(idx, mi_key)
+        if not subs:
+            return e
+        return substitute(e, subs)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@
 
 MODEL is a built-in model name (see `models`) or a path to a model file.
 Exit codes: 0 success, 1 semantic failure (a law fails verification, or a
-required result is empty), 2 input error.  `--json` switches any report to
-a machine-readable schema whose expression strings re-parse under the input
+required result is empty), 2 input error, 3 internal error (an unexpected
+exception, reported on one line).  `--json` switches any report to a
+machine-readable schema whose expression strings re-parse under the input
 grammar."""
 
 from __future__ import annotations
@@ -316,7 +317,9 @@ def cmd_euler(args):
     if name not in table.dep_names:
         raise CliError(f"{name!r} is not a dependent variable of {model.name}")
     from .calculus import euler
-    print(euler(e, table.dep_names.index(name), table))
+    result = euler(e, table.dep_names.index(name), table)
+    _emit({"model": model.name, "var": name, "expr": str(e),
+           "result": str(result)}, args.json, [str(result)])
     return 0
 
 
@@ -330,7 +333,9 @@ def cmd_tderiv(args):
         raise CliError(f"{args.var!r} is not an independent variable of "
                        f"{model.name}")
     from .calculus import total_derivative
-    print(total_derivative(e, v))
+    result = total_derivative(e, v)
+    _emit({"model": model.name, "var": v.name, "expr": str(e),
+           "result": str(result)}, args.json, [str(result)])
     return 0
 
 
@@ -338,7 +343,9 @@ def build_parser():
     ap = argparse.ArgumentParser(
         prog="clawforge",
         description="compute and verify local conservation laws of PDE "
-                    "systems with exact rational arithmetic")
+                    "systems with exact rational arithmetic",
+        epilog="exit codes: 0 success, 1 semantic failure (a law fails "
+               "verification), 2 input error, 3 internal error")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("models", help="list built-in models")
@@ -381,12 +388,14 @@ def build_parser():
     p.add_argument("model")
     p.add_argument("expr")
     p.add_argument("--var", default=None, help="dependent variable name")
+    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_euler)
 
     p = sub.add_parser("tderiv", help="apply a total derivative")
     p.add_argument("model")
     p.add_argument("var", help="independent variable name")
     p.add_argument("expr")
+    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_tderiv)
     return ap
 
@@ -403,6 +412,10 @@ def main(argv=None):
             DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"error: internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ Values are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -580,11 +581,19 @@ def _nth_root(n, k):
     """Exact integer k-th root of n >= 0, or None."""
     if n in (0, 1):
         return n
-    r = round(n ** (1.0 / k))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand ** k == n:
-            return cand
-    return None
+    if n.bit_length() <= k:
+        return None  # 1 < n^(1/k) < 2
+    if k == 2:
+        r = math.isqrt(n)
+    else:
+        # integer Newton from above converges to floor(n^(1/k))
+        r = 1 << -(-n.bit_length() // k)
+        while True:
+            s = ((k - 1) * r + n // r ** (k - 1)) // k
+            if s >= r:
+                break
+            r = s
+    return r if r ** k == n else None
 
 
 def _rational_pow(c, e):
@@ -678,25 +687,41 @@ def _base_diff(b, a):
     return None if d.is_zero else d
 
 
-def substitute(e, a, replacement):
-    """Replace every occurrence of the atom a (including inside function
-    arguments and opaque bases) by `replacement`, renormalizing."""
-    replacement = _coerce(replacement)
+def _touches(b, keys):
+    """True if the factor base b is a key atom or holds one inside a
+    function argument or an opaque base."""
+    if isinstance(b, FuncSym):
+        return b in keys or not keys.isdisjoint(b.arg.atoms())
+    if isinstance(b, Atom):
+        return b in keys
+    return not keys.isdisjoint(b.atoms())
+
+
+def substitute(e, subs):
+    """Replace every occurrence of each atom key of the dict `subs`
+    (including inside function arguments and opaque bases) by its value,
+    all at once, renormalizing.  Terms that touch no key pass through
+    unchanged; only the touched terms are expanded."""
+    subs = {a: _coerce(r) for a, r in subs.items()}
+    keys = subs.keys()
     out = []
     for coeff, factors in e.terms:
+        if not any(_touches(b, keys) for b, _ in factors):
+            out.append((coeff, factors))
+            continue
         cur = Expr.const(coeff)
         for b, k in factors:
             if isinstance(b, Atom):
-                if b == a:
-                    piece = make_power(replacement, k)
-                elif isinstance(b, FuncSym) and a in b.arg.atoms():
-                    newf = FuncSym(b.name, b.order, substitute(b.arg, a, replacement))
+                if b in keys:
+                    piece = make_power(subs[b], k)
+                elif isinstance(b, FuncSym) and _touches(b, keys):
+                    newf = FuncSym(b.name, b.order, substitute(b.arg, subs))
                     piece = _build(_expand_term(Fraction(1), {newf: k}))
                 else:
                     piece = _build(_expand_term(Fraction(1), {b: k}))
             else:
-                if a in b.atoms():
-                    piece = make_power(substitute(b, a, replacement), k)
+                if _touches(b, keys):
+                    piece = make_power(substitute(b, subs), k)
                 else:
                     piece = Expr(((Fraction(1), ((b, k),)),))
             cur = cur * piece
@@ -704,12 +729,6 @@ def substitute(e, a, replacement):
                 break
         out.extend(cur.terms)
     return _build(out)
-
-
-def substitute_many(e, pairs):
-    for a, rep in pairs:
-        e = substitute(e, a, rep)
-    return e
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,21 @@ def test_reduce_idempotent_random(tab):
         assert kdv.reduce(r) == r
 
 
+def test_reduce_many_jets_in_one_pass(kdv):
+    # 55 distinct reducible jets u[t,x^k], k = 1..55: more than a per-jet
+    # pass count would allow, reduced by one simultaneous substitution
+    system = kdv.system
+    jets = [kdv.table.jet("u", ["t"] + ["x"] * k) for k in range(1, 56)]
+    e = P(kdv.table, " + ".join(repr(a) for a in jets))
+    r = system.reduce(e)
+    assert len(r.terms) == 894
+    assert system.reduce(r) == r
+    total = P(kdv.table, "0")
+    for a in jets:
+        total = total + system.reduce(a.as_expr())
+    assert r == total
+
+
 def test_reduce_corpus_equations_vanish(models):
     for entry in models.values():
         for eq in entry.system.equations:

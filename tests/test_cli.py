@@ -200,6 +200,43 @@ def test_cross_process_output_deterministic():
     assert runs[0] == runs[1]
 
 
+def test_euler_and_tderiv_json_reparse(capsys):
+    table = get_model("kdv").table
+    assert main(["euler", "kdv", "u[x]^2/2", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["var"] == "u"
+    assert parse(payload["expr"], table) == parse("u[x]^2/2", table)
+    assert parse(payload["result"], table) == parse("-u[x,x]", table)
+    assert main(["tderiv", "kdv", "x", "u[x,x]+u^2/2", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["var"] == "x"
+    assert parse(payload["result"], table) == \
+        parse("u[x,x,x]+u*u[x]", table)
+
+
+def test_tderiv_root_beyond_float_range(capsys):
+    assert main(["tderiv", "kdv", "x", "(10^400)^(1/2)"]) == 0
+    assert capsys.readouterr().out.strip() == "0"
+
+
+def test_internal_error_exit_code(monkeypatch, capsys):
+    import clawforge.cli as cli
+
+    def boom(args):
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setattr(cli, "cmd_models", boom)
+    assert main(["models"]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: internal error: RuntimeError: unexpected\n"
+
+
+def test_help_lists_exit_codes(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert "3 internal error" in " ".join(capsys.readouterr().out.split())
+
+
 def test_parse_error_exit_code(capsys):
     assert main(["euler", "kdv", "u[x"]) == 2
 

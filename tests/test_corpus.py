@@ -2,7 +2,7 @@ import pytest
 
 from clawforge.calculus import Equation, PdeSystem, symmetry_residual
 from clawforge.corpus import builtin_models, get_model, regression_run
-from clawforge.expr import IndepVar, Jet, SymbolTable, substitute
+from clawforge.expr import IndepVar, Jet, SymbolTable, ZERO, substitute
 from clawforge.lawgen import verify
 from clawforge.parse import parse
 
@@ -120,12 +120,10 @@ def _specialize_to_2d(e, table3, table2):
     """Drop the third space dimension: w-jets and z-bearing jets vanish,
     z itself goes to zero, and the surviving atoms map onto the 2-D table."""
     z = table3.indep_var("z")
-    for a in sorted(e.atoms()):
-        if isinstance(a, Jet):
-            if a.name == "w" or any(v.index == z.index for v in a.mi):
-                e = substitute(e, a, parse("0", table3))
-    e = substitute(e, z, parse("0", table3))
-    return parse(str(e), table2)
+    subs = {a: ZERO for a in e.atoms() if isinstance(a, Jet) and
+            (a.name == "w" or any(v.index == z.index for v in a.mi))}
+    subs[z] = ZERO
+    return parse(str(substitute(e, subs)), table2)
 
 
 def test_gas3d_specializes_to_2d(gas3d):

@@ -65,11 +65,27 @@ def test_rational_scalar_roots(tab):
     assert P(tab, "(4/9)^(1/2)") == Expr.const(Fraction(2, 3))
 
 
+def test_exact_roots_of_large_integers(tab):
+    k = 10**20 + 7
+    assert P(tab, f"({k * k})^(1/2) - {k}").is_zero
+    assert P(tab, f"({k**3})^(1/3) - {k}").is_zero
+    assert P(tab, f"({k**5}*u^5)^(1/5)") == Expr.const(k) * P(tab, "u")
+    assert not P(tab, f"({k * k + 1})^(1/2)").is_rational()
+    assert not P(tab, f"({k**3 - 1})^(1/3)").is_rational()
+
+
+def test_root_beyond_float_range(tab):
+    assert P(tab, "(10^400)^(1/2)") == Expr.const(10**200)
+    assert P(tab, "(10^399)^(1/3)") == Expr.const(10**133)
+    assert not P(tab, "(10^400)^(1/3)").is_rational()
+    assert not P(tab, "(10^400+1)^(1/2)").is_rational()
+
+
 def test_zero_to_negative_power_raises(tab):
     with pytest.raises(DomainError):
         P(tab, "0") ** -1
     with pytest.raises(DomainError):
-        substitute(P(tab, "u^(-1)"), tab.jet("u"), P(tab, "0"))
+        substitute(P(tab, "u^(-1)"), {tab.jet("u"): P(tab, "0")})
 
 
 def test_atom_order_stable_across_builds(tab):
@@ -150,31 +166,53 @@ def test_pdiff_is_derivation_random():
 
 def test_substitute_solved_form(tab):
     e = P(tab, "u[t] - u[x,x,x] - u*u[x]")
-    out = substitute(e, tab.jet("u", ["t"]), P(tab, "u[x,x,x] + u*u[x]"))
+    out = substitute(e, {tab.jet("u", ["t"]): P(tab, "u[x,x,x] + u*u[x]")})
     assert out.is_zero
 
 
 def test_substitute_param(tab):
     v = tab.params["c0"]
-    assert substitute(P(tab, "c0*u[x]"), v, P(tab, "u")) == P(tab, "u*u[x]")
+    assert substitute(P(tab, "c0*u[x]"), {v: P(tab, "u")}) == P(tab, "u*u[x]")
 
 
 def test_substitute_function_symbol_atom(tab):
     e = P(tab, "f(t)*u")
     atom = FuncSym("f", 0, P(tab, "t"))
-    assert substitute(e, atom, Expr.const(1)) == P(tab, "u")
+    assert substitute(e, {atom: Expr.const(1)}) == P(tab, "u")
 
 
 def test_substitute_inside_function_argument(tab):
     e = P(tab, "f(u^2)")
-    out = substitute(e, tab.jet("u"), P(tab, "t"))
+    out = substitute(e, {tab.jet("u"): P(tab, "t")})
     assert out == P(tab, "f(t^2)")
 
 
 def test_substitute_inside_radical(tab):
     e = P(tab, "(1+u[x]^2)^(1/2)")
-    out = substitute(e, tab.jet("u", ["x"]), P(tab, "0"))
+    out = substitute(e, {tab.jet("u", ["x"]): P(tab, "0")})
     assert out == Expr.const(1)
+
+
+def test_substitute_simultaneous(tab):
+    # keys are replaced at once: a value is not itself substituted into
+    t, x = tab.indep
+    e = P(tab, "t*u + x^2")
+    assert substitute(e, {t: x.as_expr(), x: t.as_expr()}) == P(tab, "x*u + t^2")
+
+
+def test_substitute_touched_and_untouched_terms_agree(tab):
+    # untouched terms pass through as they are; touched ones are rebuilt.
+    # Both routes must give the same normal form.
+    u, ux = tab.jet("u"), tab.jet("u", ["x"])
+    touched = P(tab, "c0*u^2*f(u)*(1+u[x]^2)^(1/2) + 3*t*u*(1+u^2)^(-1)")
+    untouched = P(tab, "c1*x*f(t)*u[x]^2*(1+u[x]^2)^(1/2) + 2*u[t]")
+    e = touched + untouched
+    assert substitute(e, {u: u.as_expr()}) == e
+    assert substitute(untouched, {u: P(tab, "t")}) == untouched
+    subs = {u: P(tab, "t + u[t]")}
+    assert substitute(e, subs) == substitute(touched, subs) + untouched
+    # touching every term through an identity key changes nothing either
+    assert substitute(e, {u: u.as_expr(), ux: ux.as_expr()}) == e
 
 
 # -- collect -------------------------------------------------------------------

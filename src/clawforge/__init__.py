@@ -1,14 +1,13 @@
 """clawforge: exact symbolic computation and verification of local
 conservation laws of PDE systems."""
 
-from .expr import (Atom, DomainError, Expr, FuncSym, IndepVar, Jet,
+from .expr import (DomainError, Expr, FuncSym, IndepVar, Jet,
                    NonlinearError, Param, SymbolTable, ZERO, collect, pdiff,
                    substitute)
 from .parse import ParseError, parse
 from .calculus import (Equation, Generator, PdeSystem, Prolongation,
                        SolvedFormError, apply_generator, divergence, euler,
-                       prolong, symmetry_residual, total_derivative,
-                       zero_generator)
+                       prolong, symmetry_residual, total_derivative)
 from .linsolve import (RationalMatrix, SolutionSpace, nullspace, rank, rref,
                        solve, span_equal)
 from .lawgen import (Ansatz, AnsatzError, ConservedVector, DeterminingSystem,

@@ -219,11 +219,6 @@ class Generator:
                          parametrized=self.parametrized or other.parametrized)
 
 
-def zero_generator(table, label="0"):
-    return Generator(tuple(ZERO for _ in table.indep),
-                     tuple(ZERO for _ in table.dep_names), label=label)
-
-
 class Prolongation:
     """Coefficients zeta^a_J of the prolonged generator, via the recursion
     zeta_{J+i} = D_i zeta_J - u^a_{J+k} D_i xi^k with zeta_{} = eta^a.

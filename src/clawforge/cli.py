@@ -26,8 +26,8 @@ from .calculus import SolvedFormError
 from .expr import DomainError, NonlinearError
 from .lawgen import (AnsatzError, mixed_method, make_ansatz, monomial_basis,
                      solve_multipliers, verify)
-from .modelfile import (LawEntry, ModelFormatError, _split_sections,
-                        ansatz_spaces, load_model)
+from .modelfile import (ModelFormatError, ansatz_spaces, load_laws,
+                        load_model)
 from .parse import ParseError, parse
 from . import corpus
 
@@ -82,31 +82,10 @@ def _load_laws(spec, table):
         pass
     if not os.path.exists(spec):
         raise CliError(f"no built-in model or file named {spec!r}")
-    with open(spec, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    sections = _split_sections(text)
-    if "laws" not in sections:
-        raise CliError(f"{spec}: no [laws] section")
-    laws = {}
-    attrs = []
-    for lineno, line in sections["laws"]:
-        if ":" not in line:
-            raise CliError(f"{spec}:{lineno}: law must be 'name: T1 | T2 | ...'")
-        head, body = line.split(":", 1)
-        head = head.strip()
-        if "." in head:
-            attrs.append((head, body.strip()))
-            continue
-        comps = tuple(parse(p.strip(), table) for p in body.split("|"))
-        if len(comps) != table.n:
-            raise CliError(f"{spec}:{lineno}: law {head!r} has {len(comps)} "
-                           f"components; expected {table.n}")
-        laws[head] = LawEntry(head, comps)
-    for head, value in attrs:
-        name, attr = head.rsplit(".", 1)
-        if name in laws and attr in ("status", "note", "source"):
-            setattr(laws[name], attr, value)
-    return laws
+    try:
+        return load_laws(spec, table)
+    except ModelFormatError as exc:
+        raise CliError(f"{spec}: {exc}")
 
 
 def _parse_generator_spec(model, spec):
@@ -141,7 +120,7 @@ def _parse_generator_spec(model, spec):
         try:
             g = model.generator(label)
         except KeyError as exc:
-            raise CliError(str(exc))
+            raise CliError(exc.args[0])
         g = g.scaled(sgn * coef)
         combined = g if combined is None else combined.plus(g, label=spec)
     combined = type(combined)(combined.xi, combined.eta, label=spec,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from .calculus import symmetry_residual
 from .lawgen import (expr_span_equal, make_ansatz, mixed_method,
                      monomial_basis, solve_multipliers, verify)
-from .modelfile import parse_model_text
+from .modelfile import ansatz_spaces, parse_model_text
 from .parse import parse
 
 
@@ -233,16 +233,14 @@ entropy.note: the instance f(p*rho^(-gamma)) = p*rho^(-5/3) of the advected-func
 
 @dataclass
 class ModelEntry:
-    """One built-in model: its parsed ModelFile, free-text notes on
-    discrepancies, and which generators the regression pipeline runs."""
+    """One built-in model: its parsed ModelFile and the regression settings
+    (mixed-method generators, expected multiplier basis at degree 2)."""
 
     key: str
     title: str
     model: ModelFile
-    notes: tuple = ()
     regression_generators: tuple = ()
-    multiplier_span: tuple = ()   # expected multiplier basis at degree 2
-    verification_only: bool = False
+    multiplier_span: tuple = ()
 
     @property
     def system(self):
@@ -253,14 +251,17 @@ class ModelEntry:
         return self.model.table
 
 
+# key -> (title, model text, regression generators, multiplier span);
+# a model with no regression generators is checked by verification only
 _TEXTS = {
-    "kdv": ("Korteweg-de Vries equation", KDV_TEXT),
-    "fw": ("Fornberg-Whitham equation", FW_TEXT),
-    "sp": ("Short Pulse equation", SP_TEXT),
+    "kdv": ("Korteweg-de Vries equation", KDV_TEXT, ("X4",),
+            ("1", "u", "x + t*u")),
+    "fw": ("Fornberg-Whitham equation", FW_TEXT, ("X1",), ()),
+    "sp": ("Short Pulse equation", SP_TEXT, ("X3",), ()),
     "gas1d": ("polytropic gas dynamics, one space dimension (gamma = 3)",
-              GAS1D_TEXT),
+              GAS1D_TEXT, (), ()),
     "gas3d": ("polytropic gas dynamics, three space dimensions (gamma = 5/3)",
-              GAS3D_TEXT),
+              GAS3D_TEXT, (), ()),
 }
 
 _cache = None
@@ -272,24 +273,11 @@ def builtin_models():
     if _cache is not None:
         return _cache
     entries = {}
-    for key, (title, text) in _TEXTS.items():
-        model = parse_model_text(text, name=key)
-        entry = ModelEntry(key=key, title=title, model=model)
-        if key == "kdv":
-            entry.regression_generators = ("X4",)
-            entry.multiplier_span = ("1", "u", "x + t*u")
-        elif key == "fw":
-            entry.regression_generators = ("X1",)
-        elif key == "sp":
-            entry.regression_generators = ("X3",)
-        else:
-            entry.verification_only = True
-        notes = []
-        for law in model.laws.values():
-            if law.note:
-                notes.append(f"{law.name}: {law.note}")
-        entry.notes = tuple(notes)
-        entries[key] = entry
+    for key, (title, text, generators, span) in _TEXTS.items():
+        entries[key] = ModelEntry(key=key, title=title,
+                                  model=parse_model_text(text, name=key),
+                                  regression_generators=generators,
+                                  multiplier_span=span)
     _cache = entries
     return entries
 
@@ -355,15 +343,13 @@ def regression_run(entry):
         ok = expr_span_equal(got, expected)
         report.add("multiplier span", ok,
                    f"basis {[str(g) for g in got]}")
-    if not entry.verification_only:
-        from .modelfile import ansatz_spaces
-        for label in entry.regression_generators:
-            g = entry.model.generator(label)
-            spaces = ansatz_spaces(entry.model)
-            result = mixed_method(system, g, spaces["psi"], spaces["h"],
-                                  theta_ansatz=spaces["theta"])
-            ok = len(result.laws) >= 1
-            report.add(f"mixed {label}", ok,
-                       f"{len(result.laws)} nontrivial / "
-                       f"{result.solution_dimension} solutions")
+    for label in entry.regression_generators:
+        g = entry.model.generator(label)
+        spaces = ansatz_spaces(entry.model)
+        result = mixed_method(system, g, spaces["psi"], spaces["h"],
+                              theta_ansatz=spaces["theta"])
+        ok = len(result.laws) >= 1
+        report.add(f"mixed {label}", ok,
+                   f"{len(result.laws)} nontrivial / "
+                   f"{result.solution_dimension} solutions")
     return report

@@ -827,27 +827,10 @@ class SymbolTable:
     def jet_by_alpha(self, alpha, mi=()):
         return Jet(alpha, self.dep_names[alpha], mi)
 
-    def param(self, name):
-        if name not in self.params:
-            self.params[name] = Param(name)
-        return self.params[name]
-
-    def fresh_param(self, prefix):
-        i = 0
-        while f"{prefix}{i}" in self.params:
-            i += 1
-        return self.param(f"{prefix}{i}")
-
     def func(self, name, order, arg):
         if name not in self.funcs:
             raise KeyError(f"not a declared function symbol: {name}")
         return FuncSym(name, order, arg)
-
-    def extended(self, params=(), funcs=()):
-        t = SymbolTable([v.name for v in self.indep], self.dep_names,
-                        list(self.params) + list(params),
-                        list(self.funcs) + list(funcs))
-        return t
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,12 @@ def _param_names(exprs):
     return names
 
 
+def _unknowns(ansatz_list):
+    """The unknowns of all the ansatz spaces, each once, in first-seen
+    order."""
+    return list(dict.fromkeys(p for a in ansatz_list for p in a.unknowns))
+
+
 def make_ansatz(basis, prefix, forbidden=()):
     basis = tuple(basis)
     return Ansatz(_fresh_params(prefix, len(basis), set(forbidden)), basis)
@@ -287,7 +293,6 @@ class DeterminingSystem:
     """One homogeneous linear equation per collected monomial coefficient."""
 
     matrix: RationalMatrix
-    keys: tuple
     origin: str
 
     @property
@@ -295,17 +300,15 @@ class DeterminingSystem:
         return (self.matrix.nrows, self.matrix.ncols)
 
 
-def _linear_rows(exprs, unknowns, tags=None):
-    """Collect each expr over the unknowns; returns (rows, rhs, keys) where
-    rows hold the unknown coefficients and rhs = -constant part."""
-    rows, rhs, keys = [], [], []
-    for idx, e in enumerate(exprs):
-        tag = tags[idx] if tags else idx
-        for key, form in collect(e, unknowns).items():
+def _linear_rows(exprs, unknowns):
+    """Collect each expr over the unknowns; returns (rows, rhs) where rows
+    hold the unknown coefficients and rhs = -constant part."""
+    rows, rhs = [], []
+    for e in exprs:
+        for form in collect(e, unknowns).values():
             rows.append([form.coeffs.get(p, Fraction(0)) for p in unknowns])
             rhs.append(-form.const)
-            keys.append((tag, key))
-    return rows, rhs, keys
+    return rows, rhs
 
 
 def _instantiate(e, mapping):
@@ -341,20 +344,14 @@ def multiplier_determining_system(system, ansatz_list):
         raise ValueError("need one multiplier ansatz per equation")
     for a in ansatz_list:
         a.require_polynomial("multiplier")
-    unknowns = []
-    for a in ansatz_list:
-        for p in a.unknowns:
-            if p not in unknowns:
-                unknowns.append(p)
+    unknowns = _unknowns(ansatz_list)
     L = formal_lagrangian(system, [a.expr for a in ansatz_list])
     residuals = [euler(L, alpha, table) for alpha in range(table.m)]
-    rows, rhs, keys = _linear_rows(residuals, unknowns,
-                                   tags=list(range(table.m)))
+    rows, rhs = _linear_rows(residuals, unknowns)
     if any(b != 0 for b in rhs):
         raise AnsatzError("multiplier system is not homogeneous")
-    matrix = RationalMatrix(rows, col_labels=[p.name for p in unknowns],
-                            row_labels=keys)
-    return DeterminingSystem(matrix, tuple(keys), origin="multiplier")
+    matrix = RationalMatrix(rows, ncols=len(unknowns))
+    return DeterminingSystem(matrix, origin="multiplier")
 
 
 @dataclass
@@ -371,11 +368,7 @@ def solve_multipliers(system, ansatz_list):
     exactly (checked)."""
     det = multiplier_determining_system(system, ansatz_list)
     space = linsolve.nullspace(det.matrix)
-    unknowns = []
-    for a in ansatz_list:
-        for p in a.unknowns:
-            if p not in unknowns:
-                unknowns.append(p)
+    unknowns = _unknowns(ansatz_list)
     table = system.table
     out = []
     for vec in space.basis:
@@ -461,22 +454,20 @@ class WitnessSpace:
         keys |= set(rhs_map)
         for col in extra_cols:
             keys |= set(col)
-        rows, rhs, keys_out = [], [], []
+        rows, rhs = [], []
         zero = [Fraction(0)] * self.ncols
         for key in sorted(keys):
             row = [col.get(key, Fraction(0)) for col in extra_cols]
             row += self.columns.get(key, zero)
             rows.append(row)
             rhs.append(rhs_map.get(key, Fraction(0)))
-            keys_out.append(key)
-        return rows, rhs, keys_out
+        return rows, rhs
 
     def complete(self, rhs_map, components=(0, 1), extra_cols=()):
         """Solve extra*s + curl(theta) = rhs; None when infeasible."""
-        rows, rhs, _ = self._system_rows(rhs_map, components, extra_cols)
-        labels = [f"_x{i}" for i in range(len(extra_cols))] + \
-            [p.name for p in self.theta.unknowns]
-        return linsolve.solve(RationalMatrix(rows, col_labels=labels), rhs)
+        rows, rhs = self._system_rows(rhs_map, components, extra_cols)
+        return linsolve.solve(
+            RationalMatrix(rows, ncols=len(extra_cols) + self.ncols), rhs)
 
     def witness_coefficients(self, rhs_map):
         """Coefficients of a curl completion matching rhs_map exactly, or
@@ -513,6 +504,18 @@ def _law_rhs_map(system, T):
     return out
 
 
+def _witness_space(system, witness_space, theta_ansatz, exprs):
+    """The given witness space, else one over the given theta ansatz, else
+    one over the default theta ansatz with unknowns that avoid the
+    parameter names in `exprs` (iterated only in that last case)."""
+    if witness_space is not None:
+        return witness_space
+    if theta_ansatz is None:
+        theta_ansatz = default_theta_ansatz(system.table,
+                                            forbidden=_param_names(exprs))
+    return WitnessSpace(system, theta_ansatz)
+
+
 def is_trivial(system, T, theta_ansatz=None, witness_space=None):
     """A law is flagged trivial when its components vanish on solutions
     (first kind) or, for two independent variables, when it differs from a
@@ -524,11 +527,7 @@ def is_trivial(system, T, theta_ansatz=None, witness_space=None):
         return TrivialityReport(True, "vanishing")
     if table.n != 2:
         return TrivialityReport(False)
-    ws = witness_space
-    if ws is None:
-        if theta_ansatz is None:
-            theta_ansatz = default_theta_ansatz(table, forbidden=_param_names(T))
-        ws = WitnessSpace(system, theta_ansatz)
+    ws = _witness_space(system, witness_space, theta_ansatz, T)
     rhs_map = {}
     for comp, r in enumerate(reds):
         rhs_map.update(_coeff_map(r, comp))
@@ -556,12 +555,8 @@ def vectors_equivalent_mod_trivial(system, A, B, theta_ansatz=None,
     if table.n != 2:
         raise ValueError("equivalence test implemented for two independent "
                          "variables")
-    ws = witness_space
-    if ws is None:
-        if theta_ansatz is None:
-            theta_ansatz = default_theta_ansatz(
-                table, forbidden=_param_names(list(A) + list(B)))
-        ws = WitnessSpace(system, theta_ansatz)
+    ws = _witness_space(system, witness_space, theta_ansatz,
+                        list(A) + list(B))
     rhs_map = _law_rhs_map(system, A)
     b_col = _law_rhs_map(system, B)
     if not allow_scale:
@@ -582,12 +577,7 @@ def density_equivalent_mod_trivial(system, a, b, theta_ansatz=None,
     if table.n != 2:
         raise ValueError("density test implemented for two independent "
                          "variables")
-    ws = witness_space
-    if ws is None:
-        if theta_ansatz is None:
-            theta_ansatz = default_theta_ansatz(table,
-                                                forbidden=_param_names([a, b]))
-        ws = WitnessSpace(system, theta_ansatz)
+    ws = _witness_space(system, witness_space, theta_ansatz, [a, b])
     rhs_map = _coeff_map(system.reduce(a), 0)
     b_col = _coeff_map(system.reduce(b), 0)
     if not allow_scale:
@@ -613,11 +603,7 @@ def strip_trivial(system, T, theta_ansatz=None, witness_space=None):
     base = [system.reduce(c) for c in T]
     if table.n != 2:
         return tuple(base)
-    ws = witness_space
-    if ws is None:
-        if theta_ansatz is None:
-            theta_ansatz = default_theta_ansatz(table, forbidden=_param_names(T))
-        ws = WitnessSpace(system, theta_ansatz)
+    ws = _witness_space(system, witness_space, theta_ansatz, T)
     if not ws.ncols:
         return tuple(base)
     factors = dict(ws.factors)
@@ -685,7 +671,7 @@ class MixedResult:
 
 
 def mixed_method(system, g, psi_ansatz, h_ansatz, *, include_xi_l=False,
-                 theta_ansatz=None, strip=True):
+                 theta_ansatz=None):
     """Solve D_i(C^i + H^i) = 0 on solutions of the system for the formal
     multipliers psi and the completion field H simultaneously.
 
@@ -707,33 +693,25 @@ def mixed_method(system, g, psi_ansatz, h_ansatz, *, include_xi_l=False,
     for a in h_ansatz:
         a.require_polynomial("H")
 
-    unknowns = []
-    for a in list(psi_ansatz) + list(h_ansatz):
-        for p in a.unknowns:
-            if p not in unknowns:
-                unknowns.append(p)
+    unknowns = _unknowns(list(psi_ansatz) + list(h_ansatz))
 
     L = formal_lagrangian(system, [a.expr for a in psi_ansatz])
     C = symmetry_flux(L, g, system, include_xi_l=include_xi_l)
     T = [c + a.expr for c, a in zip(C, h_ansatz)]
     R = system.reduce(divergence(T, table))
 
-    rows, rhs, keys = _linear_rows([R], unknowns)
+    rows, rhs = _linear_rows([R], unknowns)
     if any(b != 0 for b in rhs):
         raise RuntimeError("internal error: mixed determining system is "
                            "not homogeneous")
-    matrix = RationalMatrix(rows, col_labels=[p.name for p in unknowns],
-                            row_labels=keys)
-    det = DeterminingSystem(matrix, tuple(keys), origin="mixed")
+    matrix = RationalMatrix(rows, ncols=len(unknowns))
+    det = DeterminingSystem(matrix, origin="mixed")
     space = linsolve.nullspace(matrix)
 
     ws = None
     if table.n == 2:
-        if theta_ansatz is None:
-            theta_ansatz = default_theta_ansatz(
-                table, forbidden=_param_names([a.expr for a in psi_ansatz] +
-                                              [a.expr for a in h_ansatz]))
-        ws = WitnessSpace(system, theta_ansatz)
+        ws = _witness_space(system, None, theta_ansatz,
+                            (a.expr for a in list(psi_ansatz) + list(h_ansatz)))
 
     laws, trivia = [], []
     for vec in space.basis:
@@ -753,12 +731,11 @@ def mixed_method(system, g, psi_ansatz, h_ansatz, *, include_xi_l=False,
         if law.triviality.trivial:
             trivia.append(law)
         else:
-            if strip:
-                law.stripped = strip_trivial(system, comps, witness_space=ws)
-                check = verify(system, law.stripped)
-                if not check.is_zero:
-                    raise RuntimeError("internal error: stripped law failed "
-                                       "re-verification")
+            law.stripped = strip_trivial(system, comps, witness_space=ws)
+            check = verify(system, law.stripped)
+            if not check.is_zero:
+                raise RuntimeError("internal error: stripped law failed "
+                                   "re-verification")
             laws.append(law)
     return MixedResult(laws=laws, trivial=trivia, determining=det,
                        solution_dimension=space.dimension)
@@ -775,17 +752,11 @@ def fluxes_from_multipliers(system, multipliers, h_ansatz):
         raise ValueError("need one multiplier per equation")
     for a in h_ansatz:
         a.require_polynomial("flux")
-    unknowns = []
-    for a in h_ansatz:
-        for p in a.unknowns:
-            if p not in unknowns:
-                unknowns.append(p)
+    unknowns = _unknowns(h_ansatz)
     target = formal_lagrangian(system, list(multipliers))
     residual = target - divergence([a.expr for a in h_ansatz], table)
-    rows, rhs, _keys = _linear_rows([residual], unknowns)
-    sol = linsolve.solve(RationalMatrix(rows,
-                                        col_labels=[p.name for p in unknowns]),
-                         rhs)
+    rows, rhs = _linear_rows([residual], unknowns)
+    sol = linsolve.solve(RationalMatrix(rows, ncols=len(unknowns)), rhs)
     if sol is None:
         return None
     mapping = dict(zip(unknowns, sol.particular))

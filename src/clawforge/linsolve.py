@@ -12,22 +12,17 @@ from math import gcd
 
 
 class RationalMatrix:
-    """Dense rows x cols matrix of exact rationals with optional labels
-    (column labels are ansatz unknowns, row labels monomial keys)."""
+    """Dense rows x cols matrix of exact rationals.  `ncols` defaults to the
+    row length; pass it for a system that may have no rows."""
 
-    def __init__(self, rows, col_labels=None, row_labels=None):
+    def __init__(self, rows, ncols=None):
         self.rows = [[Fraction(x) for x in r] for r in rows]
-        self.ncols = len(self.rows[0]) if self.rows else (
-            len(col_labels) if col_labels else 0)
+        if ncols is None:
+            ncols = len(self.rows[0]) if self.rows else 0
+        self.ncols = ncols
         for r in self.rows:
             if len(r) != self.ncols:
                 raise ValueError("ragged matrix")
-        self.col_labels = list(col_labels) if col_labels else None
-        self.row_labels = list(row_labels) if row_labels else None
-        if self.col_labels and len(self.col_labels) != self.ncols:
-            raise ValueError("column label count mismatch")
-        if self.row_labels and len(self.row_labels) != len(self.rows):
-            raise ValueError("row label count mismatch")
 
     @property
     def nrows(self):
@@ -47,10 +42,9 @@ class SolutionSpace:
     """Affine solution set: particular + span(basis).  For homogeneous
     systems the particular solution is the zero vector."""
 
-    def __init__(self, basis, particular, labels=None):
+    def __init__(self, basis, particular):
         self.basis = [tuple(Fraction(x) for x in v) for v in basis]
         self.particular = tuple(Fraction(x) for x in particular)
-        self.labels = list(labels) if labels else None
 
     @property
     def dimension(self):
@@ -108,7 +102,7 @@ def _bareiss(rows, ncols):
 def rref(matrix):
     """Reduced row-echelon form (exact)."""
     rows, piv_cols = _rref_rows(matrix.rows, matrix.ncols)
-    return RationalMatrix(rows, col_labels=matrix.col_labels)
+    return RationalMatrix(rows, ncols=matrix.ncols)
 
 
 def _rref_rows(in_rows, ncols):
@@ -181,8 +175,7 @@ def nullspace(matrix):
             if rows[k][j] != 0:
                 v[remaining[c]] = -rows[k][j]
         basis.append(v)
-    return SolutionSpace(basis, [Fraction(0)] * matrix.ncols,
-                         labels=matrix.col_labels)
+    return SolutionSpace(basis, [Fraction(0)] * matrix.ncols)
 
 
 def solve(matrix, rhs):
@@ -198,7 +191,7 @@ def solve(matrix, rhs):
     for k, c in enumerate(piv_cols):
         particular[c] = rows[k][matrix.ncols]
     null = nullspace(matrix)
-    return SolutionSpace(null.basis, particular, labels=matrix.col_labels)
+    return SolutionSpace(null.basis, particular)
 
 
 class ColumnSpace:

@@ -29,9 +29,15 @@ comment.  Expressions use the grammar from the parse module.
     h_degree: 2
 
 Law components are separated by '|' in independent-variable order; a law
-named N may carry attribute lines `N.status:` / `N.note:` / `N.source:`.
-The [ansatz] section holds default search-space settings (integers, or
-comma-separated variable lists for *_vars keys).
+named N may carry attribute lines `N.status:` / `N.note:` / `N.source:`,
+and any other attribute, or an attribute of an undefined law, is an error.
+The same parser (`parse_laws`) reads the [laws] section of a laws file
+given to `verify`, with the same checks and line numbers.
+
+The [ansatz] section holds default search-space settings: the integers
+psi_degree, psi_jets, h_degree, h_jets, theta_degree, theta_jets and the
+comma-separated variable lists psi_vars, h_vars, theta_vars.  Any other
+key is an error.
 """
 
 from __future__ import annotations
@@ -61,7 +67,7 @@ class LawEntry:
 
 _ANSATZ_INT_KEYS = {
     "psi_degree", "psi_jets", "h_degree", "h_jets",
-    "theta_degree", "theta_jets", "degree", "order",
+    "theta_degree", "theta_jets",
 }
 _ANSATZ_LIST_KEYS = {"psi_vars", "h_vars", "theta_vars"}
 
@@ -188,9 +194,30 @@ def parse_model_text(text, name="model"):
                   for nm in table.dep_names),
             label=label)
 
+    laws = parse_laws(sections.get("laws", []), table)
+
+    ansatz = {}
+    for key, (lineno, value) in _kv(sections.get("ansatz", []), "ansatz").items():
+        if key in _ANSATZ_INT_KEYS:
+            try:
+                ansatz[key] = int(value)
+            except ValueError:
+                raise ModelFormatError(f"[ansatz] {key} must be an integer", lineno)
+        elif key in _ANSATZ_LIST_KEYS:
+            ansatz[key] = _names(value)
+        else:
+            raise ModelFormatError(f"unknown [ansatz] key {key!r}", lineno)
+
+    return ModelFile(name=name, table=table, system=system,
+                     generators=generators, laws=laws, ansatz=ansatz)
+
+
+def parse_laws(lines, table):
+    """Law entries from the (line number, line) pairs of a [laws] section,
+    parsed against `table`."""
     laws = {}
     attrs = []
-    for lineno, line in sections.get("laws", []):
+    for lineno, line in lines:
         if ":" not in line:
             raise ModelFormatError("law must be 'name: T1 | T2 | ...'", lineno)
         head, body = line.split(":", 1)
@@ -216,21 +243,7 @@ def parse_model_text(text, name="model"):
         if attr not in ("status", "note", "source"):
             raise ModelFormatError(f"unknown law attribute {attr!r}", lineno)
         setattr(laws[lawname], attr, value)
-
-    ansatz = {}
-    for key, (lineno, value) in _kv(sections.get("ansatz", []), "ansatz").items():
-        if key in _ANSATZ_INT_KEYS:
-            try:
-                ansatz[key] = int(value)
-            except ValueError:
-                raise ModelFormatError(f"[ansatz] {key} must be an integer", lineno)
-        elif key in _ANSATZ_LIST_KEYS:
-            ansatz[key] = _names(value)
-        else:
-            raise ModelFormatError(f"unknown [ansatz] key {key!r}", lineno)
-
-    return ModelFile(name=name, table=table, system=system,
-                     generators=generators, laws=laws, ansatz=ansatz)
+    return laws
 
 
 def _as_jet(e, lineno):
@@ -251,6 +264,16 @@ def load_model(path):
     import os
     default = os.path.splitext(os.path.basename(path))[0]
     return parse_model_text(text, name=default)
+
+
+def load_laws(path, table):
+    """The [laws] section of a model file or a bare laws file, parsed
+    against `table`; the file's other sections are not read."""
+    with open(path, "r", encoding="utf-8") as fh:
+        sections = _split_sections(fh.read())
+    if "laws" not in sections:
+        raise ModelFormatError("no [laws] section")
+    return parse_laws(sections["laws"], table)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,6 @@
-import os
-import sys
-
 import pytest
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "src"))
-
-from clawforge.corpus import builtin_models  # noqa: E402
+from clawforge.corpus import builtin_models
 
 
 @pytest.fixture(scope="session")

@@ -118,7 +118,8 @@ def test_mixed_generator_combination(capsys):
 
 def test_mixed_unknown_generator(capsys):
     assert main(["mixed", "kdv", "--generator", "X9"]) == 2
-    assert "unknown generator" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: unknown generator 'X9'; have ['X1', 'X2', 'X3', 'X4']\n")
 
 
 def test_mixed_unknown_model(capsys):
@@ -243,6 +244,20 @@ def test_parse_error_exit_code(capsys):
 
 def test_verify_missing_laws_file(capsys):
     assert main(["verify", "kdv", "/no/such/file.laws"]) == 2
+
+
+@pytest.mark.parametrize("line,message", [
+    ("density-u.colour: red", "unknown law attribute 'colour'"),
+    ("ghost.status: printed", "attribute for unknown law 'ghost'"),
+    ("broken: u | u[x", "expected ']', found None (at position 3)"),
+], ids=["unknown-attribute", "undefined-law", "bad-expression"])
+def test_verify_rejects_bad_laws_file(tmp_path, capsys, line, message):
+    laws = tmp_path / "bad.laws"
+    laws.write_text(CORRECTED_KDV_LAWS + line + "\n")
+    assert main(["verify", "kdv", str(laws)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {laws}: {message} (line 5)\n"
 
 
 def test_user_model_file(tmp_path, capsys):

@@ -152,7 +152,7 @@ def test_gas3d_specializes_to_2d(gas3d):
 
 
 def test_notes_document_discrepancies(models):
-    kdv = models["kdv"]
-    assert any("u[x]^2/2" in n for n in kdv.notes)
-    gas3d = models["gas3d"]
-    assert any("velocity-bearing" in n for n in gas3d.notes)
+    kdv = models["kdv"].model.laws
+    assert "u[x]^2/2" in kdv["density-u"].note
+    gas3d = models["gas3d"].model.laws
+    assert "velocity-bearing" in gas3d["energy"].note

@@ -74,9 +74,11 @@ def test_unknown_generator_variable():
 
 
 def test_unknown_ansatz_key():
-    text = GOOD.replace("psi_degree: 1", "psi_power: 1")
-    with pytest.raises(ModelFormatError):
-        parse_model_text(text)
+    for key in ("psi_power", "degree", "order"):
+        text = GOOD.replace("psi_degree: 1", f"{key}: 1")
+        with pytest.raises(ModelFormatError,
+                           match=rf"unknown \[ansatz\] key '{key}'"):
+            parse_model_text(text)
 
 
 def test_attribute_for_unknown_law():

@@ -68,7 +68,10 @@ def _resolve_model(spec):
     except KeyError:
         pass
     if os.path.exists(spec):
-        return load_model(spec)
+        try:
+            return load_model(spec)
+        except ModelFormatError as exc:
+            raise CliError(f"{spec}: {exc}")
     raise CliError(f"no built-in model or file named {spec!r}")
 
 

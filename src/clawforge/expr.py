@@ -440,20 +440,12 @@ def _int_power(e, k):
 
 
 def _build(raw_terms):
-    """Accumulate like terms, then run opaque-base reduction to a fixpoint."""
-    acc = {}
-    for c, f in raw_terms:
-        key = _monokey(f)
-        cur = acc.get(key)
-        if cur is None:
-            acc[key] = [c, f]
-        else:
-            cur[0] += c
-    terms = [(c, f) for c, f in acc.values() if c != 0]
-    if any(not isinstance(b, Atom) for _, f in terms for b, _ in f):
-        terms = _radical_reduce(terms)
-    terms.sort(key=lambda t: _monokey(t[1]))
-    return Expr(tuple(terms))
+    """Accumulate like terms, then run opaque-base reduction to a fixpoint;
+    the terms are ordered by the monomial keys the accumulation computed."""
+    acc = _accumulate(raw_terms)
+    if any(not isinstance(b, Atom) for _, f in acc.values() for b, _ in f):
+        acc = _radical_reduce(acc.values())
+    return Expr(tuple(tuple(acc[key]) for key in sorted(acc)))
 
 
 def _split_radical(factors):
@@ -489,7 +481,8 @@ def _radical_reduce(terms):
     """Keep opaque-base powers canonical: for each group of terms sharing a
     radical signature, divide the polynomial part by each (non-constant)
     base and move exact multiples up one power.  The resulting base-adic
-    form is unique, which is what makes syntactic zero-testing sound."""
+    form is unique, which is what makes syntactic zero-testing sound.
+    Returns the accumulated terms, keyed like `_accumulate`."""
     while True:
         groups = {}
         for c, f in terms:
@@ -510,17 +503,10 @@ def _radical_reduce(terms):
                 changed = True
                 out.extend(moved)
         # re-accumulate (moved terms can collide with existing ones)
-        acc = {}
-        for c, f in out:
-            key = _monokey(f)
-            cur = acc.get(key)
-            if cur is None:
-                acc[key] = [c, f]
-            else:
-                cur[0] += c
-        terms = [(c, f) for c, f in acc.values() if c != 0]
+        acc = _accumulate(out)
         if not changed:
-            return terms
+            return acc
+        terms = acc.values()
 
 
 def _reduce_group(rad, polyterms):
@@ -531,7 +517,7 @@ def _reduce_group(rad, polyterms):
             continue  # opaque constants like 2^(1/2) are inert
         lm_c, lm_f = max(b.terms, key=lambda t: _lm_key(t[1]))
         # polynomial division of the group content by b
-        poly = {f: c for c, f in _accumulate(polyterms)}
+        poly = {f: c for c, f in _accumulate(polyterms).values()}
         quot = {}
         progress = True
         while progress:
@@ -566,6 +552,8 @@ def _reduce_group(rad, polyterms):
 
 
 def _accumulate(terms):
+    """Like terms merged: monomial key -> [coefficient, factors], without
+    the keys whose coefficients cancel."""
     acc = {}
     for c, f in terms:
         key = _monokey(f)
@@ -574,7 +562,7 @@ def _accumulate(terms):
             acc[key] = [c, f]
         else:
             cur[0] += c
-    return [(c, f) for c, f in acc.values() if c != 0]
+    return {key: cf for key, cf in acc.items() if cf[0] != 0}
 
 
 def _nth_root(n, k):

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from math import factorial
 
 from .expr import (Expr, FuncSym, Jet, Param, ZERO, _build, _monokey,
-                   collect, pdiff)
+                   _term_product, collect, pdiff)
 from .calculus import (apply_generator, divergence, euler, total_derivative)
 from . import linsolve
 from .linsolve import RationalMatrix
@@ -47,12 +48,12 @@ class Ansatz:
             if mine & b.atoms():
                 raise AnsatzError(f"ansatz basis entry {b!r} contains an unknown")
 
-    @property
+    @cached_property
     def expr(self):
-        out = ZERO
-        for p, b in zip(self.unknowns, self.basis):
-            out = out + p.as_expr() * b
-        return out
+        one = Fraction(1)
+        return _build([t for p, b in zip(self.unknowns, self.basis)
+                       for c, f in b.terms
+                       for t in _term_product(c, f, one, ((p, one),))])
 
     def require_polynomial(self, what):
         for b in self.basis:
@@ -94,12 +95,7 @@ def _fresh_params(prefix, count, forbidden):
 
 
 def _param_names(exprs):
-    names = set()
-    for e in exprs:
-        for a in e.atoms():
-            if isinstance(a, Param):
-                names.add(a.name)
-    return names
+    return {a.name for e in exprs for a in e.atoms() if isinstance(a, Param)}
 
 
 def _unknowns(ansatz_list):
@@ -138,12 +134,7 @@ def default_theta_ansatz(table, degree=3, jet_order=2, gens=None, forbidden=()):
     for m in lows:
         for j1, j2 in itertools.combinations_with_replacement(firsts, 2):
             basis.append(m * j1 * j2)
-    seen, uniq = set(), []
-    for b in basis:
-        if b.sort_key() not in seen:
-            seen.add(b.sort_key())
-            uniq.append(b)
-    return make_ansatz(uniq, "th", forbidden)
+    return make_ansatz(dict.fromkeys(basis), "th", forbidden)
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +295,10 @@ def _linear_rows(exprs, unknowns):
     """Collect each expr over the unknowns; returns (rows, rhs) where rows
     hold the unknown coefficients and rhs = -constant part."""
     rows, rhs = [], []
+    zero = Fraction(0)
     for e in exprs:
         for form in collect(e, unknowns).values():
-            rows.append([form.coeffs.get(p, Fraction(0)) for p in unknowns])
+            rows.append([form.coeffs.get(p, zero) for p in unknowns])
             rhs.append(-form.const)
     return rows, rhs
 
@@ -412,11 +404,11 @@ class TrivialityReport:
 def _coeff_map(e, comp, factors_out=None):
     """Reduced-expression coefficients keyed by (component, monomial key)."""
     out = {}
-    for key, form in collect(e, frozenset()).items():
-        mk = (comp, _monokey(key))
-        out[mk] = form.const
+    for c, f in e.terms:
+        mk = (comp, _monokey(f))
+        out[mk] = c
         if factors_out is not None:
-            factors_out[mk] = key
+            factors_out[mk] = f
     return out
 
 
@@ -432,20 +424,15 @@ class WitnessSpace:
         self.system = system
         self.theta = theta_ansatz
         self.ncols = len(theta_ansatz.basis)
-        self.columns = {}   # (comp, monokey) -> coefficient per basis element
+        self.columns = {}   # (comp, monokey) -> {basis index: nonzero value}
         self.factors = {}   # (comp, monokey) -> factor tuple, for reporting
         self.colspace = linsolve.ColumnSpace()
         for m, b in enumerate(theta_ansatz.basis):
             c1, c2 = _curl_pair(b, system.table)
-            col = {}
-            for comp, e in ((0, system.reduce(c1)), (1, system.reduce(c2))):
-                for key, val in _coeff_map(e, comp, self.factors).items():
-                    col[key] = col.get(key, Fraction(0)) + val
+            col = _coeff_map(system.reduce(c1), 0, self.factors)
+            col.update(_coeff_map(system.reduce(c2), 1, self.factors))
             for key, val in col.items():
-                full = self.columns.get(key)
-                if full is None:
-                    full = self.columns[key] = [Fraction(0)] * self.ncols
-                full[m] = val
+                self.columns.setdefault(key, {})[m] = val
             self.colspace.add_column(col)
 
     def _system_rows(self, rhs_map, components, extra_cols=()):
@@ -455,11 +442,12 @@ class WitnessSpace:
         for col in extra_cols:
             keys |= set(col)
         rows, rhs = [], []
-        zero = [Fraction(0)] * self.ncols
         for key in sorted(keys):
             row = [col.get(key, Fraction(0)) for col in extra_cols]
-            row += self.columns.get(key, zero)
-            rows.append(row)
+            dense = [Fraction(0)] * self.ncols
+            for m, val in self.columns.get(key, {}).items():
+                dense[m] = val
+            rows.append(row + dense)
             rhs.append(rhs_map.get(key, Fraction(0)))
         return rows, rhs
 
@@ -481,20 +469,14 @@ class WitnessSpace:
         return coeffs
 
     def witness_expr(self, coeffs):
-        out = ZERO
-        for val, b in zip(coeffs, self.theta.basis):
-            if val:
-                out = out + Expr.const(val) * b
-        return out
+        return _build([(val * c, f) for val, b in zip(coeffs, self.theta.basis)
+                       if val for c, f in b.terms])
 
     def curl_expr(self, coeffs):
-        c1, c2 = ZERO, ZERO
-        for val, b in zip(coeffs, self.theta.basis):
-            if val:
-                p1, p2 = _curl_pair(b, self.system.table)
-                c1 = c1 + Expr.const(val) * p1
-                c2 = c2 + Expr.const(val) * p2
-        return c1, c2
+        pairs = [(val, _curl_pair(b, self.system.table))
+                 for val, b in zip(coeffs, self.theta.basis) if val]
+        return tuple(_build([(val * c, f) for val, pair in pairs
+                             for c, f in pair[k].terms]) for k in (0, 1))
 
 
 def _law_rhs_map(system, T):
@@ -622,9 +604,8 @@ def strip_trivial(system, T, theta_ansatz=None, witness_space=None):
 
     inc = linsolve.IncrementalSystem(ws.ncols)
     for full_key in sorted(keys, key=priority):
-        col = ws.columns.get(full_key)
-        row = {m: v for m, v in enumerate(col) if v} if col else {}
-        inc.try_add(row, rhs_map.get(full_key, Fraction(0)))
+        inc.try_add(ws.columns.get(full_key, {}),
+                    rhs_map.get(full_key, Fraction(0)))
     coeffs = inc.solution()
     c1, c2 = ws.curl_expr(coeffs)
     return (system.reduce(base[0] - c1), system.reduce(base[1] - c2))

@@ -7,6 +7,7 @@ order (reduced-echelon pivoting)."""
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from math import gcd
 
@@ -16,7 +17,8 @@ class RationalMatrix:
     row length; pass it for a system that may have no rows."""
 
     def __init__(self, rows, ncols=None):
-        self.rows = [[Fraction(x) for x in r] for r in rows]
+        self.rows = [[x if isinstance(x, Fraction) else Fraction(x) for x in r]
+                     for r in rows]
         if ncols is None:
             ncols = len(self.rows[0]) if self.rows else 0
         self.ncols = ncols
@@ -52,6 +54,23 @@ class SolutionSpace:
 
     def __iter__(self):
         return iter(self.basis)
+
+
+def _sparse(vec):
+    """Copy of a sparse vector without zero entries, every value a Fraction."""
+    return {k: x if isinstance(x, Fraction) else Fraction(x)
+            for k, x in vec.items() if x}
+
+
+def _axpy(vec, f, other):
+    """vec -= f * other in place, dropping entries that cancel."""
+    for k, x in other.items():
+        cur = vec.get(k)
+        nv = -(f * x) if cur is None else cur - f * x
+        if nv:
+            vec[k] = nv
+        else:
+            vec.pop(k, None)
 
 
 def _integerize(row):
@@ -207,30 +226,20 @@ class ColumnSpace:
         self.ncols = 0
 
     def _reduce(self, vec, combo):
-        vec = dict(vec)
+        """Eliminate the basis pivots from vec, in place, tracking the
+        combination in combo."""
         for pivot, bvec, bcombo in self.basis:
             f = vec.get(pivot)
             if not f:
                 continue
-            for k, x in bvec.items():
-                nv = vec.get(k, Fraction(0)) - f * x
-                if nv:
-                    vec[k] = nv
-                else:
-                    vec.pop(k, None)
-            for i, x in bcombo.items():
-                nv = combo.get(i, Fraction(0)) - f * x
-                if nv:
-                    combo[i] = nv
-                else:
-                    combo.pop(i, None)
+            _axpy(vec, f, bvec)
+            _axpy(combo, f, bcombo)
         return vec, combo
 
     def add_column(self, vec):
         index = self.ncols
         self.ncols += 1
-        vec = {k: Fraction(x) for k, x in vec.items() if x != 0}
-        vec, combo = self._reduce(vec, {index: Fraction(1)})
+        vec, combo = self._reduce(_sparse(vec), {index: Fraction(1)})
         if vec:
             pivot = max(vec)
             inv = vec[pivot]
@@ -242,8 +251,7 @@ class ColumnSpace:
     def member(self, b):
         """Coefficients c (by column index) with sum(c_i * col_i) = b, or
         None when b is outside the span."""
-        b = {k: Fraction(x) for k, x in b.items() if x != 0}
-        vec, combo = self._reduce(b, {})
+        vec, combo = self._reduce(_sparse(b), {})
         if vec:
             return None
         return {i: -x for i, x in combo.items()}
@@ -259,35 +267,41 @@ class IncrementalSystem:
         self.ncols = ncols
         self.rows = []      # echelon rows as dicts, pivot normalized to 1
         self.rhs = []
-        self.pivots = []    # pivot column per row
+        self.pivots = {}    # pivot column -> row index, in row order
 
     def _reduce(self, row, b):
-        row = {c: Fraction(x) for c, x in row.items() if x != 0}
-        b = Fraction(b)
-        for r, rb, p in zip(self.rows, self.rhs, self.pivots):
+        """Eliminate the pivots from row in row order, visiting only the
+        rows whose pivots it holds; a row holds no earlier row's pivot."""
+        row = _sparse(row)
+        if not isinstance(b, Fraction):
+            b = Fraction(b)
+        todo = [(self.pivots[c], c) for c in row if c in self.pivots]
+        heapq.heapify(todo)
+        while todo:
+            i, p = heapq.heappop(todo)
             f = row.get(p)
             if not f:
-                continue
-            for c, x in r.items():
-                nv = row.get(c, Fraction(0)) - f * x
-                if nv:
-                    row[c] = nv
-                else:
-                    row.pop(c, None)
-            b -= f * rb
+                continue    # a duplicate entry, already eliminated
+            r = self.rows[i]
+            _axpy(row, f, r)
+            b -= f * self.rhs[i]
+            for c in r:
+                j = self.pivots.get(c, i)
+                if j > i and c in row:
+                    heapq.heappush(todo, (j, c))
         return row, b
 
     def try_add(self, row, b):
         if not isinstance(row, dict):
-            row = {c: x for c, x in enumerate(row) if x != 0}
+            row = dict(enumerate(row))
         row, b = self._reduce(row, b)
         if not row:
             return b == 0
         piv = min(row)
         inv = row[piv]
+        self.pivots[piv] = len(self.rows)
         self.rows.append({c: x / inv for c, x in row.items()})
         self.rhs.append(b / inv)
-        self.pivots.append(piv)
         return True
 
     def solution(self):

@@ -258,19 +258,29 @@ def _as_jet(e, lineno):
                            lineno)
 
 
+def _read(path):
+    """A model or laws file's text; a file that cannot be read as UTF-8
+    text is a format error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ModelFormatError(exc.strerror or str(exc))
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(
+            f"not UTF-8 text: {exc.reason} at byte {exc.start}")
+
+
 def load_model(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     import os
     default = os.path.splitext(os.path.basename(path))[0]
-    return parse_model_text(text, name=default)
+    return parse_model_text(_read(path), name=default)
 
 
 def load_laws(path, table):
     """The [laws] section of a model file or a bare laws file, parsed
     against `table`; the file's other sections are not read."""
-    with open(path, "r", encoding="utf-8") as fh:
-        sections = _split_sections(fh.read())
+    sections = _split_sections(_read(path))
     if "laws" not in sections:
         raise ModelFormatError("no [laws] section")
     return parse_laws(sections["laws"], table)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import clawforge
 from clawforge.cli import main
 from clawforge.corpus import get_model
 from clawforge.parse import parse
@@ -280,3 +285,35 @@ mass: u | -(u^2/2 + u[x])
     assert main(["verify", str(model), str(model)]) == 0
     assert main(["mixed", str(model), "--generator", "X2",
                  "--psi-degree", "1"]) == 0
+
+
+@pytest.mark.parametrize("argv,bad", [
+    (["verify", "kdv", "{dir}"], "{dir}"),
+    (["mixed", "{dir}", "--generator", "X1"], "{dir}"),
+    (["verify", "kdv", "{laws}"], "{laws}"),
+    (["verify", "{model}", "kdv"], "{model}"),
+], ids=["laws-directory", "model-directory", "non-utf8-laws",
+        "non-utf8-model"])
+def test_unreadable_input_file(tmp_path, capsys, argv, bad):
+    paths = {"dir": tmp_path / "somedir", "laws": tmp_path / "bad.laws",
+             "model": tmp_path / "bad.model"}
+    paths["dir"].mkdir()
+    paths["laws"].write_bytes(b"[laws]\nmass: u\xff | u\n")
+    paths["model"].write_bytes(b"[vars]\nindependent: t, x\xff\n")
+    names = {k: str(v) for k, v in paths.items()}
+    assert main([a.format(**names) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: {bad.format(**names)}: ")
+    assert "internal error" not in lines[0]
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(clawforge.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "clawforge", "models"],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "kdv" in proc.stdout

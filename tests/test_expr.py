@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from clawforge.expr import (DomainError, Expr, FuncSym, NonlinearError,
-                            SymbolTable, collect, key_expr, make_power, pdiff,
-                            substitute)
+from clawforge.expr import (ZERO, DomainError, Expr, FuncSym, NonlinearError,
+                            SymbolTable, _build, collect, key_expr, make_power,
+                            pdiff, substitute)
+from clawforge.lawgen import make_ansatz
 from clawforge.parse import parse
 
-from helpers import random_poly_expr, two_var_table
+from helpers import jet_pool, random_poly_expr, two_var_table
 
 
 @pytest.fixture()
@@ -320,3 +321,70 @@ def test_radical_base_adic_uniqueness(tab):
     a = P(tab, "(1 + u[x]^2 + u[x])") * P(tab, "(1+u[x]^2)^(-1/2)")
     b = r_half + P(tab, "u[x]") * P(tab, "(1+u[x]^2)^(-1/2)")
     assert a == b
+
+
+# -- normal forms do not depend on how the terms arrive ----------------------
+
+RADICALS = ("(1+u[x]^2)^(1/2)", "(1+u[x]^2)^(-1/2)", "(u+t)^(-1)",
+            "(u[x]+x)^(3/2)", "2^(1/2)")
+
+
+def _jet_terms(st, tab):
+    """Short products of jets, variables and (sometimes) one rational power
+    of a polynomial, each with a rational coefficient, as Exprs."""
+    pool = jet_pool(tab, 2)
+    radicals = [parse(s, tab) for s in RADICALS]
+    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    factors = st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 2)),
+                       max_size=3)
+    radical = st.one_of(st.none(), st.sampled_from(radicals))
+
+    def build(args):
+        c, fs, r = args
+        t = Expr.const(c)
+        for b, k in fs:
+            t = t * b ** k
+        return t if r is None else t * r
+
+    return st.tuples(coeff, factors, radical).map(build)
+
+
+def test_build_ignores_term_order_and_grouping():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    tab = two_var_table()
+
+    @hyp.settings(max_examples=60, deadline=None, derandomize=True)
+    @hyp.given(parts=st.lists(_jet_terms(st, tab), min_size=1, max_size=6),
+               data=st.data())
+    def check(parts, data):
+        raw = [t for p in parts for t in p.terms]
+        expected = _build(raw)
+        assert expected == sum(parts, ZERO)
+        shuffled = data.draw(st.permutations(raw))
+        assert _build(shuffled) == expected
+        cuts = data.draw(st.lists(st.integers(0, len(raw)), max_size=4))
+        bounds = [0] + sorted(cuts) + [len(raw)]
+        groups = [_build(shuffled[a:b]) for a, b in zip(bounds, bounds[1:])]
+        assert sum(groups, ZERO) == expected
+
+    check()
+
+
+def test_ansatz_expr_is_built_once_and_equals_the_fold():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    tab = two_var_table()
+
+    @hyp.settings(max_examples=40, deadline=None, derandomize=True)
+    @hyp.given(parts=st.lists(_jet_terms(st, tab), min_size=1, max_size=6))
+    def check(parts):
+        basis = [b for b in dict.fromkeys(parts) if not b.is_zero]
+        ansatz = make_ansatz(basis, "a")
+        fold = ZERO
+        for p, b in zip(ansatz.unknowns, ansatz.basis):
+            fold = fold + p.as_expr() * b
+        assert ansatz.expr == fold
+        assert ansatz.expr is ansatz.expr
+
+    check()

@@ -7,8 +7,10 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .expr import Expr, Jet, Param, ZERO, pdiff, substitute
+from .expr import (Atom, Expr, FuncSym, Jet, ONE, Param, _build, _chain_terms,
+                   _derive, _product_terms, pdiff, substitute)
 
 
 class SolvedFormError(ValueError):
@@ -22,14 +24,19 @@ class SolvedFormError(ValueError):
 
 def total_derivative(e, v):
     """D_v e: differentiate explicit dependence on the independent variable v
-    and advance every jet coordinate by one v-derivative."""
-    out = pdiff(e, v)
-    for a in e.atoms():
-        if isinstance(a, Jet):
-            d = pdiff(e, a)
-            if not d.is_zero:
-                out = out + d * a.shifted(v)
-    return out
+    and advance every jet coordinate by one v-derivative, in one pass over
+    the terms (function symbols and opaque bases by the chain rule)."""
+
+    def base_derivative(b):
+        if isinstance(b, Jet):
+            return b.shifted(v).as_expr().terms
+        if isinstance(b, FuncSym):
+            return _chain_terms(b, total_derivative(b.arg, v))
+        if isinstance(b, Atom):
+            return ONE.terms if b == v else ()
+        return total_derivative(b, v).terms
+
+    return _derive(e, base_derivative)
 
 
 def total_derivative_mi(e, mi):
@@ -42,24 +49,25 @@ def euler(e, alpha, table):
     """Variational derivative of e with respect to dependent variable
     `alpha`: sum over the unordered multi-indices J present in e of
     (-1)^|J| D_J (de/du_J).  Annihilates total divergences."""
-    out = ZERO
+    out = []
     for a in e.jets(alpha):
         d = pdiff(e, a)
         if d.is_zero:
             continue
         sign = -1 if a.order % 2 else 1
-        out = out + sign * total_derivative_mi(d, a.mi)
-    return out
+        dj = total_derivative_mi(d, a.mi)
+        out.extend((sign * c, f) for c, f in dj.terms)
+    return _build(out)
 
 
 def divergence(T, table):
     """D_i T^i over the table's independent variables."""
     if len(T) != table.n:
         raise ValueError(f"expected {table.n} components, got {len(T)}")
-    out = ZERO
+    out = []
     for comp, v in zip(T, table.indep):
-        out = out + total_derivative(comp, v)
-    return out
+        out.extend(total_derivative(comp, v).terms)
+    return _build(out)
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +79,7 @@ class Equation:
     lead: Jet
     rhs: Expr
 
-    @property
+    @cached_property
     def expr(self):
         """F = lead - rhs, the equation as an expression that vanishes on
         solutions."""
@@ -262,16 +270,17 @@ def apply_generator(generator, e, table, prolongation=None):
     """Action of the (prolonged) generator on e: xi^i de/dx^i plus
     zeta^a_J de/du^a_J over every jet present in e."""
     pro = prolongation or Prolongation(generator, table)
-    out = ZERO
+    out = []
     for v, xi in zip(table.indep, generator.xi):
         if not xi.is_zero:
-            out = out + xi * pdiff(e, v)
+            out.extend(_product_terms(xi.terms, pdiff(e, v).terms))
     for a in e.atoms():
         if isinstance(a, Jet):
             d = pdiff(e, a)
             if not d.is_zero:
-                out = out + pro.zeta(a.alpha, a.mi) * d
-    return out
+                zeta = pro.zeta(a.alpha, a.mi)
+                out.extend(_product_terms(zeta.terms, d.terms))
+    return _build(out)
 
 
 def symmetry_residual(generator, system):

@@ -110,6 +110,8 @@ def _parse_generator_spec(model, spec):
             cur += ch
     if cur:
         pieces.append((sign, cur))
+    if not pieces:
+        raise CliError(f"no generator label in generator spec {spec!r}")
     combined = None
     for sgn, piece in pieces:
         if "*" in piece:
@@ -226,7 +228,9 @@ def cmd_multipliers(args):
 
 def cmd_mixed(args):
     for value, what in ((args.psi_degree, "--psi-degree"),
-                        (args.h_degree, "--h-degree")):
+                        (args.psi_jets, "--psi-jets"),
+                        (args.h_degree, "--h-degree"),
+                        (args.h_jets, "--h-jets")):
         _check_degree(value, what)
     model = _resolve_model(args.model)
     g = _parse_generator_spec(model, args.generator)

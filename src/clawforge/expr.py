@@ -339,11 +339,7 @@ class Expr:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = []
-        for c1, f1 in self.terms:
-            for c2, f2 in other.terms:
-                out.extend(_term_product(c1, f1, c2, f2))
-        return _build(out)
+        return _build(_product_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -400,6 +396,15 @@ def _term_product(c1, f1, c2, f2):
         cur = merged.get(b)
         merged[b] = e if cur is None else cur + e
     return _expand_term(c1 * c2, merged)
+
+
+def _product_terms(terms1, terms2):
+    """Raw terms of the product of two term sequences, not yet merged."""
+    out = []
+    for c1, f1 in terms1:
+        for c2, f2 in terms2:
+            out.extend(_term_product(c1, f1, c2, f2))
+    return out
 
 
 def _expand_term(coeff, fdict):
@@ -638,41 +643,49 @@ def make_power(base, e):
 # Calculus on atoms
 # ---------------------------------------------------------------------------
 
+def _derive(e, base_derivative):
+    """The derivation that maps each factor base b to the raw terms
+    `base_derivative(b)`, applied to e by the product and power rules:
+    every factor b^k of a term gives k * b^(k-1) * d(b) times the other
+    factors.  `base_derivative` is called once per distinct base; the
+    result is normalized once."""
+    dbases = {}
+    out = []
+    for coeff, factors in e.terms:
+        for i, (b, k) in enumerate(factors):
+            db = dbases.get(b)
+            if db is None:
+                db = dbases[b] = base_derivative(b)
+            if not db:
+                continue
+            rest = factors[:i] + ((b, k - 1),) + factors[i + 1:]
+            ck = coeff * k
+            for dc, df in db:
+                out.extend(_term_product(ck, rest, dc, df))
+    return _build(out)
+
+
+def _chain_terms(f, darg):
+    """Raw terms of f'(arg) * darg, for a function symbol f applied to arg
+    and darg a derivative of arg."""
+    return _product_terms(darg.terms, f.raised().as_expr().terms)
+
+
 def pdiff(e, a):
     """Partial derivative of e with respect to the atom a, treating all other
     atoms as constants.  Function symbols differentiate through their
     argument by the chain rule; opaque powers by the power rule."""
-    out = []
-    for coeff, factors in e.terms:
-        for i, (b, k) in enumerate(factors):
-            db = _base_diff(b, a)
-            if db is None:
-                continue
-            rest = dict(factors[:i] + factors[i + 1:])
-            cur = _build(_expand_term(coeff * k, rest))
-            if k != 1:
-                if isinstance(b, Atom):
-                    cur = cur * _build(_expand_term(Fraction(1), {b: k - 1}))
-                else:
-                    cur = cur * make_power(b, k - 1)
-            cur = cur * db
-            out.extend(cur.terms)
-    return _build(out)
 
+    def base_derivative(b):
+        if isinstance(b, Atom):
+            if b == a:
+                return ONE.terms
+            if isinstance(b, FuncSym):
+                return _chain_terms(b, pdiff(b.arg, a))
+            return ()
+        return pdiff(b, a).terms
 
-def _base_diff(b, a):
-    """d(b)/d(a) as an Expr, or None when it is zero."""
-    if isinstance(b, Atom):
-        if b == a:
-            return ONE
-        if isinstance(b, FuncSym):
-            darg = pdiff(b.arg, a)
-            if darg.is_zero:
-                return None
-            return b.raised().as_expr() * darg
-        return None
-    d = pdiff(b, a)
-    return None if d.is_zero else d
+    return _derive(e, base_derivative)
 
 
 def _touches(b, keys):
@@ -689,34 +702,39 @@ def substitute(e, subs):
     """Replace every occurrence of each atom key of the dict `subs`
     (including inside function arguments and opaque bases) by its value,
     all at once, renormalizing.  Terms that touch no key pass through
-    unchanged; only the touched terms are expanded."""
+    unchanged.  In a touched term the untouched factors stay one monomial
+    and only the replaced factors are multiplied out; each replaced
+    (base, exponent) factor is computed once per call."""
     subs = {a: _coerce(r) for a, r in subs.items()}
     keys = subs.keys()
+    pieces = {}
     out = []
     for coeff, factors in e.terms:
-        if not any(_touches(b, keys) for b, _ in factors):
+        kept = []
+        prod = None     # raw terms of the product of the replaced factors
+        for fe in factors:
+            if not _touches(fe[0], keys):
+                kept.append(fe)
+                continue
+            piece = pieces.get(fe)
+            if piece is None:
+                piece = pieces[fe] = _replaced(fe[0], fe[1], subs).terms
+            prod = piece if prod is None else _product_terms(prod, piece)
+        if prod is None:
             out.append((coeff, factors))
-            continue
-        cur = Expr.const(coeff)
-        for b, k in factors:
-            if isinstance(b, Atom):
-                if b in keys:
-                    piece = make_power(subs[b], k)
-                elif isinstance(b, FuncSym) and _touches(b, keys):
-                    newf = FuncSym(b.name, b.order, substitute(b.arg, subs))
-                    piece = _build(_expand_term(Fraction(1), {newf: k}))
-                else:
-                    piece = _build(_expand_term(Fraction(1), {b: k}))
-            else:
-                if _touches(b, keys):
-                    piece = make_power(substitute(b, subs), k)
-                else:
-                    piece = Expr(((Fraction(1), ((b, k),)),))
-            cur = cur * piece
-            if cur.is_zero:
-                break
-        out.extend(cur.terms)
+        else:
+            out.extend(_product_terms(((coeff, tuple(kept)),), prod))
     return _build(out)
+
+
+def _replaced(b, k, subs):
+    """b^k with the substitution applied to a touched base b."""
+    if b in subs:
+        return make_power(subs[b], k)
+    if isinstance(b, FuncSym):
+        newf = FuncSym(b.name, b.order, substitute(b.arg, subs))
+        return Expr(((Fraction(1), ((newf, k),)),))
+    return make_power(substitute(b, subs), k)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import factorial
 
 from .expr import (Expr, FuncSym, Jet, Param, ZERO, _build, _monokey,
-                   _term_product, collect, pdiff)
+                   _product_terms, _term_product, collect, pdiff)
 from .calculus import (apply_generator, divergence, euler, total_derivative)
 from . import linsolve
 from .linsolve import RationalMatrix
@@ -158,10 +158,8 @@ def formal_lagrangian(system, psi):
     if len(psi) != len(system.equations):
         raise ValueError(f"expected {len(system.equations)} multipliers, "
                          f"got {len(psi)}")
-    out = ZERO
-    for p, eq in zip(psi, system.equations):
-        out = out + p * eq.expr
-    return out
+    return _build([t for p, eq in zip(psi, system.equations)
+                   for t in _product_terms(p.terms, eq.expr.terms)])
 
 
 # ---------------------------------------------------------------------------
@@ -293,12 +291,13 @@ class DeterminingSystem:
 
 def _linear_rows(exprs, unknowns):
     """Collect each expr over the unknowns; returns (rows, rhs) where rows
-    hold the unknown coefficients and rhs = -constant part."""
+    are sparse dicts from unknown position to coefficient and rhs =
+    -constant part."""
+    column = {p: i for i, p in enumerate(unknowns)}
     rows, rhs = [], []
-    zero = Fraction(0)
     for e in exprs:
         for form in collect(e, unknowns).values():
-            rows.append([form.coeffs.get(p, zero) for p in unknowns])
+            rows.append({column[p]: c for p, c in form.coeffs.items()})
             rhs.append(-form.const)
     return rows, rhs
 
@@ -436,18 +435,20 @@ class WitnessSpace:
             self.colspace.add_column(col)
 
     def _system_rows(self, rhs_map, components, extra_cols=()):
-        """Rows of [extra | curl-columns] c = rhs over the union of keys."""
+        """Sparse rows of [extra | curl-columns] c = rhs over the union of
+        keys."""
         keys = {k for k in self.columns if k[0] in components}
         keys |= set(rhs_map)
         for col in extra_cols:
             keys |= set(col)
+        shift = len(extra_cols)
         rows, rhs = [], []
         for key in sorted(keys):
-            row = [col.get(key, Fraction(0)) for col in extra_cols]
-            dense = [Fraction(0)] * self.ncols
+            row = {i: col[key] for i, col in enumerate(extra_cols)
+                   if key in col}
             for m, val in self.columns.get(key, {}).items():
-                dense[m] = val
-            rows.append(row + dense)
+                row[shift + m] = val
+            rows.append(row)
             rhs.append(rhs_map.get(key, Fraction(0)))
         return rows, rhs
 

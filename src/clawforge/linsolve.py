@@ -1,9 +1,11 @@
 """Exact linear algebra over the rationals for determining systems.
 
-Elimination is fraction-free (Bareiss) on a common-denominator integer
-copy of the matrix, then pivots are normalized to reduced row-echelon form.
-All results are exact; bases are deterministic given the row and column
-order (reduced-echelon pivoting)."""
+Matrices store their rows sparse (determining systems are mostly zeros);
+the nullspace presolve works on those rows directly.  Elimination is
+fraction-free (Bareiss) on a common-denominator integer dense copy of what
+is left, then pivots are normalized to reduced row-echelon form.  All
+results are exact; bases are deterministic given the row and column order
+(reduced-echelon pivoting)."""
 
 from __future__ import annotations
 
@@ -11,30 +13,54 @@ import heapq
 from fractions import Fraction
 from math import gcd
 
+_ZERO = Fraction(0)
+
 
 class RationalMatrix:
-    """Dense rows x cols matrix of exact rationals.  `ncols` defaults to the
-    row length; pass it for a system that may have no rows."""
+    """rows x cols matrix of exact rationals, stored as sparse rows: one dict
+    column -> nonzero Fraction per row.  A row may be given as a dict or as
+    a dense sequence; `ncols` defaults to the length of the first row and
+    must be passed for dict rows or for a system that may have no rows."""
 
     def __init__(self, rows, ncols=None):
-        self.rows = [[x if isinstance(x, Fraction) else Fraction(x) for x in r]
-                     for r in rows]
+        rows = list(rows)
         if ncols is None:
-            ncols = len(self.rows[0]) if self.rows else 0
+            if rows and isinstance(rows[0], dict):
+                raise ValueError("ncols is required for sparse rows")
+            ncols = len(rows[0]) if rows else 0
         self.ncols = ncols
-        for r in self.rows:
-            if len(r) != self.ncols:
-                raise ValueError("ragged matrix")
+        self.sparse_rows = []
+        for r in rows:
+            if isinstance(r, dict):
+                if any(not 0 <= c < ncols for c in r):
+                    raise ValueError("column index out of range")
+                r = _sparse(r)
+            else:
+                if len(r) != ncols:
+                    raise ValueError("ragged matrix")
+                r = _sparse(dict(enumerate(r)))
+            self.sparse_rows.append(r)
 
     @property
     def nrows(self):
-        return len(self.rows)
+        return len(self.sparse_rows)
+
+    @property
+    def rows(self):
+        """Dense view: one list of ncols Fractions per row."""
+        out = []
+        for r in self.sparse_rows:
+            dense = [_ZERO] * self.ncols
+            for c, x in r.items():
+                dense[c] = x
+            out.append(dense)
+        return out
 
     def mul_vector(self, v):
         if len(v) != self.ncols:
             raise ValueError("dimension mismatch")
-        return [sum((a * b for a, b in zip(row, v)), Fraction(0))
-                for row in self.rows]
+        return [sum((x * v[c] for c, x in r.items()), _ZERO)
+                for r in self.sparse_rows]
 
     def __repr__(self):
         return f"RationalMatrix({self.nrows}x{self.ncols})"
@@ -155,7 +181,7 @@ def nullspace(matrix):
     presolved away before elimination: such a column is forced to zero and
     every row it appears in shrinks, often cascading."""
     forced = set()
-    live_rows = [{c: x for c, x in enumerate(r) if x != 0} for r in matrix.rows]
+    live_rows = [dict(r) for r in matrix.sparse_rows]
     changed = True
     while changed:
         changed = False

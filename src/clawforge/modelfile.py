@@ -34,10 +34,10 @@ and any other attribute, or an attribute of an undefined law, is an error.
 The same parser (`parse_laws`) reads the [laws] section of a laws file
 given to `verify`, with the same checks and line numbers.
 
-The [ansatz] section holds default search-space settings: the integers
-psi_degree, psi_jets, h_degree, h_jets, theta_degree, theta_jets and the
-comma-separated variable lists psi_vars, h_vars, theta_vars.  Any other
-key is an error.
+The [ansatz] section holds default search-space settings: the nonnegative
+integers psi_degree, psi_jets, h_degree, h_jets, theta_degree, theta_jets
+and the comma-separated variable lists psi_vars, h_vars, theta_vars.  Any
+other key, or a negative integer, is an error.
 """
 
 from __future__ import annotations
@@ -203,6 +203,9 @@ def parse_model_text(text, name="model"):
                 ansatz[key] = int(value)
             except ValueError:
                 raise ModelFormatError(f"[ansatz] {key} must be an integer", lineno)
+            if ansatz[key] < 0:
+                raise ModelFormatError(f"[ansatz] {key} must be nonnegative",
+                                       lineno)
         elif key in _ANSATZ_LIST_KEYS:
             ansatz[key] = _names(value)
         else:

@@ -5,10 +5,12 @@ import pytest
 from clawforge.calculus import (Equation, Generator, PdeSystem,
                                 SolvedFormError, divergence, euler, prolong,
                                 symmetry_residual, total_derivative)
-from clawforge.expr import SymbolTable
+from clawforge.expr import (ZERO, Atom, DomainError, Expr, FuncSym, Jet,
+                            SymbolTable, pdiff, substitute)
 from clawforge.parse import parse
 
-from helpers import random_poly_expr, two_var_table
+from helpers import (RADICALS, jet_pool, jet_terms, random_poly_expr,
+                     two_var_table)
 
 
 @pytest.fixture()
@@ -195,3 +197,150 @@ def test_generator_validation_rejects_stray_parameters():
     g = Generator((parse("a1", tab), parse("0", tab)), (parse("0", tab),),
                   parametrized=True)
     assert g.parametrized
+
+
+# -- kernel properties (hypothesis) and the sympy oracle ----------------------
+
+# function-symbol factors and rational powers of polynomial bases that the
+# kernel strategies multiply into jet monomials
+KERNEL_SPECIALS = RADICALS + ("f(u+t)", "f(u[x])", "f'(u)*u[x]")
+
+
+def _kernel_table():
+    return SymbolTable(["t", "x"], ["u"], funcs=["f"])
+
+
+def _kernel_exprs(st, tab, specials=KERNEL_SPECIALS):
+    return st.lists(jet_terms(st, tab, specials), min_size=1,
+                    max_size=4).map(lambda parts: sum(parts, ZERO))
+
+
+def _total_derivative_fold(e, v):
+    """The definition: D_v e = de/dv + sum over the jets a of e of
+    de/da * a_v, one pdiff pass per jet and one addition per jet."""
+    out = pdiff(e, v)
+    for a in e.atoms():
+        if isinstance(a, Jet):
+            out = out + pdiff(e, a) * a.shifted(v)
+    return out
+
+
+def _substitute_per_factor(e, subs):
+    """Each term rebuilt as its coefficient times each factor, replaced or
+    not, multiplied in one at a time."""
+    out = ZERO
+    for coeff, factors in e.terms:
+        cur = Expr.const(coeff)
+        for b, k in factors:
+            if b in subs:
+                piece = subs[b] ** k
+            elif isinstance(b, FuncSym):
+                arg = _substitute_per_factor(b.arg, subs)
+                piece = FuncSym(b.name, b.order, arg).as_expr() ** k
+            elif isinstance(b, Atom):
+                piece = b.as_expr() ** k
+            else:
+                piece = _substitute_per_factor(b, subs) ** k
+            cur = cur * piece
+        out = out + cur
+    return out
+
+
+def test_total_derivative_single_pass_matches_fold():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    tab = _kernel_table()
+
+    @hyp.settings(max_examples=60, deadline=None, derandomize=True)
+    @hyp.given(e=_kernel_exprs(st, tab), v=st.sampled_from(tab.indep))
+    def check(e, v):
+        assert total_derivative(e, v) == _total_derivative_fold(e, v)
+
+    check()
+
+
+def test_total_derivatives_commute_with_functions_and_radicals():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    tab = _kernel_table()
+    t, x = tab.indep
+
+    @hyp.settings(max_examples=40, deadline=None, derandomize=True)
+    @hyp.given(e=_kernel_exprs(st, tab))
+    def check(e):
+        assert total_derivative(total_derivative(e, t), x) == \
+            total_derivative(total_derivative(e, x), t)
+
+    check()
+
+
+def test_euler_annihilates_divergences_with_functions_and_radicals():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    tab = _kernel_table()
+
+    @hyp.settings(max_examples=30, deadline=None, derandomize=True)
+    @hyp.given(T=st.tuples(_kernel_exprs(st, tab), _kernel_exprs(st, tab)))
+    def check(T):
+        assert euler(divergence(list(T), tab), 0, tab).is_zero
+
+    check()
+
+
+def test_substitute_matches_per_factor_product():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    tab = _kernel_table()
+    keys = [next(iter(p.atoms())) for p in jet_pool(tab, 2)]
+    polys = _kernel_exprs(st, tab, specials=())
+
+    @hyp.settings(max_examples=60, deadline=None, derandomize=True)
+    @hyp.given(e=_kernel_exprs(st, tab),
+               subs=st.dictionaries(st.sampled_from(keys), polys,
+                                    min_size=1, max_size=3))
+    def check(e, subs):
+        try:
+            expected = _substitute_per_factor(e, subs)
+        except DomainError:
+            # a replaced opaque base became zero under a negative power
+            with pytest.raises(DomainError):
+                substitute(e, subs)
+            return
+        assert substitute(e, subs) == expected
+
+    check()
+
+
+def test_pdiff_and_total_derivative_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    tab = two_var_table()
+    atoms = [next(iter(p.atoms())) for p in jet_pool(tab, 2)]
+
+    def sym(a):
+        return sympy.Symbol(repr(a))
+
+    def to_sympy(e):
+        return sympy.Add(*[
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*[sym(b) ** int(k) for b, k in f])
+            for c, f in e.terms])
+
+    @hyp.settings(max_examples=40, deadline=None, derandomize=True)
+    @hyp.given(e=_kernel_exprs(st, tab, specials=()))
+    def check(e):
+        E = to_sympy(e)
+        for a in atoms:
+            assert sympy.expand(to_sympy(pdiff(e, a))
+                                - sympy.diff(E, sym(a))) == 0
+        jets = [a for a in e.atoms() if isinstance(a, Jet)]
+        for v in tab.indep:
+            # D_v spelled out: explicit v-dependence plus the chain rule
+            # through every jet, each advanced by one v-derivative
+            D = sympy.diff(E, sym(v)) + sum(
+                (sympy.diff(E, sym(a)) * sym(a.shifted(v)) for a in jets),
+                sympy.Integer(0))
+            assert sympy.expand(to_sympy(total_derivative(e, v)) - D) == 0
+
+    check()

@@ -127,6 +127,26 @@ def test_mixed_unknown_generator(capsys):
         "error: unknown generator 'X9'; have ['X1', 'X2', 'X3', 'X4']\n")
 
 
+def test_mixed_generator_spec_without_label(capsys):
+    for spec in ("+", "-"):
+        assert main(["mixed", "kdv", "--generator", spec]) == 2
+        assert capsys.readouterr().err == (
+            f"error: no generator label in generator spec '{spec}'\n")
+
+
+def test_mixed_jet_orders_checked(monkeypatch, capsys):
+    monkeypatch.delenv("CLAWFORGE_MAX_DEGREE", raising=False)
+    assert main(["mixed", "kdv", "--generator", "X4", "--psi-jets", "-1"]) == 2
+    assert capsys.readouterr().err == "error: --psi-jets must be nonnegative\n"
+    assert main(["mixed", "kdv", "--generator", "X4", "--h-jets", "99"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --h-jets 99 exceeds the cap 8 "
+        "(set CLAWFORGE_MAX_DEGREE to raise it)\n")
+    monkeypatch.setenv("CLAWFORGE_MAX_DEGREE", "1")
+    assert main(["mixed", "kdv", "--generator", "X4", "--h-jets", "2"]) == 2
+    assert "--h-jets 2 exceeds the cap 1" in capsys.readouterr().err
+
+
 def test_mixed_unknown_model(capsys):
     assert main(["mixed", "nope", "--generator", "X1"]) == 2
 

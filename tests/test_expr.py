@@ -9,7 +9,7 @@ from clawforge.expr import (ZERO, DomainError, Expr, FuncSym, NonlinearError,
 from clawforge.lawgen import make_ansatz
 from clawforge.parse import parse
 
-from helpers import jet_pool, random_poly_expr, two_var_table
+from helpers import RADICALS, jet_terms, random_poly_expr, two_var_table
 
 
 @pytest.fixture()
@@ -325,37 +325,14 @@ def test_radical_base_adic_uniqueness(tab):
 
 # -- normal forms do not depend on how the terms arrive ----------------------
 
-RADICALS = ("(1+u[x]^2)^(1/2)", "(1+u[x]^2)^(-1/2)", "(u+t)^(-1)",
-            "(u[x]+x)^(3/2)", "2^(1/2)")
-
-
-def _jet_terms(st, tab):
-    """Short products of jets, variables and (sometimes) one rational power
-    of a polynomial, each with a rational coefficient, as Exprs."""
-    pool = jet_pool(tab, 2)
-    radicals = [parse(s, tab) for s in RADICALS]
-    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=3)
-    factors = st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 2)),
-                       max_size=3)
-    radical = st.one_of(st.none(), st.sampled_from(radicals))
-
-    def build(args):
-        c, fs, r = args
-        t = Expr.const(c)
-        for b, k in fs:
-            t = t * b ** k
-        return t if r is None else t * r
-
-    return st.tuples(coeff, factors, radical).map(build)
-
-
 def test_build_ignores_term_order_and_grouping():
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
     tab = two_var_table()
 
     @hyp.settings(max_examples=60, deadline=None, derandomize=True)
-    @hyp.given(parts=st.lists(_jet_terms(st, tab), min_size=1, max_size=6),
+    @hyp.given(parts=st.lists(jet_terms(st, tab, RADICALS), min_size=1,
+                              max_size=6),
                data=st.data())
     def check(parts, data):
         raw = [t for p in parts for t in p.terms]
@@ -377,7 +354,8 @@ def test_ansatz_expr_is_built_once_and_equals_the_fold():
     tab = two_var_table()
 
     @hyp.settings(max_examples=40, deadline=None, derandomize=True)
-    @hyp.given(parts=st.lists(_jet_terms(st, tab), min_size=1, max_size=6))
+    @hyp.given(parts=st.lists(jet_terms(st, tab, RADICALS), min_size=1,
+                              max_size=6))
     def check(parts):
         basis = [b for b in dict.fromkeys(parts) if not b.is_zero]
         ansatz = make_ansatz(basis, "a")

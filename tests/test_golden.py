@@ -1,13 +1,16 @@
 """Golden outputs: each fixed benchmark job, run in-process with `--json`,
 must print exactly the bytes whose sha256 the benchmark recorded, and the
-counts stated in the paper must hold.  This is the gate for refactors that
-promise unchanged results."""
+counts stated in the paper must hold.  The `verify gas3d` laws files of one
+fixed verify-seeded seed must get the verdicts their construction fixes and
+print the recorded bytes.  This is the gate for refactors that promise
+unchanged results."""
 
 import contextlib
 import hashlib
 import importlib.util
 import io
 import os
+import random
 
 import pytest
 
@@ -39,3 +42,26 @@ def test_fixed_job_output_unchanged(job, digest):
 def test_paper_counts_name_fixed_jobs():
     # the counts are checked only on jobs the test above runs
     assert set(workloads.PAPER_COUNTS) <= {job for job, _ in JOBS}
+
+
+# sha256 of the `verify gas3d FILE --json` report of each laws file that
+# workloads.verify_files(random.Random(VERIFY_SEED)) generates
+VERIFY_SEED = 7
+VERIFY_DIGESTS = (
+    "0510e2d7fa3386fbe43c5a1413a8b39b89cf4e3b96921930027e5eeb90489496",
+    "92028cc086a759d1fb707eead04db506d1778edb2e631ca2831754cae542dd05",
+)
+
+
+def test_seeded_verify_output_unchanged(tmp_path):
+    files = workloads.verify_files(random.Random(VERIFY_SEED))
+    assert len(files) == len(VERIFY_DIGESTS)
+    for i, ((text, expected), digest) in enumerate(zip(files, VERIFY_DIGESTS)):
+        path = tmp_path / f"verify-{i}.laws"
+        path.write_text(text, encoding="utf-8")
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            rc = main(["verify", "gas3d", str(path), "--json"])
+        out = buf.getvalue()
+        assert workloads.check_verify_output(out, rc, expected)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -81,6 +81,16 @@ def test_unknown_ansatz_key():
             parse_model_text(text)
 
 
+def test_negative_ansatz_integer():
+    for key in ("psi_degree", "h_jets"):
+        text = GOOD.replace("psi_degree: 1", f"{key}: -1")
+        line = text.splitlines().index(f"{key}: -1") + 1
+        with pytest.raises(ModelFormatError) as info:
+            parse_model_text(text)
+        assert str(info.value) == \
+            f"[ansatz] {key} must be nonnegative (line {line})"
+
+
 def test_attribute_for_unknown_law():
     text = GOOD + "\n[laws]\nmissing.status: printed\n"
     with pytest.raises(ModelFormatError):

@@ -6,11 +6,10 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .expr import (Atom, Expr, FuncSym, Jet, ONE, Param, _build, _chain_terms,
-                   _derive, _product_terms, pdiff, substitute)
+                   _derive, _exact, _product_terms, pdiff, substitute)
 
 
 class SolvedFormError(ValueError):
@@ -215,7 +214,7 @@ class Generator:
         return True
 
     def scaled(self, q):
-        q = Fraction(q)
+        q = _exact(q)
         return Generator(tuple(c * q for c in self.xi),
                          tuple(c * q for c in self.eta),
                          label=self.label, parametrized=self.parametrized)
@@ -250,13 +249,12 @@ class Prolongation:
             val = self.g.eta[alpha]
         else:
             v, rest = mi[0], mi[1:]
-            prev = self.zeta(alpha, rest)
-            val = total_derivative(prev, v)
+            out = list(total_derivative(self.zeta(alpha, rest), v).terms)
             for k, xk in enumerate(self.table.indep):
                 dxi = total_derivative(self.g.xi[k], v)
-                if not dxi.is_zero:
-                    val = val - Jet(alpha, self.table.dep_names[alpha],
-                                    rest + (xk,)).as_expr() * dxi
+                jet = Jet(alpha, self.table.dep_names[alpha], rest + (xk,))
+                out += _product_terms(jet.as_expr().terms, (-dxi).terms)
+            val = _build(out)
         self._memo[key] = val
         return val
 

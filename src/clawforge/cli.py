@@ -17,6 +17,7 @@ grammar."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -325,7 +326,10 @@ def cmd_tderiv(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process and shared by every
+    `main` call (parsing does not change it)."""
     ap = argparse.ArgumentParser(
         prog="clawforge",
         description="compute and verify local conservation laws of PDE "
@@ -336,14 +340,12 @@ def build_parser():
 
     p = sub.add_parser("models", help="list built-in models")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_models)
 
     p = sub.add_parser("verify", help="verify candidate conservation laws")
     p.add_argument("model")
     p.add_argument("laws", help="laws source: built-in model name, model "
                                 "file, or file with a [laws] section")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("multipliers",
                        help="solve the multiplier determining system")
@@ -353,7 +355,6 @@ def build_parser():
     p.add_argument("--degree", type=int, default=2,
                    help="total degree of the multiplier ansatz")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_multipliers)
 
     p = sub.add_parser("mixed", help="run the mixed determining pipeline")
     p.add_argument("model")
@@ -368,29 +369,26 @@ def build_parser():
     p.add_argument("--verbose", action="store_true",
                    help="also print the trivial laws that were stripped")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_mixed)
 
     p = sub.add_parser("euler", help="apply the variational derivative")
     p.add_argument("model")
     p.add_argument("expr")
     p.add_argument("--var", default=None, help="dependent variable name")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_euler)
 
     p = sub.add_parser("tderiv", help="apply a total derivative")
     p.add_argument("model")
     p.add_argument("var", help="independent variable name")
     p.add_argument("expr")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_tderiv)
     return ap
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up per call, like every module-level name
+        return globals()[f"cmd_{args.command}"](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

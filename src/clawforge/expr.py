@@ -12,6 +12,12 @@ parameters, times rational powers of distinct polynomial bases, times formal
 function symbols).  No algebraic relations are assumed between distinct
 opaque bases; this is a stated limitation, not an oversight.
 
+Numbers are exact: a coefficient or exponent is stored as a plain `int`
+when it is integral and as a reduced `Fraction` when it is not, never as a
+float or an integral `Fraction`.  Every division goes through `_quot`.
+Both kinds have `.numerator` and `.denominator`, which is all that keys and
+printing read, so the choice never changes a normal form or its text.
+
 Values are immutable after construction and all operations are pure.
 """
 
@@ -33,11 +39,24 @@ class NonlinearError(ValueError):
         self.term = term
 
 
-def _as_fraction(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
+def _num(x):
+    """An exact rational as an int when it is integral."""
+    return x if type(x) is int or x.denominator != 1 else x.numerator
+
+
+def _quot(a, b):
+    """Exact a / b for rationals a and b != 0: an int when the quotient is
+    integral, else a reduced Fraction, never a float."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _num(a / b)
+
+
+def _exact(x):
+    """x in the stored form of an exact rational; floats are refused."""
+    if isinstance(x, (int, Fraction)):
+        return _num(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
@@ -53,7 +72,12 @@ class Atom:
     normal form of a function argument).
     """
 
-    __slots__ = ("_key", "_hash")
+    __slots__ = ("_key", "_bkey", "_hash")
+
+    def _set_key(self, key):
+        self._key = key
+        self._bkey = (0,) + key     # the key as a factor base, see _basekey
+        self._hash = hash(key)
 
     def sort_key(self):
         return self._key
@@ -71,7 +95,7 @@ class Atom:
         return self._hash
 
     def as_expr(self):
-        return Expr(((Fraction(1), ((self, Fraction(1)),)),))
+        return Expr(((1, ((self, 1),)),))
 
     # arithmetic delegates to the expression layer
     def __add__(self, other):
@@ -111,8 +135,7 @@ class IndepVar(Atom):
     def __init__(self, index, name):
         self.index = index
         self.name = name
-        self._key = (0, index)
-        self._hash = hash(self._key)
+        self._set_key((0, index))
 
     def __repr__(self):
         return self.name
@@ -130,8 +153,7 @@ class Jet(Atom):
         self.alpha = alpha
         self.name = name
         self.mi = tuple(sorted(mi, key=lambda v: v.index))
-        self._key = (1, alpha, len(self.mi), tuple(v.index for v in self.mi))
-        self._hash = hash(self._key)
+        self._set_key((1, alpha, len(self.mi), tuple(v.index for v in self.mi)))
 
     @property
     def order(self):
@@ -175,8 +197,7 @@ class Param(Atom):
 
     def __init__(self, name):
         self.name = name
-        self._key = (2, name)
-        self._hash = hash(self._key)
+        self._set_key((2, name))
 
     def __repr__(self):
         return self.name
@@ -192,8 +213,7 @@ class FuncSym(Atom):
         self.name = name
         self.order = order
         self.arg = arg
-        self._key = (3, name, order, arg.sort_key())
-        self._hash = hash(self._key)
+        self._set_key((3, name, order, arg.sort_key()))
 
     def raised(self):
         return FuncSym(self.name, self.order + 1, self.arg)
@@ -208,7 +228,7 @@ class FuncSym(Atom):
 
 def _basekey(b):
     if isinstance(b, Atom):
-        return (0,) + b._key
+        return b._bkey
     return (1, b.sort_key())
 
 
@@ -232,7 +252,7 @@ class Expr:
 
     @staticmethod
     def const(c):
-        c = _as_fraction(c)
+        c = _exact(c)
         if c == 0:
             return ZERO
         return Expr(((c, ()),))
@@ -275,7 +295,7 @@ class Expr:
 
     def as_rational(self):
         if self.is_zero:
-            return Fraction(0)
+            return 0
         if not self.is_rational():
             raise ValueError(f"not a rational constant: {self!r}")
         return self.terms[0][0]
@@ -345,24 +365,24 @@ class Expr:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = _as_fraction(other)
-            if q == 0:
+            if other == 0:
                 raise DomainError("division by zero")
-            return self * Expr.const(1 / q)
+            # the terms stay canonical: same monomials, none cancels
+            return Expr(tuple((_quot(c, other), f) for c, f in self.terms))
         if isinstance(other, Expr):
-            return self * make_power(other, Fraction(-1))
+            return self * make_power(other, -1)
         return NotImplemented
 
     def __rtruediv__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other * make_power(self, Fraction(-1))
+        return other * make_power(self, -1)
 
     def __pow__(self, e):
         if isinstance(e, Expr):
             e = e.as_rational()
-        return make_power(self, _as_fraction(e))
+        return make_power(self, e)
 
     def __repr__(self):
         return to_string(self)
@@ -381,7 +401,7 @@ def _coerce(x):
 
 
 ZERO = Expr()
-ONE = Expr(((Fraction(1), ()),))
+ONE = Expr(((1, ()),))
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +439,12 @@ def _expand_term(coeff, fdict):
     for b, e in fdict.items():
         if e == 0:
             continue
-        if not isinstance(b, Atom) and e.denominator == 1 and e > 0:
-            expansions.append((b, int(e)))
-        else:
-            plain.append((b, e))
+        if e.denominator == 1:
+            e = e.numerator
+            if e > 0 and not isinstance(b, Atom):
+                expansions.append((b, e))
+                continue
+        plain.append((b, e))
     plain.sort(key=lambda fe: _basekey(fe[0]))
     if not expansions:
         return [(coeff, tuple(plain))]
@@ -530,10 +552,10 @@ def _reduce_group(rad, polyterms):
             for mono in sorted(poly, key=_lm_key, reverse=True):
                 if _divides(lm_f, mono):
                     q = _mono_quot(mono, lm_f)
-                    ratio = poly[mono] / lm_c
+                    ratio = _quot(poly[mono], lm_c)
                     quot[q] = quot.get(q, 0) + ratio
                     for bc, bf in b.terms:
-                        prods = _term_product(-ratio * bc, q, Fraction(1), bf)
+                        prods = _term_product(-ratio * bc, q, 1, bf)
                         for pc, pf in prods:
                             # products stay polynomial here: q and bf are atom factors
                             poly[pf] = poly.get(pf, 0) + pc
@@ -558,7 +580,7 @@ def _reduce_group(rad, polyterms):
 
 def _accumulate(terms):
     """Like terms merged: monomial key -> [coefficient, factors], without
-    the keys whose coefficients cancel."""
+    the keys whose coefficients cancel; integral coefficients become ints."""
     acc = {}
     for c, f in terms:
         key = _monokey(f)
@@ -567,7 +589,12 @@ def _accumulate(terms):
             acc[key] = [c, f]
         else:
             cur[0] += c
-    return {key: cf for key, cf in acc.items() if cf[0] != 0}
+    out = {}
+    for key, cf in acc.items():
+        if cf[0]:
+            cf[0] = _num(cf[0])
+            out[key] = cf
+    return out
 
 
 def _nth_root(n, k):
@@ -590,22 +617,19 @@ def _nth_root(n, k):
 
 
 def _rational_pow(c, e):
-    """c**e as an exact Fraction, or None when the result is irrational."""
-    if e.denominator == 1:
-        if c == 0 and e < 0:
-            raise DomainError("zero raised to a negative power")
-        return c ** int(e)
-    if c < 0:
-        return None
-    if c == 0:
-        if e < 0:
-            raise DomainError("zero raised to a negative power")
-        return Fraction(0)
-    pn = _nth_root(c.numerator, e.denominator)
-    pd = _nth_root(c.denominator, e.denominator)
-    if pn is None or pd is None:
-        return None
-    return Fraction(pn, pd) ** e.numerator
+    """c**e as an exact rational, or None when the result is irrational."""
+    if c == 0 and e < 0:
+        raise DomainError("zero raised to a negative power")
+    pn, pd = c.numerator, c.denominator
+    if e.denominator != 1:
+        if c < 0:
+            return None
+        pn = _nth_root(pn, e.denominator)
+        pd = _nth_root(pd, e.denominator)
+        if pn is None or pd is None:
+            return None
+    k = e.numerator
+    return _quot(pn ** k, pd ** k) if k >= 0 else _quot(pd ** -k, pn ** -k)
 
 
 def make_power(base, e):
@@ -614,7 +638,7 @@ def make_power(base, e):
     Nonnegative integer powers of sums expand; single terms distribute over
     their factors; everything else becomes an opaque factor whose base must
     be polynomial."""
-    e = _as_fraction(e)
+    e = _exact(e)
     if e == 0:
         return ONE
     if e == 1:
@@ -624,19 +648,19 @@ def make_power(base, e):
             raise DomainError("zero raised to a negative power")
         return ZERO
     if e.denominator == 1 and e > 0:
-        return _int_power(base, int(e))
+        return _int_power(base, e)
     if len(base.terms) == 1:
         c, factors = base.terms[0]
         scalar = _rational_pow(c, e)
         fdict = {b: k * e for b, k in factors}
         if scalar is None:
             fdict[Expr.const(c)] = e
-            scalar = Fraction(1)
+            scalar = 1
         return _build(_expand_term(scalar, fdict))
     if not base.is_polynomial():
         raise DomainError(
             f"cannot raise a non-polynomial sum to the power {e}: {base!r}")
-    return Expr(((Fraction(1), ((base, e),)),))
+    return Expr(((1, ((base, e),)),))
 
 
 # ---------------------------------------------------------------------------
@@ -733,7 +757,7 @@ def _replaced(b, k, subs):
         return make_power(subs[b], k)
     if isinstance(b, FuncSym):
         newf = FuncSym(b.name, b.order, substitute(b.arg, subs))
-        return Expr(((Fraction(1), ((newf, k),)),))
+        return Expr(((1, ((newf, k),)),))
     return make_power(substitute(b, subs), k)
 
 
@@ -747,7 +771,7 @@ class LinearForm:
     __slots__ = ("const", "coeffs")
 
     def __init__(self):
-        self.const = Fraction(0)
+        self.const = 0
         self.coeffs = {}
 
     def items(self):
@@ -781,7 +805,7 @@ def collect(e, unknowns):
             form = found[key] = LinearForm()
         if present:
             p = present[0][0]
-            form.coeffs[p] = form.coeffs.get(p, Fraction(0)) + coeff
+            form.coeffs[p] = form.coeffs.get(p, 0) + coeff
         else:
             form.const += coeff
     return {key: found[key] for key in sorted(found, key=_monokey)}
@@ -789,7 +813,7 @@ def collect(e, unknowns):
 
 def key_expr(key):
     """The monomial Expr corresponding to a collect() key."""
-    return Expr(((Fraction(1), key),))
+    return Expr(((1, key),))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from fractions import Fraction
 from math import factorial
 
 from .expr import (Expr, FuncSym, Jet, Param, ZERO, _build, _monokey,
@@ -50,10 +49,9 @@ class Ansatz:
 
     @cached_property
     def expr(self):
-        one = Fraction(1)
         return _build([t for p, b in zip(self.unknowns, self.basis)
                        for c, f in b.terms
-                       for t in _term_product(c, f, one, ((p, one),))])
+                       for t in _term_product(c, f, 1, ((p, 1),))])
 
     def require_polynomial(self, what):
         for b in self.basis:
@@ -78,13 +76,12 @@ def monomial_basis(table, degree, jet_order=0, gens=None):
                             table.indep, k):
                         gens.append(table.jet_by_alpha(alpha, combo))
     gens = sorted(set(gens))
-    out = [Expr.const(1)]
-    for d in range(1, degree + 1):
+    out = []
+    for d in range(degree + 1):
         for combo in itertools.combinations_with_replacement(gens, d):
-            m = Expr.const(1)
-            for a in combo:
-                m = m * a.as_expr()
-            out.append(m)
+            # gens are sorted, so the factors come out in canonical order
+            out.append(Expr(((1, tuple((a, len(list(run))) for a, run
+                                       in itertools.groupby(combo))),)))
     return out
 
 
@@ -127,13 +124,14 @@ def default_theta_ansatz(table, degree=3, jet_order=2, gens=None, forbidden=()):
                 jets.append(table.jet_by_alpha(alpha, combo).as_expr())
     for m in polys:
         for j in jets:
-            basis.append(m * j)
+            basis.append(_build(_product_terms(m.terms, j.terms)))
     firsts = [table.jet_by_alpha(alpha, (v,)).as_expr()
               for alpha in range(table.m) for v in table.indep]
     lows = monomial_basis(table, max(degree - 2, 0), gens=gens)
     for m in lows:
         for j1, j2 in itertools.combinations_with_replacement(firsts, 2):
-            basis.append(m * j1 * j2)
+            basis.append(_build(_product_terms(
+                m.terms, _product_terms(j1.terms, j2.terms))))
     return make_ansatz(dict.fromkeys(basis), "th", forbidden)
 
 
@@ -145,11 +143,11 @@ def characteristic(g, table):
     """Evolutionary form W^a = eta^a - xi^j u^a_j of a generator."""
     out = []
     for alpha in range(table.m):
-        w = g.eta[alpha]
+        w = list(g.eta[alpha].terms)
         for j, v in enumerate(table.indep):
-            if not g.xi[j].is_zero:
-                w = w - g.xi[j] * table.jet_by_alpha(alpha, (v,))
-        out.append(w)
+            w += _product_terms((-g.xi[j]).terms,
+                                table.jet_by_alpha(alpha, (v,)).as_expr().terms)
+        out.append(_build(w))
     return out
 
 
@@ -225,36 +223,35 @@ def symmetry_flux(L, g, system, include_xi_l=False):
             for k, vk in enumerate(indep):
                 ddW[(alpha, j, k)] = total_derivative(dW[(alpha, j)], vk)
 
+    # each bracket is normalized once before it multiplies W or its
+    # derivatives; each component gathers raw terms and is normalized once
     C = []
     for i, vi in enumerate(indep):
-        comp = g.xi[i] * L if include_xi_l else ZERO
+        comp = _product_terms(g.xi[i].terms, L.terms) if include_xi_l else []
         for alpha in range(table.m):
-            bracket = parts.get(alpha, (vi,))
+            bracket = list(parts.get(alpha, (vi,)).terms)
             for j, vj in enumerate(indep):
                 p2 = parts.get(alpha, (vi, vj))
                 if not p2.is_zero:
-                    bracket = bracket - total_derivative(p2, vj)
+                    bracket += (-total_derivative(p2, vj)).terms
                 for k, vk in enumerate(indep):
                     p3 = parts.get(alpha, (vi, vj, vk))
                     if not p3.is_zero:
-                        bracket = bracket + total_derivative(
-                            total_derivative(p3, vj), vk)
-            if not bracket.is_zero:
-                comp = comp + W[alpha] * bracket
+                        bracket += total_derivative(
+                            total_derivative(p3, vj), vk).terms
+            comp += _product_terms(W[alpha].terms, _build(bracket).terms)
             for j, vj in enumerate(indep):
-                b2 = parts.get(alpha, (vi, vj))
+                b2 = list(parts.get(alpha, (vi, vj)).terms)
                 for k, vk in enumerate(indep):
                     p3 = parts.get(alpha, (vi, vj, vk))
                     if not p3.is_zero:
-                        b2 = b2 - total_derivative(p3, vk)
-                if not b2.is_zero:
-                    comp = comp + dW[(alpha, j)] * b2
+                        b2 += (-total_derivative(p3, vk)).terms
+                comp += _product_terms(dW[(alpha, j)].terms, _build(b2).terms)
             for j in range(len(indep)):
                 for k in range(len(indep)):
                     p3 = parts.get(alpha, (vi, indep[j], indep[k]))
-                    if not p3.is_zero:
-                        comp = comp + ddW[(alpha, j, k)] * p3
-        C.append(comp)
+                    comp += _product_terms(ddW[(alpha, j, k)].terms, p3.terms)
+        C.append(_build(comp))
     return C
 
 
@@ -265,12 +262,13 @@ def flux_identity_residual(L, g, system):
     table = system.table
     C = symmetry_flux(L, g, system, include_xi_l=True)
     W = characteristic(g, table)
-    res = apply_generator(g, L, table)
+    out = list(apply_generator(g, L, table).terms)
     for i, v in enumerate(table.indep):
-        res = res + L * total_derivative(g.xi[i], v)
+        out += _product_terms(L.terms, total_derivative(g.xi[i], v).terms)
     for alpha in range(table.m):
-        res = res - W[alpha] * euler(L, alpha, table)
-    return res - divergence(C, table)
+        out += _product_terms((-W[alpha]).terms, euler(L, alpha, table).terms)
+    out += (-divergence(C, table)).terms
+    return _build(out)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +447,7 @@ class WitnessSpace:
             for m, val in self.columns.get(key, {}).items():
                 row[shift + m] = val
             rows.append(row)
-            rhs.append(rhs_map.get(key, Fraction(0)))
+            rhs.append(rhs_map.get(key, 0))
         return rows, rhs
 
     def complete(self, rhs_map, components=(0, 1), extra_cols=()):
@@ -464,7 +462,7 @@ class WitnessSpace:
         combo = self.colspace.member(rhs_map)
         if combo is None:
             return None
-        coeffs = [Fraction(0)] * self.ncols
+        coeffs = [0] * self.ncols
         for i, x in combo.items():
             coeffs[i] = x
         return coeffs
@@ -545,7 +543,7 @@ def vectors_equivalent_mod_trivial(system, A, B, theta_ansatz=None,
     if not allow_scale:
         shifted = dict(rhs_map)
         for key, val in b_col.items():
-            shifted[key] = shifted.get(key, Fraction(0)) - val
+            shifted[key] = shifted.get(key, 0) - val
         return ws.complete(shifted) is not None
     sol = ws.complete(rhs_map, extra_cols=(b_col,))
     return _solutions_with_nonzero(sol, 0)
@@ -566,7 +564,7 @@ def density_equivalent_mod_trivial(system, a, b, theta_ansatz=None,
     if not allow_scale:
         shifted = dict(rhs_map)
         for key, val in b_col.items():
-            shifted[key] = shifted.get(key, Fraction(0)) - val
+            shifted[key] = shifted.get(key, 0) - val
         return ws.complete(shifted, components=(0,)) is not None
     sol = ws.complete(rhs_map, components=(0,), extra_cols=(b_col,))
     return _solutions_with_nonzero(sol, 0)
@@ -600,13 +598,12 @@ def strip_trivial(system, T, theta_ansatz=None, witness_space=None):
         key = factors.get(full_key, ())
         jets = [(b, e) for b, e in key if isinstance(b, Jet) and b.order > 0]
         order = max((b.order for b, _ in jets), default=0)
-        weight = sum((e for _, e in jets), Fraction(0))
+        weight = sum(e for _, e in jets)
         return (comp, -order, -weight, -len(key), mk)
 
     inc = linsolve.IncrementalSystem(ws.ncols)
     for full_key in sorted(keys, key=priority):
-        inc.try_add(ws.columns.get(full_key, {}),
-                    rhs_map.get(full_key, Fraction(0)))
+        inc.try_add(ws.columns.get(full_key, {}), rhs_map.get(full_key, 0))
     coeffs = inc.solution()
     c1, c2 = ws.curl_expr(coeffs)
     return (system.reduce(base[0] - c1), system.reduce(base[1] - c2))
@@ -790,7 +787,7 @@ def expr_span_equal(exprs_a, exprs_b):
     keys = sorted(keys, key=_monokey)
 
     def vec(c):
-        return [c[k].const if k in c else Fraction(0) for k in keys]
+        return [c[k].const if k in c else 0 for k in keys]
 
     va = [vec(c) for c in collected[:len(exprs_a)]]
     vb = [vec(c) for c in collected[len(exprs_a):]]

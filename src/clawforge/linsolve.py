@@ -3,22 +3,24 @@
 Matrices store their rows sparse (determining systems are mostly zeros);
 the nullspace presolve works on those rows directly.  Elimination is
 fraction-free (Bareiss) on a common-denominator integer dense copy of what
-is left, then pivots are normalized to reduced row-echelon form.  All
-results are exact; bases are deterministic given the row and column order
-(reduced-echelon pivoting)."""
+is left, back-substitution stays on integers, and each row is divided by
+its pivot once at the end to give the reduced row-echelon form.  Values
+are exact rationals in the engine's representation: an `int` when
+integral, else a reduced `Fraction`, never a float; every division goes
+through `expr._quot`.  Bases are deterministic given the row and column
+order (reduced-echelon pivoting)."""
 
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
 from math import gcd
 
-_ZERO = Fraction(0)
+from .expr import _num, _quot
 
 
 class RationalMatrix:
     """rows x cols matrix of exact rationals, stored as sparse rows: one dict
-    column -> nonzero Fraction per row.  A row may be given as a dict or as
+    column -> nonzero value per row.  A row may be given as a dict or as
     a dense sequence; `ncols` defaults to the length of the first row and
     must be passed for dict rows or for a system that may have no rows."""
 
@@ -47,10 +49,10 @@ class RationalMatrix:
 
     @property
     def rows(self):
-        """Dense view: one list of ncols Fractions per row."""
+        """Dense view: one list of ncols values per row."""
         out = []
         for r in self.sparse_rows:
-            dense = [_ZERO] * self.ncols
+            dense = [0] * self.ncols
             for c, x in r.items():
                 dense[c] = x
             out.append(dense)
@@ -59,7 +61,7 @@ class RationalMatrix:
     def mul_vector(self, v):
         if len(v) != self.ncols:
             raise ValueError("dimension mismatch")
-        return [sum((x * v[c] for c, x in r.items()), _ZERO)
+        return [_num(sum(x * v[c] for c, x in r.items()))
                 for r in self.sparse_rows]
 
     def __repr__(self):
@@ -71,8 +73,8 @@ class SolutionSpace:
     systems the particular solution is the zero vector."""
 
     def __init__(self, basis, particular):
-        self.basis = [tuple(Fraction(x) for x in v) for v in basis]
-        self.particular = tuple(Fraction(x) for x in particular)
+        self.basis = [tuple(v) for v in basis]
+        self.particular = tuple(particular)
 
     @property
     def dimension(self):
@@ -83,9 +85,8 @@ class SolutionSpace:
 
 
 def _sparse(vec):
-    """Copy of a sparse vector without zero entries, every value a Fraction."""
-    return {k: x if isinstance(x, Fraction) else Fraction(x)
-            for k, x in vec.items() if x}
+    """Copy of a sparse vector without its zero entries."""
+    return {k: x for k, x in vec.items() if x}
 
 
 def _axpy(vec, f, other):
@@ -94,7 +95,7 @@ def _axpy(vec, f, other):
         cur = vec.get(k)
         nv = -(f * x) if cur is None else cur - f * x
         if nv:
-            vec[k] = nv
+            vec[k] = _num(nv)
         else:
             vec.pop(k, None)
 
@@ -153,19 +154,22 @@ def rref(matrix):
 def _rref_rows(in_rows, ncols):
     rows = [_integerize(r) for r in in_rows]
     rows, piv_cols = _bareiss(rows, ncols)
-    out = [[Fraction(x) for x in r] for r in rows]
-    # back-substitute and normalize pivots
+    # back-substitute on integers (each row kept primitive), then divide
+    # each row by its pivot; the rows past the rank are zero
     for k in range(len(piv_cols) - 1, -1, -1):
         c = piv_cols[k]
-        pivot = out[k][c]
-        out[k] = [x / pivot for x in out[k]]
+        prow = rows[k]
+        pivot = prow[c]
         for i in range(k):
-            f = out[i][c]
-            if f != 0:
-                out[i] = [a - f * b for a, b in zip(out[i], out[k])]
+            f = rows[i][c]
+            if f:
+                row = [pivot * a - f * b for a, b in zip(rows[i], prow)]
+                g = gcd(*row)
+                rows[i] = [a // g for a in row]
+    out = [[_quot(x, rows[k][c]) for x in rows[k]]
+           for k, c in enumerate(piv_cols)]
     # pad zero rows back to the original row count
-    while len(out) < len(in_rows):
-        out.append([Fraction(0)] * ncols)
+    out += [[0] * ncols for _ in range(len(in_rows) - len(out))]
     return out, piv_cols
 
 
@@ -201,7 +205,7 @@ def nullspace(matrix):
     for row in live_rows:
         key = tuple(sorted((index[c], x) for c, x in row.items()))
         dedup.setdefault(key, row)
-    reduced = [[Fraction(0)] * len(remaining) for _ in dedup]
+    reduced = [[0] * len(remaining) for _ in dedup]
     for out, row in zip(reduced, dedup.values()):
         for c, x in row.items():
             out[index[c]] = x
@@ -214,13 +218,13 @@ def nullspace(matrix):
     for j, fc in enumerate(remaining):
         if j in piv_set:
             continue
-        v = [Fraction(0)] * matrix.ncols
-        v[fc] = Fraction(1)
+        v = [0] * matrix.ncols
+        v[fc] = 1
         for k, c in enumerate(piv_cols):
             if rows[k][j] != 0:
                 v[remaining[c]] = -rows[k][j]
         basis.append(v)
-    return SolutionSpace(basis, [Fraction(0)] * matrix.ncols)
+    return SolutionSpace(basis, [0] * matrix.ncols)
 
 
 def solve(matrix, rhs):
@@ -228,11 +232,11 @@ def solve(matrix, rhs):
     homogeneous nullspace) or None when the system is inconsistent."""
     if len(rhs) != matrix.nrows:
         raise ValueError("dimension mismatch")
-    aug_rows = [list(r) + [Fraction(b)] for r, b in zip(matrix.rows, rhs)]
+    aug_rows = [list(r) + [b] for r, b in zip(matrix.rows, rhs)]
     rows, piv_cols = _rref_rows(aug_rows, matrix.ncols + 1)
     if matrix.ncols in piv_cols:
         return None
-    particular = [Fraction(0)] * matrix.ncols
+    particular = [0] * matrix.ncols
     for k, c in enumerate(piv_cols):
         particular[c] = rows[k][matrix.ncols]
     null = nullspace(matrix)
@@ -242,13 +246,13 @@ def solve(matrix, rhs):
 class ColumnSpace:
     """Sparse exact column-space membership with combination tracking.
 
-    Columns are dicts key -> Fraction over an arbitrary ordered key space.
+    Columns are dicts key -> rational over an arbitrary ordered key space.
     `member` answers b in span(columns) and returns coefficients expressing
     b in the original columns; building the echelon basis once makes
     repeated membership queries cheap."""
 
     def __init__(self):
-        self.basis = []   # (pivot_key, vec: dict, combo: dict[index, Fraction])
+        self.basis = []   # (pivot_key, vec: dict, combo: dict[index, value])
         self.ncols = 0
 
     def _reduce(self, vec, combo):
@@ -265,12 +269,12 @@ class ColumnSpace:
     def add_column(self, vec):
         index = self.ncols
         self.ncols += 1
-        vec, combo = self._reduce(_sparse(vec), {index: Fraction(1)})
+        vec, combo = self._reduce(_sparse(vec), {index: 1})
         if vec:
             pivot = max(vec)
             inv = vec[pivot]
-            vec = {k: x / inv for k, x in vec.items()}
-            combo = {i: x / inv for i, x in combo.items()}
+            vec = {k: _quot(x, inv) for k, x in vec.items()}
+            combo = {i: _quot(x, inv) for i, x in combo.items()}
             self.basis.append((pivot, vec, combo))
         return index
 
@@ -299,8 +303,6 @@ class IncrementalSystem:
         """Eliminate the pivots from row in row order, visiting only the
         rows whose pivots it holds; a row holds no earlier row's pivot."""
         row = _sparse(row)
-        if not isinstance(b, Fraction):
-            b = Fraction(b)
         todo = [(self.pivots[c], c) for c in row if c in self.pivots]
         heapq.heapify(todo)
         while todo:
@@ -310,7 +312,7 @@ class IncrementalSystem:
                 continue    # a duplicate entry, already eliminated
             r = self.rows[i]
             _axpy(row, f, r)
-            b -= f * self.rhs[i]
+            b = _num(b - f * self.rhs[i])
             for c in r:
                 j = self.pivots.get(c, i)
                 if j > i and c in row:
@@ -326,17 +328,16 @@ class IncrementalSystem:
         piv = min(row)
         inv = row[piv]
         self.pivots[piv] = len(self.rows)
-        self.rows.append({c: x / inv for c, x in row.items()})
-        self.rhs.append(b / inv)
+        self.rows.append({c: _quot(x, inv) for c, x in row.items()})
+        self.rhs.append(_quot(b, inv))
         return True
 
     def solution(self):
         """A particular solution of the accepted constraints (free
         coordinates zero)."""
-        sol = [Fraction(0)] * self.ncols
+        sol = [0] * self.ncols
         for r, rb, p in reversed(list(zip(self.rows, self.rhs, self.pivots))):
-            sol[p] = rb - sum((x * sol[c] for c, x in r.items() if c != p),
-                              Fraction(0))
+            sol[p] = _num(rb - sum(x * sol[c] for c, x in r.items() if c != p))
         return sol
 
 

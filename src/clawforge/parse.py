@@ -17,9 +17,7 @@ normal form.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .expr import Expr, SymbolTable, make_power
+from .expr import Expr, SymbolTable, _quot, make_power
 
 
 class ParseError(ValueError):
@@ -136,8 +134,8 @@ class _Parser:
             den = self.expect("int")[1]
             if den == 0:
                 raise ParseError("zero denominator", self.tokens[self.pos - 1][2])
-            return Fraction(sign * num, den)
-        return Fraction(sign * num)
+            return _quot(sign * num, den)
+        return sign * num
 
     def base(self):
         tok = self.next()

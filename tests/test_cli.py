@@ -257,6 +257,13 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     assert err == "error: internal error: RuntimeError: unexpected\n"
 
 
+def test_parser_built_once(capsys):
+    from clawforge.cli import build_parser
+    assert build_parser() is build_parser()
+    assert main(["models"]) == 0 and main(["models", "--json"]) == 0
+    assert build_parser() is build_parser()
+
+
 def test_help_lists_exit_codes(capsys):
     with pytest.raises(SystemExit):
         main(["--help"])

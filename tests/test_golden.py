@@ -2,7 +2,7 @@
 must print exactly the bytes whose sha256 the benchmark recorded, and the
 counts stated in the paper must hold.  The `verify gas3d` laws files of one
 fixed verify-seeded seed must get the verdicts their construction fixes and
-print the recorded bytes.  This is the gate for refactors that promise
+print the recorded bytes, and so must one `--verbose` mixed job.  This is the gate for refactors that promise
 unchanged results."""
 
 import contextlib
@@ -65,3 +65,19 @@ def test_seeded_verify_output_unchanged(tmp_path):
         out = buf.getvalue()
         assert workloads.check_verify_output(out, rc, expected)
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of `mixed kdv --generator X4 --verbose --json`: the trivial laws and
+# their witnesses are printed only under --verbose, which no fixed job uses
+VERBOSE_JOB = "mixed kdv --generator X4 --verbose --json"
+VERBOSE_DIGEST = (
+    "5f3e87e046ce0f0a4bb048e28540a81804857869a2346032377038615cfb0435")
+
+
+def test_verbose_trivial_witnesses_unchanged():
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = main(VERBOSE_JOB.split())
+    out = buf.getvalue()
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERBOSE_DIGEST

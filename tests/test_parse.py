@@ -1,7 +1,9 @@
 import pytest
 
-from clawforge.expr import SymbolTable
+from clawforge.expr import ZERO, SymbolTable
 from clawforge.parse import ParseError, parse
+
+from helpers import RADICALS, jet_terms
 
 
 @pytest.fixture()
@@ -102,3 +104,26 @@ def test_print_parse_roundtrip_corpus(models):
         for law in entry.model.laws.values():
             for comp in law.components:
                 assert parse(str(comp), table) == comp
+
+
+def test_print_parse_roundtrip_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    tab = SymbolTable(["t", "x"], ["u"], params=["c0", "c1"], funcs=["f"])
+    # function symbols, rational and negative exponents, opaque constants
+    # (2^(1/2) among RADICALS) and parameters
+    specials = RADICALS + ("f(u+t)", "f'(u)*u[x]", "f''(c0*x^(-1))", "c0",
+                           "c1*u^(-2)", "u[x]^(-3/2)*x^(2/3)")
+    exprs = st.lists(jet_terms(st, tab, specials), min_size=1,
+                     max_size=4).map(lambda parts: sum(parts, ZERO))
+
+    @hyp.settings(max_examples=80, deadline=None, derandomize=True)
+    @hyp.given(a=exprs, b=exprs)
+    def check(a, b):
+        for e in (a, a * b):
+            text = str(e)
+            back = parse(text, tab)
+            assert back == e
+            assert str(back) == text
+
+    check()

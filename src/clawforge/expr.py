@@ -76,7 +76,7 @@ class Atom:
 
     def _set_key(self, key):
         self._key = key
-        self._bkey = (0,) + key     # the key as a factor base, see _basekey
+        self._bkey = (0,) + key     # the key as a factor base, see Expr._bkey
         self._hash = hash(key)
 
     def sort_key(self):
@@ -226,14 +226,8 @@ class FuncSym(Atom):
 # Expr
 # ---------------------------------------------------------------------------
 
-def _basekey(b):
-    if isinstance(b, Atom):
-        return b._bkey
-    return (1, b.sort_key())
-
-
 def _monokey(factors):
-    return tuple((_basekey(b), e.numerator, e.denominator) for b, e in factors)
+    return tuple((b._bkey, e.numerator, e.denominator) for b, e in factors)
 
 
 class Expr:
@@ -270,6 +264,12 @@ class Expr:
         if self._hash is None:
             self._hash = hash(self.sort_key())
         return self._hash
+
+    @property
+    def _bkey(self):
+        """The key of this expression as an opaque factor base; atoms keep
+        theirs in a slot, and every atom's key sorts first."""
+        return (1, self.sort_key())
 
     def __eq__(self, other):
         if self is other:
@@ -409,13 +409,38 @@ ONE = Expr(((1, ()),))
 # ---------------------------------------------------------------------------
 
 def _term_product(c1, f1, c2, f2):
-    """Multiply two canonical terms; returns a list of terms (expansion of
-    opaque powers that became nonnegative integers may produce several)."""
-    merged = dict(f1)
-    for b, e in f2:
-        cur = merged.get(b)
-        merged[b] = e if cur is None else cur + e
-    return _expand_term(c1 * c2, merged)
+    """Multiply two canonical terms; returns a list of terms.  The factor
+    tuples are merged in one pass by base key, so the product is canonical
+    as it comes out, unless an opaque base reaches a positive integer
+    exponent: that term is expanded, which may produce several."""
+    c = c1 * c2
+    if not c:
+        return []
+    merged = []
+    expand = False
+    i = j = 0
+    n1, n2 = len(f1), len(f2)
+    while i < n1 and j < n2:
+        b, e = f1[i]
+        k1, k2 = b._bkey, f2[j][0]._bkey
+        if k1 < k2:
+            merged.append(f1[i])
+            i += 1
+        elif k2 < k1:
+            merged.append(f2[j])
+            j += 1
+        else:
+            e = _num(e + f2[j][1])
+            if e:
+                merged.append((b, e))
+                if type(e) is int and e > 0 and not isinstance(b, Atom):
+                    expand = True
+            i += 1
+            j += 1
+    merged += f1[i:] or f2[j:]
+    if expand:
+        return _expand_term(c, dict(merged))
+    return [(c, tuple(merged))]
 
 
 def _product_terms(terms1, terms2):
@@ -445,7 +470,7 @@ def _expand_term(coeff, fdict):
                 expansions.append((b, e))
                 continue
         plain.append((b, e))
-    plain.sort(key=lambda fe: _basekey(fe[0]))
+    plain.sort(key=lambda fe: fe[0]._bkey)
     if not expansions:
         return [(coeff, tuple(plain))]
     prod = Expr(((coeff, tuple(plain)),))
@@ -501,7 +526,7 @@ def _mono_quot(mono, lm):
         out[b] -= k
         if out[b] == 0:
             del out[b]
-    return tuple(sorted(out.items(), key=lambda fe: _basekey(fe[0])))
+    return tuple(sorted(out.items(), key=lambda fe: fe[0]._bkey))
 
 
 def _radical_reduce(terms):
@@ -524,7 +549,7 @@ def _radical_reduce(terms):
             moved = _reduce_group(rad, polyterms)
             if moved is None:
                 out.extend((c, tuple(sorted(dict(p + rad).items(),
-                                            key=lambda fe: _basekey(fe[0]))))
+                                            key=lambda fe: fe[0]._bkey)))
                            for c, p in polyterms)
             else:
                 changed = True
@@ -682,7 +707,10 @@ def _derive(e, base_derivative):
                 db = dbases[b] = base_derivative(b)
             if not db:
                 continue
-            rest = factors[:i] + ((b, k - 1),) + factors[i + 1:]
+            if k == 1:
+                rest = factors[:i] + factors[i + 1:]
+            else:
+                rest = factors[:i] + ((b, k - 1),) + factors[i + 1:]
             ck = coeff * k
             for dc, df in db:
                 out.extend(_term_product(ck, rest, dc, df))

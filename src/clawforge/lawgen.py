@@ -8,13 +8,14 @@ from stable monomial ordering throughout."""
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import factorial
 
-from .expr import (Expr, FuncSym, Jet, Param, ZERO, _build, _monokey,
-                   _product_terms, _term_product, collect, pdiff)
+from .expr import (Expr, FuncSym, Jet, Param, ZERO, _build, _monokey, _num,
+                   _product_terms, _quot, _term_product, collect, pdiff)
 from .calculus import (apply_generator, divergence, euler, total_derivative)
 from . import linsolve
 from .linsolve import RationalMatrix
@@ -410,31 +411,126 @@ def _coeff_map(e, comp, factors_out=None):
 
 
 class WitnessSpace:
-    """The reduced curl images of a theta ansatz, indexed by monomial key.
+    """The reduced curl images of a theta ansatz, indexed by monomial key,
+    and one echelon of them.
 
-    Building the images (and their echelon column space) once turns every
-    triviality, equivalence, and stripping query over the same system into
-    plain rational linear algebra."""
+    The key rows are sorted by `priority` and fed once through an
+    `IncrementalSystem`; each row's eliminations and pivot are recorded.
+    `fit` replays them on a law's right-hand side, so every triviality and
+    stripping query over the same system is a sparse triangular solve.
+    Pivots are the smallest live column of each row, so the pivot columns
+    are the first independent curl columns, and a law's witness is its
+    unique representation on them.  (`linsolve.ColumnSpace` gives the same
+    witness with combination tracking; it is kept only for its tests and
+    for the benchmark tracer.)"""
 
     def __init__(self, system, theta_ansatz):
         theta_ansatz.require_polynomial("triviality witness")
-        self.system = system
         self.theta = theta_ansatz
         self.ncols = len(theta_ansatz.basis)
         self.columns = {}   # (comp, monokey) -> {basis index: nonzero value}
-        self.factors = {}   # (comp, monokey) -> factor tuple, for reporting
-        self.colspace = linsolve.ColumnSpace()
+        self.factors = {}   # (comp, monokey) -> factor tuple
+        self.curls = []     # basis index -> {(comp, monokey): nonzero value}
         for m, b in enumerate(theta_ansatz.basis):
             c1, c2 = _curl_pair(b, system.table)
             col = _coeff_map(system.reduce(c1), 0, self.factors)
             col.update(_coeff_map(system.reduce(c2), 1, self.factors))
             for key, val in col.items():
                 self.columns.setdefault(key, {})[m] = val
-            self.colspace.add_column(col)
+            self.curls.append(col)
+        keys = sorted(self.columns, key=self.priority)
+        self._row_of = {key: r for r, key in enumerate(keys)}
+        echelon = linsolve.IncrementalSystem(self.ncols)
+        self._pivot_of = []     # key row -> echelon row, None if dependent
+        self._users = []        # echelon row -> [(key row, factor)]
+        for r, key in enumerate(keys):
+            steps = []
+            echelon.try_add(self.columns[key], 0, steps)
+            if len(echelon.rows) > len(self._users):
+                self._pivot_of.append(len(self._users))
+                self._users.append([])
+            else:
+                self._pivot_of.append(None)
+            for i, f in steps:
+                self._users[i].append((r, f))
+        self._rows = echelon.rows
+        self._scales = echelon.scales
+        self._pivot_cols = list(echelon.pivots)
+        self._above = [[] for _ in self._rows]  # rows holding each pivot
+        for i, row in enumerate(self._rows):
+            for c in row:
+                k = echelon.pivots.get(c, i)
+                if k != i:
+                    self._above[k].append(i)
 
-    def _system_rows(self, rhs_map, components, extra_cols=()):
-        """Sparse rows of [extra | curl-columns] c = rhs over the union of
-        keys."""
+    def priority(self, key):
+        """Sort key of a curl key for stripping: by component, then the
+        monomials of highest jet order, jet degree and factor count first,
+        so that their coefficients are the first forced to zero."""
+        comp, mk = key
+        factors = self.factors[key]
+        jets = [(b, e) for b, e in factors if isinstance(b, Jet) and b.order > 0]
+        order = max((b.order for b, _ in jets), default=0)
+        weight = sum(e for _, e in jets)
+        return (comp, -order, -weight, -len(factors), mk)
+
+    def fit(self, rhs_map):
+        """Fit the curl columns to a law's reduced coefficients `rhs_map`
+        ((comp, monokey) -> value).  Returns (exact, coeffs): `coeffs` solve
+        every key row that the rows before it in priority order leave
+        consistent, with the free coordinates zero, and `exact` says that
+        they solve them all and that no key of the law lies outside the
+        witness columns, i.e. that the law is a curl of the witness.  Only
+        the rows the law's keys reach are visited."""
+        exact = True
+        acc = {}
+        for key, val in rhs_map.items():
+            r = self._row_of.get(key)
+            if r is None:
+                exact = False
+            else:
+                acc[r] = val
+        # forward: replay the recorded eliminations in key-row order
+        todo = list(acc)
+        heapq.heapify(todo)
+        rhs = {}
+        while todo:
+            r = heapq.heappop(todo)
+            b = _num(acc.pop(r))
+            if not b:
+                continue
+            k = self._pivot_of[r]
+            if k is None:
+                exact = False
+                continue
+            b = rhs[k] = _quot(b, self._scales[k])
+            for r2, f in self._users[k]:
+                cur = acc.get(r2)
+                if cur is None:
+                    acc[r2] = -f * b
+                    heapq.heappush(todo, r2)
+                else:
+                    acc[r2] = cur - f * b
+        # backward: substitute into the echelon rows, last row first
+        coeffs = [0] * self.ncols
+        todo = [-k for k in rhs]
+        heapq.heapify(todo)
+        queued = set(rhs)
+        while todo:
+            k = -heapq.heappop(todo)
+            p = self._pivot_cols[k]
+            val = _num(rhs.get(k, 0) - sum(x * coeffs[c] for c, x
+                                           in self._rows[k].items() if c != p))
+            if val:
+                coeffs[p] = val
+                for i in self._above[k]:
+                    if i not in queued:
+                        queued.add(i)
+                        heapq.heappush(todo, -i)
+        return exact, coeffs
+
+    def complete(self, rhs_map, components=(0, 1), extra_cols=()):
+        """Solve extra*s + curl(theta) = rhs; None when infeasible."""
         keys = {k for k in self.columns if k[0] in components}
         keys |= set(rhs_map)
         for col in extra_cols:
@@ -448,40 +544,30 @@ class WitnessSpace:
                 row[shift + m] = val
             rows.append(row)
             rhs.append(rhs_map.get(key, 0))
-        return rows, rhs
-
-    def complete(self, rhs_map, components=(0, 1), extra_cols=()):
-        """Solve extra*s + curl(theta) = rhs; None when infeasible."""
-        rows, rhs = self._system_rows(rhs_map, components, extra_cols)
         return linsolve.solve(
-            RationalMatrix(rows, ncols=len(extra_cols) + self.ncols), rhs)
-
-    def witness_coefficients(self, rhs_map):
-        """Coefficients of a curl completion matching rhs_map exactly, or
-        None; restricted to full two-component maps."""
-        combo = self.colspace.member(rhs_map)
-        if combo is None:
-            return None
-        coeffs = [0] * self.ncols
-        for i, x in combo.items():
-            coeffs[i] = x
-        return coeffs
+            RationalMatrix(rows, ncols=shift + self.ncols), rhs)
 
     def witness_expr(self, coeffs):
         return _build([(val * c, f) for val, b in zip(coeffs, self.theta.basis)
                        if val for c, f in b.terms])
 
-    def curl_expr(self, coeffs):
-        pairs = [(val, _curl_pair(b, self.system.table))
-                 for val, b in zip(coeffs, self.theta.basis) if val]
-        return tuple(_build([(val * c, f) for val, pair in pairs
-                             for c, f in pair[k].terms]) for k in (0, 1))
+    def strip(self, reds, coeffs):
+        """The reduced law components `reds` minus the reduced curl of the
+        witness `coeffs`, from the stored curl columns."""
+        out = [list(r.terms) for r in reds]
+        for val, col in zip(coeffs, self.curls):
+            if val:
+                for key, x in col.items():
+                    out[key[0]].append((-val * x, self.factors[key]))
+        return tuple(_build(terms) for terms in out)
 
 
-def _law_rhs_map(system, T):
+def _law_rhs_map(reds):
+    """Coefficients of reduced law components keyed like the witness
+    columns."""
     out = {}
-    for comp, c in enumerate(T):
-        out.update(_coeff_map(system.reduce(c), comp))
+    for comp, r in enumerate(reds):
+        out.update(_coeff_map(r, comp))
     return out
 
 
@@ -497,25 +583,30 @@ def _witness_space(system, witness_space, theta_ansatz, exprs):
     return WitnessSpace(system, theta_ansatz)
 
 
+def _triviality(reds, ws):
+    """The triviality verdict on a law with reduced components `reds`, and
+    the witness coefficients that `ws.fit` gives it (None without a
+    witness space)."""
+    if all(r.is_zero for r in reds):
+        return TrivialityReport(True, "vanishing"), None
+    if ws is None:
+        return TrivialityReport(False), None
+    exact, coeffs = ws.fit(_law_rhs_map(reds))
+    if exact:
+        return TrivialityReport(True, "curl", ws.witness_expr(coeffs)), coeffs
+    return TrivialityReport(False), coeffs
+
+
 def is_trivial(system, T, theta_ansatz=None, witness_space=None):
     """A law is flagged trivial when its components vanish on solutions
     (first kind) or, for two independent variables, when it differs from a
     curl (D_x theta, -D_t theta) with theta in the witness ansatz by a
     vector vanishing on solutions (second kind)."""
-    table = system.table
     reds = [system.reduce(c) for c in T]
-    if all(r.is_zero for r in reds):
-        return TrivialityReport(True, "vanishing")
-    if table.n != 2:
-        return TrivialityReport(False)
-    ws = _witness_space(system, witness_space, theta_ansatz, T)
-    rhs_map = {}
-    for comp, r in enumerate(reds):
-        rhs_map.update(_coeff_map(r, comp))
-    coeffs = ws.witness_coefficients(rhs_map)
-    if coeffs is None:
-        return TrivialityReport(False)
-    return TrivialityReport(True, "curl", ws.witness_expr(coeffs))
+    ws = None
+    if system.table.n == 2 and not all(r.is_zero for r in reds):
+        ws = _witness_space(system, witness_space, theta_ansatz, T)
+    return _triviality(reds, ws)[0]
 
 
 def _solutions_with_nonzero(space, index):
@@ -538,8 +629,8 @@ def vectors_equivalent_mod_trivial(system, A, B, theta_ansatz=None,
                          "variables")
     ws = _witness_space(system, witness_space, theta_ansatz,
                         list(A) + list(B))
-    rhs_map = _law_rhs_map(system, A)
-    b_col = _law_rhs_map(system, B)
+    rhs_map = _law_rhs_map([system.reduce(c) for c in A])
+    b_col = _law_rhs_map([system.reduce(c) for c in B])
     if not allow_scale:
         shifted = dict(rhs_map)
         for key, val in b_col.items():
@@ -578,35 +669,14 @@ def strip_trivial(system, T, theta_ansatz=None, witness_space=None):
     """Deterministic greedy removal of trivial content for presentation:
     reduce each component (drops the on-solution-vanishing part), then force
     to zero as many jet-heavy monomial coefficients as remain consistent
-    using a curl witness from the ansatz.  The result is a conserved vector
-    equivalent to T modulo trivial laws."""
-    table = system.table
-    base = [system.reduce(c) for c in T]
-    if table.n != 2:
-        return tuple(base)
+    using a curl witness from the ansatz (`WitnessSpace.fit`).  The result
+    is a conserved vector equivalent to T modulo trivial laws."""
+    base = tuple(system.reduce(c) for c in T)
+    if system.table.n != 2:
+        return base
     ws = _witness_space(system, witness_space, theta_ansatz, T)
-    if not ws.ncols:
-        return tuple(base)
-    factors = dict(ws.factors)
-    rhs_map = {}
-    for comp, r in enumerate(base):
-        rhs_map.update(_coeff_map(r, comp, factors))
-    keys = set(ws.columns) | set(rhs_map)
-
-    def priority(full_key):
-        comp, mk = full_key
-        key = factors.get(full_key, ())
-        jets = [(b, e) for b, e in key if isinstance(b, Jet) and b.order > 0]
-        order = max((b.order for b, _ in jets), default=0)
-        weight = sum(e for _, e in jets)
-        return (comp, -order, -weight, -len(key), mk)
-
-    inc = linsolve.IncrementalSystem(ws.ncols)
-    for full_key in sorted(keys, key=priority):
-        inc.try_add(ws.columns.get(full_key, {}), rhs_map.get(full_key, 0))
-    coeffs = inc.solution()
-    c1, c2 = ws.curl_expr(coeffs)
-    return (system.reduce(base[0] - c1), system.reduce(base[1] - c2))
+    _, coeffs = ws.fit(_law_rhs_map(base))
+    return ws.strip(base, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -706,11 +776,12 @@ def mixed_method(system, g, psi_ansatz, h_ansatz, *, include_xi_l=False,
             components=comps, psi=psi, h=h, generator=g.label,
             coefficients={p.name: v for p, v in mapping.items() if v != 0},
             residual=residual)
-        law.triviality = is_trivial(system, comps, witness_space=ws)
+        reds = tuple(system.reduce(c) for c in comps)
+        law.triviality, coeffs = _triviality(reds, ws)
         if law.triviality.trivial:
             trivia.append(law)
         else:
-            law.stripped = strip_trivial(system, comps, witness_space=ws)
+            law.stripped = reds if ws is None else ws.strip(reds, coeffs)
             check = verify(system, law.stripped)
             if not check.is_zero:
                 raise RuntimeError("internal error: stripped law failed "

@@ -8,7 +8,12 @@ its pivot once at the end to give the reduced row-echelon form.  Values
 are exact rationals in the engine's representation: an `int` when
 integral, else a reduced `Fraction`, never a float; every division goes
 through `expr._quot`.  Bases are deterministic given the row and column
-order (reduced-echelon pivoting)."""
+order (reduced-echelon pivoting).
+
+`IncrementalSystem` grows a sparse echelon one constraint at a time and can
+record the eliminations of each row, which `lawgen.WitnessSpace` replays.
+`ColumnSpace` is not used by the library; it is kept only for its tests
+and for the benchmark tracer (`perfbench/tracer.py`)."""
 
 from __future__ import annotations
 
@@ -249,7 +254,12 @@ class ColumnSpace:
     Columns are dicts key -> rational over an arbitrary ordered key space.
     `member` answers b in span(columns) and returns coefficients expressing
     b in the original columns; building the echelon basis once makes
-    repeated membership queries cheap."""
+    repeated membership queries cheap.
+
+    The library does not use it: triviality is decided by
+    `lawgen.WitnessSpace.fit`, one echelon with no combination tracking.
+    It is kept for its tests, where it is an oracle for that fit, and for
+    `perfbench/tracer.py`, which wraps `add_column` and `member`."""
 
     def __init__(self):
         self.basis = []   # (pivot_key, vec: dict, combo: dict[index, value])
@@ -297,11 +307,14 @@ class IncrementalSystem:
         self.ncols = ncols
         self.rows = []      # echelon rows as dicts, pivot normalized to 1
         self.rhs = []
+        self.scales = []    # each row's pivot value before normalization
         self.pivots = {}    # pivot column -> row index, in row order
 
-    def _reduce(self, row, b):
+    def _reduce(self, row, b, steps=None):
         """Eliminate the pivots from row in row order, visiting only the
-        rows whose pivots it holds; a row holds no earlier row's pivot."""
+        rows whose pivots it holds; a row holds no earlier row's pivot.
+        Each elimination (row index, factor) is appended to `steps` when
+        it is a list."""
         row = _sparse(row)
         todo = [(self.pivots[c], c) for c in row if c in self.pivots]
         heapq.heapify(todo)
@@ -313,16 +326,22 @@ class IncrementalSystem:
             r = self.rows[i]
             _axpy(row, f, r)
             b = _num(b - f * self.rhs[i])
+            if steps is not None:
+                steps.append((i, f))
             for c in r:
                 j = self.pivots.get(c, i)
                 if j > i and c in row:
                     heapq.heappush(todo, (j, c))
         return row, b
 
-    def try_add(self, row, b):
+    def try_add(self, row, b, steps=None):
+        """Accept the constraint row . x = b when it is consistent with the
+        accepted ones; a row independent of them becomes a new echelon
+        row.  `steps`, when a list, receives the eliminations that reduced
+        the row, as `_reduce` records them."""
         if not isinstance(row, dict):
             row = dict(enumerate(row))
-        row, b = self._reduce(row, b)
+        row, b = self._reduce(row, b, steps)
         if not row:
             return b == 0
         piv = min(row)
@@ -330,6 +349,7 @@ class IncrementalSystem:
         self.pivots[piv] = len(self.rows)
         self.rows.append({c: _quot(x, inv) for c, x in row.items()})
         self.rhs.append(_quot(b, inv))
+        self.scales.append(inv)
         return True
 
     def solution(self):

@@ -17,7 +17,7 @@ normal form.
 
 from __future__ import annotations
 
-from .expr import Expr, SymbolTable, _quot, make_power
+from .expr import Expr, SymbolTable, _build, _quot, make_power
 
 
 class ParseError(ValueError):
@@ -89,16 +89,18 @@ class _Parser:
         return e
 
     def expr(self):
-        sign = 1
-        if self.peek()[0] in ("+", "-"):
-            if self.next()[0] == "-":
-                sign = -1
-        e = self.term() * sign
-        while self.peek()[0] in ("+", "-"):
+        """The signed terms' raw terms gathered and normalized once."""
+        op = self.next()[0] if self.peek()[0] in ("+", "-") else "+"
+        e = self.term()
+        if op == "+" and self.peek()[0] not in ("+", "-"):
+            return e
+        raw = []
+        while True:
+            raw += e.terms if op == "+" else [(-c, f) for c, f in e.terms]
+            if self.peek()[0] not in ("+", "-"):
+                return _build(raw)
             op = self.next()[0]
-            t = self.term()
-            e = e + t if op == "+" else e - t
-        return e
+            e = self.term()
 
     def term(self):
         e = self.factor()

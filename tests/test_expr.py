@@ -4,12 +4,14 @@ from fractions import Fraction
 import pytest
 
 from clawforge.expr import (ZERO, DomainError, Expr, FuncSym, NonlinearError,
-                            SymbolTable, _build, collect, key_expr, make_power,
+                            SymbolTable, _build, _expand_term, _num,
+                            _term_product, collect, key_expr, make_power,
                             pdiff, substitute)
 from clawforge.lawgen import make_ansatz
 from clawforge.parse import parse
 
-from helpers import RADICALS, jet_terms, random_poly_expr, two_var_table
+from helpers import (RADICALS, jet_pool, jet_terms, random_poly_expr,
+                     two_var_table)
 
 
 @pytest.fixture()
@@ -364,5 +366,68 @@ def test_ansatz_expr_is_built_once_and_equals_the_fold():
             fold = fold + p.as_expr() * b
         assert ansatz.expr == fold
         assert ansatz.expr is ansatz.expr
+
+    check()
+
+
+def _dict_sort_product(c1, f1, c2, f2):
+    """The term product before the one-pass merge: exponents summed in a
+    dict, then zero exponents dropped, the factors sorted and opaque bases
+    at positive integer exponents expanded by `_expand_term`."""
+    merged = dict(f1)
+    for b, e in f2:
+        cur = merged.get(b)
+        merged[b] = e if cur is None else cur + e
+    return _expand_term(c1 * c2, merged)
+
+
+def _raw_terms(st, tab):
+    """Hypothesis strategy for canonical terms built directly as factor
+    tuples, so that drawing them runs no term product: atoms, function
+    symbols and opaque polynomial bases, each at most once, under integer
+    or rational exponents, sorted by base key."""
+    atoms = [e.terms[0][1][0][0] for e in jet_pool(tab, 2)]
+    u, ux = tab.jet("u"), tab.jet("u", ["x"])
+    t, x = tab.indep
+    funcs = [tab.func("f", 0, u.as_expr()), tab.func("f", 2, u + t)]
+    opaque = [_build([(1, ()), (1, ((ux, 2),))]), u + t, ux + x,
+              Expr.const(2)]
+    atom_factor = st.tuples(st.sampled_from(atoms + funcs),
+                            st.sampled_from([1, 2, 3, -1, Fraction(1, 2)]))
+    opaque_factor = st.tuples(
+        st.sampled_from(opaque),
+        st.sampled_from([-1, -2, Fraction(1, 2), Fraction(-1, 2),
+                         Fraction(3, 2)]))
+    coeff = st.fractions(min_value=-4, max_value=4,
+                         max_denominator=3).filter(bool)
+
+    def build(args):
+        c, factors = args
+        distinct = dict(factors)
+        return (_num(c), tuple(sorted(distinct.items(),
+                                      key=lambda fe: fe[0]._bkey)))
+
+    factors = st.lists(st.one_of(atom_factor, opaque_factor), max_size=4)
+    return st.tuples(coeff, factors).map(build)
+
+
+def test_term_product_merge_matches_dict_and_sort():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    tab = SymbolTable(["t", "x"], ["u"], funcs=["f"])
+    terms = st.lists(_raw_terms(st, tab), min_size=1, max_size=3)
+
+    @hyp.settings(max_examples=100, deadline=None, derandomize=True)
+    @hyp.given(left=terms, right=terms)
+    def check(left, right):
+        pairs = [(t1, t2) for t1 in left for t2 in right]
+        pairs += [(t, t) for t in left]
+        for (c1, f1), (c2, f2) in pairs:
+            got = _term_product(c1, f1, c2, f2)
+            want = _dict_sort_product(c1, f1, c2, f2)
+            assert got == want
+            assert [type(c) for c, _ in got] == [type(c) for c, _ in want]
+            assert [type(e) for _, f in got for _, e in f] == \
+                [type(e) for _, f in want for _, e in f]
 
     check()

@@ -2,8 +2,9 @@
 must print exactly the bytes whose sha256 the benchmark recorded, and the
 counts stated in the paper must hold.  The `verify gas3d` laws files of one
 fixed verify-seeded seed must get the verdicts their construction fixes and
-print the recorded bytes, and so must one `--verbose` mixed job.  This is the gate for refactors that promise
-unchanged results."""
+print the recorded bytes, and so must five `--verbose` mixed jobs, which
+print the stripped laws and the trivial witnesses.  This is the gate for
+refactors that promise unchanged results."""
 
 import contextlib
 import hashlib
@@ -81,3 +82,28 @@ def test_verbose_trivial_witnesses_unchanged():
     out = buf.getvalue()
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERBOSE_DIGEST
+
+
+# sha256 of `--verbose --json` of more mixed jobs, recorded like the pin
+# above: the stripped forms and the trivial witnesses of every model with
+# two independent variables
+VERBOSE_PINS = {
+    "mixed kdv --generator X2":
+        "34b19ea8bdff99c37b73e1f1345345c97d3541e52d293923849dbe54587d9128",
+    "mixed fw --generator X1":
+        "205d9eba297b772eba2fd423d089d40aba457f69be6b2b56b0b0098b8e297302",
+    "mixed sp --generator X3":
+        "7550aa2c7b36ea09d6a6a242fef4f9eec6cbcf1799396eee49d16a7cb5f56841",
+    "mixed gas1d --generator X0 --psi-degree 1":
+        "5e9ed088c2212fe03c730e25f77381ab4498cc78af92a33d0b7e1a1a95e56bf2",
+}
+
+
+@pytest.mark.parametrize("job,digest", VERBOSE_PINS.items(),
+                         ids=list(VERBOSE_PINS))
+def test_verbose_mixed_output_unchanged(job, digest):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = main(job.split() + ["--verbose", "--json"])
+    assert rc == 0
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest

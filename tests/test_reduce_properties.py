@@ -1,6 +1,9 @@
 """Property tests for reduction modulo a system in solved form: one
-simultaneous substitution equals the chain of single-jet substitutions, and
-reducing twice changes nothing."""
+simultaneous substitution equals the chain of single-jet substitutions,
+reducing twice changes nothing, reduction is linear, and it commutes with
+a total x-derivative up to a second reduction.  Stripping a law subtracts
+the stored reduced curl columns from its reduced components, which is
+sound because of the last three."""
 
 from fractions import Fraction
 
@@ -9,6 +12,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from clawforge.calculus import total_derivative  # noqa: E402
 from clawforge.expr import Expr, Jet, substitute  # noqa: E402
 
 from helpers import jet_pool  # noqa: E402
@@ -75,3 +79,26 @@ def test_reduce_equals_chain_kdv(kdv, data):
 @given(data=st.data())
 def test_reduce_equals_chain_gas1d(gas1d, data):
     _check(gas1d.system, data.draw(jet_polys(gas1d, 2, with_funcs=True)))
+
+
+def _check_linear_and_dx(entry, data, max_order, with_funcs=False):
+    system = entry.system
+    exprs = jet_polys(entry, max_order, with_funcs)
+    a, b = data.draw(exprs), data.draw(exprs)
+    q = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    assert system.reduce(a + q * b) == system.reduce(a) + q * system.reduce(b)
+    x = entry.table.indep_var("x")
+    assert system.reduce(total_derivative(a, x)) == \
+        system.reduce(total_derivative(system.reduce(a), x))
+
+
+@SETTINGS
+@given(data=st.data())
+def test_reduce_linear_and_commutes_with_dx_kdv(kdv, data):
+    _check_linear_and_dx(kdv, data, 3)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_reduce_linear_and_commutes_with_dx_gas1d(gas1d, data):
+    _check_linear_and_dx(gas1d, data, 2, with_funcs=True)

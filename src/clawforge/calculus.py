@@ -35,7 +35,7 @@ def total_derivative(e, v):
             return ONE.terms if b == v else ()
         return total_derivative(b, v).terms
 
-    return _derive(e, base_derivative)
+    return _build(_derive(e, base_derivative))
 
 
 def total_derivative_mi(e, mi):
@@ -92,17 +92,23 @@ class PdeSystem:
     exactly one equation, no leading coordinate is a derivative of another,
     and no right-hand side contains a leading coordinate or a derivative of
     one.  Reduction modulo the system then terminates and is canonical.
+    Reduction also commutes with total derivatives, reduce(D_v e) ==
+    reduce(D_v reduce(e)); stripping and the witness columns rely on it.
+
+    One memo maps each jet met so far to its reduced image, or to None if
+    no equation reduces it.  `reduced_derivative` differentiates a reduced
+    expression with each jet mapped to the image of its derivative, so it
+    builds no unreduced intermediate; prolonged images are made that way.
     """
 
     def __init__(self, name, table, equations):
         self.name = name
         self.table = table
         self.equations = tuple(equations)
-        self._memo = {}
+        self._images = {}
         self._in_progress = set()
-        # the prolongation memo is shared across reduce() calls; the lock
-        # keeps the observable contract (purity, determinism) under
-        # concurrent use
+        # the jet memo is shared across calls; the lock keeps the
+        # observable contract (purity, determinism) under concurrent use
         self._lock = threading.RLock()
         self._validate()
 
@@ -124,62 +130,73 @@ class PdeSystem:
 
     @property
     def order(self):
-        k = 0
-        for eq in self.equations:
-            k = max(k, eq.lead.order, eq.rhs.max_order())
-        return k
+        return max((max(eq.lead.order, eq.rhs.max_order())
+                    for eq in self.equations), default=0)
 
     def _reducing_equation(self, jet):
-        for idx, eq in enumerate(self.equations):
-            if jet.contains(eq.lead):
-                return idx
-        return None
+        return next((idx for idx, eq in enumerate(self.equations)
+                     if jet.contains(eq.lead)), None)
 
-    def _prolonged_rhs(self, idx, mi_key):
-        """rhs of equation idx differentiated by the multi-index `mi_key`
-        (tuple of variable indices, sorted), kept fully reduced."""
-        key = (idx, mi_key)
-        val = self._memo.get(key)
-        if val is not None:
-            return val
-        if key in self._in_progress:
-            raise SolvedFormError(
-                f"{self.name}: cyclic prolongation while reducing "
-                f"{self.equations[idx].lead!r} by {mi_key}")
-        self._in_progress.add(key)
-        try:
-            if not mi_key:
-                val = self.reduce(self.equations[idx].rhs)
-            else:
-                prev = self._prolonged_rhs(idx, mi_key[1:])
-                v = self.table.indep[mi_key[0]]
-                val = self.reduce(total_derivative(prev, v))
-        finally:
-            self._in_progress.discard(key)
-        self._memo[key] = val
+    def _image(self, jet):
+        """The memoized reduced image of a jet (None if it is not reduced):
+        the right-hand side for a leading jet, else the reduced derivative,
+        by its lowest-index variable over the lead, of the image below."""
+        if jet in self._images:
+            return self._images[jet]
+        idx = self._reducing_equation(jet)
+        val = None
+        if idx is not None:
+            if jet in self._in_progress:
+                raise SolvedFormError(
+                    f"{self.name}: cyclic prolongation while reducing {jet!r}")
+            lead, rhs = self.equations[idx].lead, self.equations[idx].rhs
+            rest = jet.minus(lead)
+            self._in_progress.add(jet)
+            try:
+                val = rhs if not rest else self.reduced_derivative(self._image(
+                    Jet(jet.alpha, jet.name, lead.mi + rest[1:])), rest[0])
+            finally:
+                self._in_progress.discard(jet)
+        self._images[jet] = val
         return val
 
     def reduce(self, e):
         """Substitute away every jet that is a leading coordinate or a
         derivative of one; the result is zero iff e vanishes on all
         solutions (within the engine's expression class)."""
-        with self._lock:
-            return self._reduce(e)
-
-    def _reduce(self, e):
-        # the prolonged right-hand sides are already reduced, so one
-        # simultaneous substitution leaves no reducible jet behind
+        # the images are already reduced, so one simultaneous substitution
+        # leaves no reducible jet behind
         subs = {}
-        for a in sorted(e.atoms()):
-            if isinstance(a, Jet):
-                idx = self._reducing_equation(a)
-                if idx is not None:
-                    mi_key = tuple(sorted(
-                        v.index for v in a.minus(self.equations[idx].lead)))
-                    subs[a] = self._prolonged_rhs(idx, mi_key)
-        if not subs:
-            return e
-        return substitute(e, subs)
+        with self._lock:
+            for a in e.atoms():
+                if isinstance(a, Jet):
+                    img = self._image(a)
+                    if img is not None:
+                        subs[a] = img
+        return substitute(e, subs) if subs else e
+
+    def reduced_derivative(self, e, v):
+        """reduce(D_v e) for a reduced e (see the class docstring)."""
+        return _build(self.reduced_derivative_terms(e, v))
+
+    def reduced_derivative_terms(self, e, v):
+        """The raw terms of `reduced_derivative(e, v)`, not yet normalized:
+        each jet maps to the image of its v-derivative, a function symbol
+        or opaque base goes by the chain rule on its reduced argument."""
+
+        def base_derivative(b):
+            if isinstance(b, Jet):
+                d = b.shifted(v)
+                img = self._image(d)
+                return (d.as_expr() if img is None else img).terms
+            if isinstance(b, FuncSym):
+                return _chain_terms(b, self.reduced_derivative(b.arg, v))
+            if isinstance(b, Atom):
+                return ONE.terms if b == v else ()
+            return self.reduced_derivative(b, v).terms
+
+        with self._lock:
+            return _derive(e, base_derivative)
 
 
 # ---------------------------------------------------------------------------

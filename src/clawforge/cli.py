@@ -10,7 +10,8 @@
 MODEL is a built-in model name (see `models`) or a path to a model file.
 Exit codes: 0 success, 1 semantic failure (a law fails verification, or a
 required result is empty), 2 input error, 3 internal error (an unexpected
-exception, reported on one line).  `--json` switches any report to a
+exception, reported on one line), 141 standard output closed by its reader
+(nothing more is printed).  `--json` switches any report to a
 machine-readable schema whose expression strings re-parse under the input
 grammar."""
 
@@ -23,7 +24,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .calculus import SolvedFormError
+from .calculus import SolvedFormError, euler, total_derivative
 from .expr import DomainError, NonlinearError
 from .lawgen import (AnsatzError, mixed_method, make_ansatz, monomial_basis,
                      solve_multipliers, verify)
@@ -140,6 +141,7 @@ def _emit(payload, as_json, human_lines):
     else:
         for line in human_lines:
             print(line)
+    sys.stdout.flush()  # a closed pipe raises here, inside main
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +257,8 @@ def cmd_mixed(args):
              f"{result.solution_dimension}, "
              f"{len(result.laws)} nontrivial law(s), "
              f"{len(result.trivial)} trivial"]
+    if model.table.n != 2:
+        lines.append("curl triviality is tested only for two independent variables")
     for i, law in enumerate(result.laws):
         rec = {
             "model": model.name,
@@ -303,7 +307,6 @@ def cmd_euler(args):
     name = args.var or table.dep_names[0]
     if name not in table.dep_names:
         raise CliError(f"{name!r} is not a dependent variable of {model.name}")
-    from .calculus import euler
     result = euler(e, table.dep_names.index(name), table)
     _emit({"model": model.name, "var": name, "expr": str(e),
            "result": str(result)}, args.json, [str(result)])
@@ -319,7 +322,6 @@ def cmd_tderiv(args):
     except KeyError:
         raise CliError(f"{args.var!r} is not an independent variable of "
                        f"{model.name}")
-    from .calculus import total_derivative
     result = total_derivative(e, v)
     _emit({"model": model.name, "var": v.name, "expr": str(e),
            "result": str(result)}, args.json, [str(result)])
@@ -335,7 +337,8 @@ def build_parser():
         description="compute and verify local conservation laws of PDE "
                     "systems with exact rational arithmetic",
         epilog="exit codes: 0 success, 1 semantic failure (a law fails "
-               "verification), 2 input error, 3 internal error")
+               "verification), 2 input error, 3 internal error, 141 "
+               "standard output closed by its reader")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("models", help="list built-in models")
@@ -356,7 +359,10 @@ def build_parser():
                    help="total degree of the multiplier ansatz")
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("mixed", help="run the mixed determining pipeline")
+    p = sub.add_parser("mixed", help="run the mixed determining pipeline",
+                       description="A law is trivial if it vanishes on "
+                       "solutions or, for two independent variables only, is "
+                       "a curl (D_x theta, -D_t theta) of the theta ansatz.")
     p.add_argument("model")
     p.add_argument("--generator", required=True,
                    help="label or combination, e.g. X1 or 'X1+2*X3'")
@@ -389,6 +395,11 @@ def main(argv=None):
     try:
         # looked up per call, like every module-level name
         return globals()[f"cmd_{args.command}"](args)
+    except BrokenPipeError:
+        # the reader closed stdout: print nothing more, and keep the flush
+        # at exit from raising again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

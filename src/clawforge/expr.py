@@ -491,12 +491,18 @@ def _int_power(e, k):
     return result
 
 
-def _build(raw_terms):
-    """Accumulate like terms, then run opaque-base reduction to a fixpoint;
-    the terms are ordered by the monomial keys the accumulation computed."""
+def _normal(raw_terms):
+    """Raw terms normalized and keyed like `_accumulate`: like terms
+    merged, then opaque-base reduction run to a fixpoint."""
     acc = _accumulate(raw_terms)
     if any(not isinstance(b, Atom) for _, f in acc.values() for b, _ in f):
         acc = _radical_reduce(acc.values())
+    return acc
+
+
+def _build(raw_terms):
+    """The Expr of `_normal(raw_terms)`, its terms ordered by the keys."""
+    acc = _normal(raw_terms)
     return Expr(tuple(tuple(acc[key]) for key in sorted(acc)))
 
 
@@ -696,8 +702,8 @@ def _derive(e, base_derivative):
     """The derivation that maps each factor base b to the raw terms
     `base_derivative(b)`, applied to e by the product and power rules:
     every factor b^k of a term gives k * b^(k-1) * d(b) times the other
-    factors.  `base_derivative` is called once per distinct base; the
-    result is normalized once."""
+    factors.  `base_derivative` is called once per distinct base; returns
+    the raw terms, for the caller to normalize once."""
     dbases = {}
     out = []
     for coeff, factors in e.terms:
@@ -714,7 +720,7 @@ def _derive(e, base_derivative):
             ck = coeff * k
             for dc, df in db:
                 out.extend(_term_product(ck, rest, dc, df))
-    return _build(out)
+    return out
 
 
 def _chain_terms(f, darg):
@@ -737,7 +743,7 @@ def pdiff(e, a):
             return ()
         return pdiff(b, a).terms
 
-    return _derive(e, base_derivative)
+    return _build(_derive(e, base_derivative))
 
 
 def _touches(b, keys):

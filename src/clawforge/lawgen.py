@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from math import factorial
 
-from .expr import (Expr, FuncSym, Jet, Param, ZERO, _build, _monokey, _num,
-                   _product_terms, _quot, _term_product, collect, pdiff)
+from .expr import (Expr, FuncSym, Jet, Param, ZERO, _build, _monokey,
+                   _normal, _num, _product_terms, _quot, _term_product,
+                   collect, pdiff)
 from .calculus import (apply_generator, divergence, euler, total_derivative)
 from . import linsolve
 from .linsolve import RationalMatrix
@@ -67,15 +68,7 @@ def monomial_basis(table, degree, jet_order=0, gens=None):
     atoms (default: independent variables and dependent variables, plus all
     jets up to jet_order).  Deterministic order: degree then atom order."""
     if gens is None:
-        gens = list(table.indep)
-        for alpha in range(table.m):
-            gens.append(table.jet_by_alpha(alpha))
-        if jet_order:
-            for alpha in range(table.m):
-                for k in range(1, jet_order + 1):
-                    for combo in itertools.combinations_with_replacement(
-                            table.indep, k):
-                        gens.append(table.jet_by_alpha(alpha, combo))
+        gens = list(table.indep) + _jets(table, 0, jet_order)
     gens = sorted(set(gens))
     out = []
     for d in range(degree + 1):
@@ -84,6 +77,13 @@ def monomial_basis(table, degree, jet_order=0, gens=None):
             out.append(Expr(((1, tuple((a, len(list(run))) for a, run
                                        in itertools.groupby(combo))),)))
     return out
+
+
+def _jets(table, lo, hi):
+    """The jets of orders lo..hi, by dependent variable, then order."""
+    return [table.jet_by_alpha(alpha, combo) for alpha in range(table.m)
+            for k in range(lo, hi + 1)
+            for combo in itertools.combinations_with_replacement(table.indep, k)]
 
 
 def _fresh_params(prefix, count, forbidden):
@@ -118,11 +118,7 @@ def default_theta_ansatz(table, degree=3, jet_order=2, gens=None, forbidden=()):
     if gens is not None:
         basis += monomial_basis(table, min(degree, 3))
     polys = monomial_basis(table, max(degree - 1, 0), gens=gens)
-    jets = []
-    for alpha in range(table.m):
-        for k in range(1, jet_order + 1):
-            for combo in itertools.combinations_with_replacement(table.indep, k):
-                jets.append(table.jet_by_alpha(alpha, combo).as_expr())
+    jets = [j.as_expr() for j in _jets(table, 1, jet_order)]
     for m in polys:
         for j in jets:
             basis.append(_build(_product_terms(m.terms, j.terms)))
@@ -382,13 +378,6 @@ def verify(system, T):
     return system.reduce(divergence(T, system.table))
 
 
-def _curl_pair(theta, table):
-    """(D_x theta, -D_t theta) for two independent variables (t, x); a
-    divergence-free completion for the second-kind triviality test."""
-    t, x = table.indep
-    return (total_derivative(theta, x), -total_derivative(theta, t))
-
-
 @dataclass
 class TrivialityReport:
     trivial: bool
@@ -399,15 +388,9 @@ class TrivialityReport:
         return self.trivial
 
 
-def _coeff_map(e, comp, factors_out=None):
+def _coeff_map(e, comp):
     """Reduced-expression coefficients keyed by (component, monomial key)."""
-    out = {}
-    for c, f in e.terms:
-        mk = (comp, _monokey(f))
-        out[mk] = c
-        if factors_out is not None:
-            factors_out[mk] = f
-    return out
+    return {(comp, _monokey(f)): c for c, f in e.terms}
 
 
 class WitnessSpace:
@@ -431,10 +414,15 @@ class WitnessSpace:
         self.columns = {}   # (comp, monokey) -> {basis index: nonzero value}
         self.factors = {}   # (comp, monokey) -> factor tuple
         self.curls = []     # basis index -> {(comp, monokey): nonzero value}
+        t, x = system.table.indep
         for m, b in enumerate(theta_ansatz.basis):
-            c1, c2 = _curl_pair(b, system.table)
-            col = _coeff_map(system.reduce(c1), 0, self.factors)
-            col.update(_coeff_map(system.reduce(c2), 1, self.factors))
+            # the curl (D_x theta, -D_t theta), reduced, keyed once
+            rb, col = system.reduce(b), {}
+            for comp, v, sign in ((0, x, 1), (1, t, -1)):
+                terms = system.reduced_derivative_terms(rb, v)
+                for mk, (c, f) in _normal(terms).items():
+                    col[comp, mk] = sign * c
+                    self.factors[comp, mk] = f
             for key, val in col.items():
                 self.columns.setdefault(key, {})[m] = val
             self.curls.append(col)

@@ -44,8 +44,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .expr import SymbolTable
+from .expr import Jet, SymbolTable
 from .calculus import Equation, Generator, PdeSystem, SolvedFormError
+from .lawgen import default_theta_ansatz, make_ansatz, monomial_basis
 from .parse import ParseError, parse
 
 
@@ -250,7 +251,6 @@ def parse_laws(lines, table):
 
 
 def _as_jet(e, lineno):
-    from .expr import Jet
     if len(e.terms) == 1:
         coeff, factors = e.terms[0]
         if coeff == 1 and len(factors) == 1:
@@ -324,8 +324,6 @@ def ansatz_spaces(model, **overrides):
     [ansatz] settings, with keyword overrides (psi_degree, psi_jets,
     psi_vars, h_degree, h_jets, h_vars, theta_degree, theta_jets,
     theta_vars)."""
-    from .lawgen import default_theta_ansatz, make_ansatz, monomial_basis
-
     table = model.table
     cfg = dict(model.ansatz)
     cfg.update({k: v for k, v in overrides.items() if v is not None})

@@ -17,7 +17,8 @@ normal form.
 
 from __future__ import annotations
 
-from .expr import Expr, SymbolTable, _build, _quot, make_power
+from .expr import (Expr, SymbolTable, _build, _product_terms, _quot,
+                   make_power)
 
 
 class ParseError(ValueError):
@@ -103,12 +104,21 @@ class _Parser:
             e = self.term()
 
     def term(self):
+        """The factors' raw terms multiplied out and normalized once."""
         e = self.factor()
+        if self.peek()[0] not in ("*", "/"):
+            return e
+        raw = e.terms
         while self.peek()[0] in ("*", "/"):
             op = self.next()[0]
             f = self.factor()
-            e = e * f if op == "*" else e / f
-        return e
+            if op == "/" and f.is_rational() and not f.is_zero:
+                q = f.as_rational()
+                raw = [(_quot(c, q), m) for c, m in raw]
+            else:
+                f = f if op == "*" else make_power(f, -1)
+                raw = _product_terms(raw, f.terms)
+        return _build(raw)
 
     def factor(self):
         b = self.base()

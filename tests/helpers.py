@@ -1,7 +1,6 @@
-"""Shared test utilities: seeded random jet-polynomial generators and the
-hypothesis strategy for jet terms."""
+"""Shared test utilities: the jet pools and the hypothesis strategies for
+jet polynomials and jet terms."""
 
-from fractions import Fraction
 import itertools
 
 from clawforge.expr import Expr, SymbolTable
@@ -26,17 +25,26 @@ def jet_pool(table, max_order):
     return pool
 
 
-def random_poly_expr(rng, table, max_order=3, max_terms=4, max_factors=2):
-    """Random polynomial jet expression: a short sum of small monomials
-    with rational coefficients."""
-    pool = jet_pool(table, max_order)
-    out = Expr.const(0)
-    for _ in range(rng.randint(1, max_terms)):
-        term = Expr.const(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
-        for _ in range(rng.randint(0, max_factors)):
-            term = term * rng.choice(pool) ** rng.randint(1, 2)
-        out = out + term
-    return out
+def jet_polys(st, tab, max_order=3, max_terms=4, max_factors=2, extra=()):
+    """Hypothesis strategy (`st` is `hypothesis.strategies`): short sums of
+    small monomials with rational coefficients over the independent
+    variables and the jets of `tab` up to `max_order`, and over the `extra`
+    expressions (function symbols, radicals) when given."""
+    pool = jet_pool(tab, max_order) + list(extra)
+    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    factor = st.tuples(st.sampled_from(pool), st.integers(1, 2))
+    term = st.tuples(coeff, st.lists(factor, max_size=max_factors))
+
+    def build(terms):
+        out = Expr.const(0)
+        for c, factors in terms:
+            t = Expr.const(c)
+            for b, k in factors:
+                t = t * b ** k
+            out = out + t
+        return out
+
+    return st.lists(term, min_size=1, max_size=max_terms).map(build)
 
 
 def jet_terms(st, tab, specials=()):

@@ -3,10 +3,11 @@ holding to its runtime budget.  All arithmetic is exact, so every tolerance
 is exact equality of normal forms."""
 
 import json
-import random
 import time
 
 from fractions import Fraction
+
+import pytest
 
 from clawforge.calculus import divergence, euler, total_derivative
 from clawforge.cli import main
@@ -21,7 +22,7 @@ from clawforge.linsolve import RationalMatrix, rank
 from clawforge.modelfile import ansatz_spaces
 from clawforge.parse import parse
 
-from helpers import random_poly_expr, two_var_table
+from helpers import jet_polys, two_var_table
 
 
 def _report(criterion, detail=""):
@@ -31,20 +32,25 @@ def _report(criterion, detail=""):
 def test_criterion_1_operator_stack():
     """euler annihilates divergences and total derivatives commute on
     random polynomial jet expressions."""
+    hyp = pytest.importorskip("hypothesis")
     start = time.time()
     tab = two_var_table()
     t, x = tab.indep
-    rng = random.Random(2026)
+    polys = jet_polys(hyp.strategies, tab, max_order=3)
     count = 0
-    while count < 200:
-        e1 = random_poly_expr(rng, tab, max_order=3)
-        e2 = random_poly_expr(rng, tab, max_order=3)
+
+    @hyp.settings(max_examples=100, deadline=None, derandomize=True)
+    @hyp.given(e1=polys, e2=polys)
+    def check(e1, e2):
+        nonlocal count
         assert euler(divergence([e1, e2], tab), 0, tab).is_zero
         assert total_derivative(total_derivative(e1, t), x) == \
             total_derivative(total_derivative(e1, x), t)
         assert total_derivative(total_derivative(e2, t), x) == \
             total_derivative(total_derivative(e2, x), t)
         count += 2
+
+    check()
     elapsed = time.time() - start
     assert elapsed < 60
     _report(1, f"({count} expressions, {elapsed:.1f}s)")

@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from clawforge.calculus import (Equation, Generator, PdeSystem,
@@ -9,8 +7,7 @@ from clawforge.expr import (ZERO, Atom, DomainError, Expr, FuncSym, Jet,
                             SymbolTable, pdiff, substitute)
 from clawforge.parse import parse
 
-from helpers import (RADICALS, jet_pool, jet_terms, random_poly_expr,
-                     two_var_table)
+from helpers import RADICALS, jet_polys, jet_pool, jet_terms, two_var_table
 
 
 @pytest.fixture()
@@ -44,24 +41,32 @@ def test_total_derivative_explicit_dependence(tab):
 
 
 def test_total_derivatives_commute_random():
+    hyp = pytest.importorskip("hypothesis")
     tab = two_var_table()
     t, x = tab.indep
-    rng = random.Random(21)
-    for _ in range(40):
-        e = random_poly_expr(rng, tab)
+
+    @hyp.settings(max_examples=40, deadline=None, derandomize=True)
+    @hyp.given(e=jet_polys(hyp.strategies, tab))
+    def check(e):
         assert total_derivative(total_derivative(e, t), x) == \
             total_derivative(total_derivative(e, x), t)
 
+    check()
+
 
 def test_total_derivative_leibniz_random():
+    hyp = pytest.importorskip("hypothesis")
     tab = two_var_table()
     x = tab.indep[1]
-    rng = random.Random(22)
-    for _ in range(40):
-        e = random_poly_expr(rng, tab, max_terms=3)
-        f = random_poly_expr(rng, tab, max_terms=3)
+    polys = jet_polys(hyp.strategies, tab, max_terms=3)
+
+    @hyp.settings(max_examples=40, deadline=None, derandomize=True)
+    @hyp.given(e=polys, f=polys)
+    def check(e, f):
         assert total_derivative(e * f, x) == \
             total_derivative(e, x) * f + e * total_derivative(f, x)
+
+    check()
 
 
 # -- euler operator --------------------------------------------------------------
@@ -72,12 +77,16 @@ def test_euler_basics(tab):
 
 
 def test_euler_annihilates_divergences_random():
+    hyp = pytest.importorskip("hypothesis")
     tab = two_var_table()
-    rng = random.Random(23)
-    for _ in range(30):
-        T = [random_poly_expr(rng, tab, max_terms=3),
-             random_poly_expr(rng, tab, max_terms=3)]
+    polys = jet_polys(hyp.strategies, tab, max_terms=3)
+
+    @hyp.settings(max_examples=30, deadline=None, derandomize=True)
+    @hyp.given(T=hyp.strategies.lists(polys, min_size=2, max_size=2))
+    def check(T):
         assert euler(divergence(T, tab), 0, tab).is_zero
+
+    check()
 
 
 # -- divergence ------------------------------------------------------------------
@@ -115,12 +124,16 @@ def test_reduce_examples(tab):
 
 
 def test_reduce_idempotent_random(tab):
+    hyp = pytest.importorskip("hypothesis")
     kdv = kdv_system(tab)
-    rng = random.Random(24)
-    for _ in range(25):
-        e = random_poly_expr(rng, tab)
+
+    @hyp.settings(max_examples=25, deadline=None, derandomize=True)
+    @hyp.given(e=jet_polys(hyp.strategies, tab))
+    def check(e):
         r = kdv.reduce(e)
         assert kdv.reduce(r) == r
+
+    check()
 
 
 def test_reduce_many_jets_in_one_pass(kdv):

@@ -344,3 +344,66 @@ def test_python_dash_m_runs_the_cli():
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "kdv" in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["models"],
+    ["mixed", "gas3d", "--generator", "X1"],
+], ids=["short-output", "long-output"])
+def test_closed_stdout_exits_141_quietly(argv):
+    # the reader closes its end of the pipe before the program writes, as
+    # `clawforge ... | head -1` does once it has its line; stdout is block
+    # buffered, as in a plain shell pipe, so a short report is still in the
+    # buffer when the command returns
+    src = Path(clawforge.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(src)
+    proc = subprocess.Popen([sys.executable, "-m", "clawforge", *argv],
+                            env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    assert err == b""
+
+
+def test_help_lists_closed_pipe_exit_code(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert "141 standard output closed" in " ".join(
+        capsys.readouterr().out.split())
+
+
+THREE_VARIABLE_MODEL = """
+[vars]
+independent: t, x, y
+dependent: u
+
+[equations]
+u[t] = u[x] + u[y]
+
+[generators]
+X1: t = 1
+
+[ansatz]
+psi_degree: 1
+h_degree: 1
+"""
+
+
+def test_mixed_says_curl_triviality_needs_two_variables(tmp_path, capsys):
+    model = tmp_path / "advection2.model"
+    model.write_text(THREE_VARIABLE_MODEL)
+    argv = ["mixed", str(model), "--generator", "X1"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == ("curl triviality is tested only for two independent "
+                        "variables")
+    assert main(argv + ["--json"]) == 0
+    assert "curl" not in capsys.readouterr().out
+    assert main(["mixed", "kdv", "--generator", "X4"]) == 0
+    assert "curl triviality" not in capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        main(["mixed", "--help"])
+    assert "for two independent variables only" in " ".join(
+        capsys.readouterr().out.split())

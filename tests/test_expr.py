@@ -10,8 +10,7 @@ from clawforge.expr import (ZERO, DomainError, Expr, FuncSym, NonlinearError,
 from clawforge.lawgen import make_ansatz
 from clawforge.parse import parse
 
-from helpers import (RADICALS, jet_pool, jet_terms, random_poly_expr,
-                     two_var_table)
+from helpers import RADICALS, jet_polys, jet_pool, jet_terms, two_var_table
 
 
 @pytest.fixture()
@@ -84,6 +83,32 @@ def test_root_beyond_float_range(tab):
     assert not P(tab, "(10^400+1)^(1/2)").is_rational()
 
 
+def test_radicals_of_perfect_powers_collapse():
+    """(q^k * m^k)^(j/k) is q^j * m^j for a positive rational q, large ones
+    included, a jet monomial m and any exponent j/k, by make_power and by
+    the parser; 2*q^k is never a perfect k-th power."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    tab = two_var_table()
+    factor = st.tuples(st.sampled_from(jet_pool(tab, 2)), st.integers(1, 3))
+
+    @hyp.settings(max_examples=60, deadline=None, derandomize=True)
+    @hyp.given(q=st.builds(Fraction, st.integers(1, 10**30),
+                           st.integers(1, 10**6)),
+               k=st.integers(2, 7), j=st.integers(-3, 3).filter(bool),
+               factors=st.lists(factor, max_size=3))
+    def check(q, k, j, factors):
+        m = Expr.const(q)
+        for a, n in factors:
+            m = m * a ** n
+        base = m ** k
+        assert make_power(base, Fraction(j, k)) == m ** j
+        assert parse(f"({base})^({j}/{k})", tab) == m ** j
+        assert not make_power(Expr.const(2 * q ** k), Fraction(1, k)).is_rational()
+
+    check()
+
+
 def test_zero_to_negative_power_raises(tab):
     with pytest.raises(DomainError):
         P(tab, "0") ** -1
@@ -106,30 +131,38 @@ def test_atom_order_stable_across_builds(tab):
 # -- normal-form soundness properties ----------------------------------------
 
 def test_addition_commutes_random():
-    tab = two_var_table()
-    rng = random.Random(101)
-    for _ in range(60):
-        a = random_poly_expr(rng, tab)
-        b = random_poly_expr(rng, tab)
+    hyp = pytest.importorskip("hypothesis")
+    polys = jet_polys(hyp.strategies, two_var_table())
+
+    @hyp.settings(max_examples=60, deadline=None, derandomize=True)
+    @hyp.given(a=polys, b=polys)
+    def check(a, b):
         assert a + b == b + a
+
+    check()
 
 
 def test_multiplication_distributes_random():
-    tab = two_var_table()
-    rng = random.Random(102)
-    for _ in range(60):
-        e = random_poly_expr(rng, tab, max_terms=3)
-        f = random_poly_expr(rng, tab, max_terms=3)
-        g = random_poly_expr(rng, tab, max_terms=3)
+    hyp = pytest.importorskip("hypothesis")
+    polys = jet_polys(hyp.strategies, two_var_table(), max_terms=3)
+
+    @hyp.settings(max_examples=60, deadline=None, derandomize=True)
+    @hyp.given(e=polys, f=polys, g=polys)
+    def check(e, f, g):
         assert e * (f + g) == e * f + e * g
+
+    check()
 
 
 def test_self_subtraction_random():
-    tab = two_var_table()
-    rng = random.Random(103)
-    for _ in range(60):
-        e = random_poly_expr(rng, tab)
+    hyp = pytest.importorskip("hypothesis")
+
+    @hyp.settings(max_examples=60, deadline=None, derandomize=True)
+    @hyp.given(e=jet_polys(hyp.strategies, two_var_table()))
+    def check(e):
         assert (e - e).is_zero
+
+    check()
 
 
 # -- pdiff -------------------------------------------------------------------
@@ -156,13 +189,17 @@ def test_pdiff_chain_rule_function_symbols(tab):
 
 
 def test_pdiff_is_derivation_random():
+    hyp = pytest.importorskip("hypothesis")
     tab = two_var_table()
-    rng = random.Random(104)
     u = tab.jet("u")
-    for _ in range(40):
-        e = random_poly_expr(rng, tab, max_terms=3)
-        f = random_poly_expr(rng, tab, max_terms=3)
+    polys = jet_polys(hyp.strategies, tab, max_terms=3)
+
+    @hyp.settings(max_examples=40, deadline=None, derandomize=True)
+    @hyp.given(e=polys, f=polys)
+    def check(e, f):
         assert pdiff(e * f, u) == pdiff(e, u) * f + e * pdiff(f, u)
+
+    check()
 
 
 # -- substitute ----------------------------------------------------------------
@@ -268,40 +305,54 @@ def test_pdiff_powers_of_function_symbols(tab):
 
 
 def test_radical_difference_of_squares_random():
+    hyp = pytest.importorskip("hypothesis")
     tab = two_var_table()
-    rng = random.Random(105)
     tp = parse("(1+u[x]^2)^(1/2)", tab)
-    for _ in range(25):
-        p = random_poly_expr(rng, tab, max_terms=2)
-        q = random_poly_expr(rng, tab, max_terms=2)
+    polys = jet_polys(hyp.strategies, tab, max_terms=2)
+
+    @hyp.settings(max_examples=25, deadline=None, derandomize=True)
+    @hyp.given(p=polys, q=polys)
+    def check(p, q):
         lhs = (p * tp + q) * (p * tp - q)
         rhs = p * p * parse("1+u[x]^2", tab) - q * q
         assert lhs == rhs
 
+    check()
+
 
 def test_radical_multiply_divide_roundtrip_random():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
     tab = two_var_table()
-    rng = random.Random(106)
     base = parse("1+u[x]^2", tab)
-    for exp_num in (-3, -1, 1, 3):
+
+    @hyp.settings(max_examples=40, deadline=None, derandomize=True)
+    @hyp.given(e=jet_polys(st, tab, max_terms=3),
+               exp_num=st.sampled_from((-3, -1, 1, 3)))
+    def check(e, exp_num):
         r = make_power(base, Fraction(exp_num, 2))
-        for _ in range(10):
-            e = random_poly_expr(rng, tab, max_terms=3)
-            assert (e * r) / r == e
-            assert (e / r) * r == e
+        assert (e * r) / r == e
+        assert (e / r) * r == e
+
+    check()
 
 
 def test_radical_associativity_random():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
     tab = two_var_table()
-    rng = random.Random(107)
     r = parse("(1+u[x]^2)^(1/2)", tab)
     q = parse("(1+u[x]^2)^(-1)", tab)
-    pool = [r, q, parse("u", tab), parse("1+u", tab), parse("u[x]", tab)]
-    for _ in range(40):
-        a = rng.choice(pool) * random_poly_expr(rng, tab, max_terms=2)
-        b = rng.choice(pool)
-        c = rng.choice(pool)
+    pool = st.sampled_from(
+        [r, q, parse("u", tab), parse("1+u", tab), parse("u[x]", tab)])
+
+    @hyp.settings(max_examples=40, deadline=None, derandomize=True)
+    @hyp.given(a=pool, p=jet_polys(st, tab, max_terms=2), b=pool, c=pool)
+    def check(a, p, b, c):
+        a = a * p
         assert (a * b) * c == a * (b * c)
+
+    check()
 
 
 def test_power_exponent_addition_random():

@@ -19,7 +19,7 @@ from clawforge.lawgen import (Ansatz, AnsatzError, WitnessSpace,
                               verify)
 from clawforge.parse import parse
 
-from helpers import random_poly_expr, two_var_table
+from helpers import jet_polys, two_var_table
 
 
 @pytest.fixture()
@@ -160,12 +160,16 @@ def test_flux_identity_kdv_grid(tab):
 
 
 def test_flux_identity_random_lagrangians(tab):
+    hyp = pytest.importorskip("hypothesis")
     kdv = kdv_system(tab)
     g = kdv_generators(tab)["X2"]
-    rng = random.Random(41)
-    for _ in range(10):
-        L = random_poly_expr(rng, tab, max_order=2, max_terms=3)
+
+    @hyp.settings(max_examples=10, deadline=None, derandomize=True)
+    @hyp.given(L=jet_polys(hyp.strategies, tab, max_order=2, max_terms=3))
+    def check(L):
         assert flux_identity_residual(L, g, kdv).is_zero
+
+    check()
 
 
 # -- multiplier determining system ---------------------------------------------------

@@ -2,13 +2,16 @@
 witness spaces: `ColumnSpace.member` over the same curl columns gives the
 triviality verdict and the witness, and a fresh `IncrementalSystem` fed the
 key rows of one law in priority order gives the coefficients that
-stripping uses."""
+stripping uses.  The columns themselves, built from reduced theta entries,
+are checked against the curls reduced after differentiating."""
 
 import pytest
 
-from clawforge.expr import _num
+from clawforge.calculus import total_derivative
+from clawforge.expr import _monokey, _num
 from clawforge.lawgen import WitnessSpace, _coeff_map, default_theta_ansatz
 from clawforge.linsolve import ColumnSpace, IncrementalSystem
+from clawforge.modelfile import ansatz_spaces
 from clawforge.parse import parse
 
 hyp = pytest.importorskip("hypothesis")
@@ -84,3 +87,30 @@ def test_fit_matches_member_and_per_law_elimination(spaces, name):
     verdicts = set()
     check()
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("name", ["kdv", "fw", "sp", "gas1d"])
+def test_columns_match_curls_reduced_per_entry(models, name):
+    """For each built-in theta ansatz, the columns that the witness space
+    reads from `reduced_derivative_terms` of each reduced entry b, keyed
+    once, are the columns of reduce(D_x b) and reduce(-D_t b), values and
+    their types included."""
+    entry = models[name]
+    theta = ansatz_spaces(entry.model)["theta"]
+    ws = WitnessSpace(entry.system, theta)
+    t, x = entry.table.indep
+    columns, factors, curls = {}, {}, []
+    for m, b in enumerate(theta.basis):
+        col = {}
+        for comp, e in enumerate((total_derivative(b, x),
+                                  -total_derivative(b, t))):
+            for c, f in entry.system.reduce(e).terms:
+                key = (comp, _monokey(f))
+                col[key] = columns.setdefault(key, {})[m] = c
+                factors[key] = f
+        curls.append(col)
+    assert ws.columns == columns
+    assert all(_same(ws.columns[k][m], c)
+               for k, col in columns.items() for m, c in col.items())
+    assert ws.factors == factors
+    assert ws.curls == curls

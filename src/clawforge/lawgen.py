@@ -421,8 +421,8 @@ class WitnessSpace:
             for comp, v, sign in ((0, x, 1), (1, t, -1)):
                 terms = system.reduced_derivative_terms(rb, v)
                 for mk, (c, f) in _normal(terms).items():
-                    col[comp, mk] = sign * c
-                    self.factors[comp, mk] = f
+                    key = comp, mk
+                    col[key], self.factors[key] = sign * c, f
             for key, val in col.items():
                 self.columns.setdefault(key, {})[m] = val
             self.curls.append(col)

@@ -149,12 +149,12 @@ class PdeSystem:
             if jet in self._in_progress:
                 raise SolvedFormError(
                     f"{self.name}: cyclic prolongation while reducing {jet!r}")
-            lead, rhs = self.equations[idx].lead, self.equations[idx].rhs
-            rest = jet.minus(lead)
+            eq = self.equations[idx]
+            rest = jet.minus(eq.lead)
             self._in_progress.add(jet)
             try:
-                val = rhs if not rest else self.reduced_derivative(self._image(
-                    Jet(jet.alpha, jet.name, lead.mi + rest[1:])), rest[0])
+                val = eq.rhs if not rest else self.reduced_derivative(self._image(
+                    Jet(jet.alpha, jet.name, eq.lead.mi + rest[1:])), rest[0])
             finally:
                 self._in_progress.discard(jet)
         self._images[jet] = val

@@ -97,8 +97,9 @@ class PdeSystem:
 
     One memo maps each jet met so far to its reduced image, or to None if
     no equation reduces it.  `reduced_derivative` differentiates a reduced
-    expression with each jet mapped to the image of its derivative, so it
-    builds no unreduced intermediate; prolonged images are made that way.
+    expression with each jet mapped to the image of its derivative (memoized
+    by jet and variable), so it builds no unreduced intermediate and shares
+    its jets; prolonged images are made that way.
     """
 
     def __init__(self, name, table, equations):
@@ -106,6 +107,7 @@ class PdeSystem:
         self.table = table
         self.equations = tuple(equations)
         self._images = {}
+        self._dterms = {}   # (jet, v) -> terms of the image of D_v jet
         self._in_progress = set()
         # the jet memo is shared across calls; the lock keeps the
         # observable contract (purity, determinism) under concurrent use
@@ -186,9 +188,13 @@ class PdeSystem:
 
         def base_derivative(b):
             if isinstance(b, Jet):
-                d = b.shifted(v)
-                img = self._image(d)
-                return (d.as_expr() if img is None else img).terms
+                terms = self._dterms.get((b, v))
+                if terms is None:
+                    d = b.shifted(v)
+                    img = self._image(d)
+                    terms = self._dterms[b, v] = (
+                        d.as_expr() if img is None else img).terms
+                return terms
             if isinstance(b, FuncSym):
                 return _chain_terms(b, self.reduced_derivative(b.arg, v))
             if isinstance(b, Atom):

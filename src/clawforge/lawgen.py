@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import factorial
+from types import SimpleNamespace
 
 from .expr import (Expr, FuncSym, Jet, Param, ZERO, _build, _monokey,
                    _normal, _num, _product_terms, _quot, _term_product,
@@ -393,70 +395,152 @@ def _coeff_map(e, comp):
     return {(comp, _monokey(f)): c for c, f in e.terms}
 
 
+def _weights(mk, n, basis):
+    """The weight of monomial key `mk` under each scaling w in `basis`: x^i
+    weighs w[i], a jet u^a_J w[n + a] less the weights of J; None when a
+    factor is neither an independent variable nor a jet."""
+    form = {}
+    for bkey, num, den in mk:
+        if bkey[:2] not in ((0, 0), (0, 1)):
+            return None
+        e = _quot(num, den)
+        for i, s in ([(bkey[2], 1)] if bkey[1] == 0 else
+                     [(n + bkey[2], 1)] + [(j, -1) for j in bkey[4]]):
+            form[i] = form.get(i, 0) + s * e
+    return tuple(sum(w[i] * e for i, e in form.items()) for w in basis)
+
+
 class WitnessSpace:
     """The reduced curl images of a theta ansatz, indexed by monomial key,
-    and one echelon of them.
+    in blocks of one scaling weight, each with one echelon.
 
-    The key rows are sorted by `priority` and fed once through an
-    `IncrementalSystem`; each row's eliminations and pivot are recorded.
-    `fit` replays them on a law's right-hand side, so every triviality and
-    stripping query over the same system is a sparse triangular solve.
-    Pivots are the smallest live column of each row, so the pivot columns
-    are the first independent curl columns, and a law's witness is its
-    unique representation on them.  (`linsolve.ColumnSpace` gives the same
-    witness with combination tracking; it is kept only for its tests and
-    for the benchmark tracer.)"""
+    The weights are the nullspace of the weight differences of each
+    equation's terms.  Reduction keeps a weight and D_v lowers it by that
+    of v, so a key of the D_v component belongs to the block of its
+    monomial times v, and blocks share no key and no column.  There is one
+    block when an equation holds a factor other than an independent
+    variable or a jet, when there is no nontrivial scaling, or when a
+    theta entry is not weighted-homogeneous.
+
+    A block's key rows are sorted by `priority` and fed once through an
+    `IncrementalSystem`, recording each row's eliminations and pivot;
+    `fit` replays them on a law's right-hand side, a sparse triangular
+    solve.  Pivots are the smallest live column of each row, so the pivot
+    columns are the first independent curl columns, and a law's witness is
+    its unique representation on them, as `linsolve.ColumnSpace` finds.
+
+    The split changes no result: one echelon over all key rows in priority
+    order is, block by block, the echelon of that block's rows, so the
+    verdict and the witness decouple by block, and a block that no key of
+    a law reaches gives zero coefficients.  So each block is built on first
+    use, under a lock, by `fit`, `strip` or `complete`; reading `columns`
+    (key -> {basis index: value}), `factors` (key -> factors) or `curls`
+    (basis index -> {key: value}) builds them all."""
 
     def __init__(self, system, theta_ansatz):
         theta_ansatz.require_polynomial("triviality witness")
         self.theta = theta_ansatz
         self.ncols = len(theta_ansatz.basis)
-        self.columns = {}   # (comp, monokey) -> {basis index: nonzero value}
-        self.factors = {}   # (comp, monokey) -> factor tuple
-        self.curls = []     # basis index -> {(comp, monokey): nonzero value}
-        t, x = system.table.indep
-        for m, b in enumerate(theta_ansatz.basis):
+        self._system = system
+        self._lock = threading.Lock()
+        self._factors = {}                  # (comp, monokey) -> factors
+        self._curls = [None] * self.ncols   # filled block by block
+        table = system.table
+        n, dim = table.n, table.n + table.m
+        unit = [[int(i == j) for j in range(dim)] for i in range(dim)]
+        forms = [[_weights(_monokey(f), n, unit) for _, f in eq.expr.terms]
+                 for eq in system.equations]
+        basis = []
+        if all(None not in ws for ws in forms):
+            rows = [[a - b for a, b in zip(w, ws[0])] for ws in forms
+                    for w in ws]
+            basis = linsolve.nullspace(RationalMatrix(rows, ncols=dim)).basis
+        weights = [{_weights(_monokey(f), n, basis) for _, f in b.terms}
+                   for b in theta_ansatz.basis]
+        homogeneous = all(len(ws) == 1 and None not in ws for ws in weights)
+        self._n, self._basis = n, basis if basis and homogeneous else None
+        # the factor v of a key of the D_x (0) or D_t (1) component
+        self._shift = [((v._bkey, 1, 1),) for v in reversed(table.indep)]
+        self._col_label = [ws.pop() if self._basis else () for ws in weights]
+        self._blocks = {}       # weight -> block
+        for m, label in enumerate(self._col_label):
+            self._blocks.setdefault(label, SimpleNamespace(
+                members=[], rows=None)).members.append(m)
+
+    def _label(self, key):
+        """The weight of the block that can hold a curl key, or None."""
+        return () if self._basis is None else _weights(
+            key[1] + self._shift[key[0]], self._n, self._basis)
+
+    def _block(self, label):
+        """The block of a weight, built on first use; None if none."""
+        blk = self._blocks.get(label)
+        with self._lock:
+            if blk is not None and blk.rows is None:
+                self._build(blk)
+        return blk
+
+    def _build(self, blk):
+        t, x = self._system.table.indep
+        blk.columns = {}    # (comp, monokey) -> {basis index: nonzero value}
+        for m in blk.members:
             # the curl (D_x theta, -D_t theta), reduced, keyed once
-            rb, col = system.reduce(b), {}
+            rb, col = self._system.reduce(self.theta.basis[m]), {}
             for comp, v, sign in ((0, x, 1), (1, t, -1)):
-                terms = system.reduced_derivative_terms(rb, v)
+                terms = self._system.reduced_derivative_terms(rb, v)
                 for mk, (c, f) in _normal(terms).items():
                     key = comp, mk
-                    col[key], self.factors[key] = sign * c, f
+                    col[key], self._factors[key] = sign * c, f
             for key, val in col.items():
-                self.columns.setdefault(key, {})[m] = val
-            self.curls.append(col)
-        keys = sorted(self.columns, key=self.priority)
-        self._row_of = {key: r for r, key in enumerate(keys)}
+                blk.columns.setdefault(key, {})[m] = val
+            self._curls[m] = col
+        keys = sorted(blk.columns, key=self.priority)
+        blk.row_of = {key: r for r, key in enumerate(keys)}
         echelon = linsolve.IncrementalSystem(self.ncols)
-        self._pivot_of = []     # key row -> echelon row, None if dependent
-        self._users = []        # echelon row -> [(key row, factor)]
+        blk.pivot_of = []   # key row -> echelon row, None if dependent
+        blk.users = []      # echelon row -> [(key row, factor)]
         for r, key in enumerate(keys):
             steps = []
-            echelon.try_add(self.columns[key], 0, steps)
-            if len(echelon.rows) > len(self._users):
-                self._pivot_of.append(len(self._users))
-                self._users.append([])
-            else:
-                self._pivot_of.append(None)
+            echelon.try_add(blk.columns[key], 0, steps)
+            new = len(echelon.rows) > len(blk.users)
+            blk.pivot_of.append(len(blk.users) if new else None)
+            blk.users += [[]] if new else []
             for i, f in steps:
-                self._users[i].append((r, f))
-        self._rows = echelon.rows
-        self._scales = echelon.scales
-        self._pivot_cols = list(echelon.pivots)
-        self._above = [[] for _ in self._rows]  # rows holding each pivot
-        for i, row in enumerate(self._rows):
+                blk.users[i].append((r, f))
+        blk.scales = echelon.scales
+        blk.pivot_cols = list(echelon.pivots)
+        blk.above = [[] for _ in echelon.rows]  # rows holding each pivot
+        for i, row in enumerate(echelon.rows):
             for c in row:
                 k = echelon.pivots.get(c, i)
                 if k != i:
-                    self._above[k].append(i)
+                    blk.above[k].append(i)
+        blk.rows = echelon.rows
+
+    def _all_blocks(self):
+        return [self._block(label) for label in self._blocks]
+
+    @cached_property
+    def columns(self):
+        return {k: col for blk in self._all_blocks()
+                for k, col in blk.columns.items()}
+
+    @property
+    def factors(self):
+        self._all_blocks()
+        return self._factors
+
+    @property
+    def curls(self):
+        self._all_blocks()
+        return self._curls
 
     def priority(self, key):
-        """Sort key of a curl key for stripping: by component, then the
-        monomials of highest jet order, jet degree and factor count first,
-        so that their coefficients are the first forced to zero."""
+        """Sort key of a built block's curl key for stripping: by component,
+        then the monomials of highest jet order, jet degree and factor
+        count first, so that their coefficients are the first forced to zero."""
         comp, mk = key
-        factors = self.factors[key]
+        factors = self._factors[key]
         jets = [(b, e) for b, e in factors if isinstance(b, Jet) and b.order > 0]
         order = max((b.order for b, _ in jets), default=0)
         weight = sum(e for _, e in jets)
@@ -469,66 +553,67 @@ class WitnessSpace:
         consistent, with the free coordinates zero, and `exact` says that
         they solve them all and that no key of the law lies outside the
         witness columns, i.e. that the law is a curl of the witness.  Only
-        the rows the law's keys reach are visited."""
-        exact = True
-        acc = {}
+        the blocks, and in them the rows, that the law's keys reach are
+        visited; a key whose weight has no block is outside every column."""
+        parts = {}
         for key, val in rhs_map.items():
-            r = self._row_of.get(key)
-            if r is None:
-                exact = False
-            else:
-                acc[r] = val
-        # forward: replay the recorded eliminations in key-row order
-        todo = list(acc)
-        heapq.heapify(todo)
-        rhs = {}
-        while todo:
-            r = heapq.heappop(todo)
-            b = _num(acc.pop(r))
-            if not b:
-                continue
-            k = self._pivot_of[r]
-            if k is None:
-                exact = False
-                continue
-            b = rhs[k] = _quot(b, self._scales[k])
-            for r2, f in self._users[k]:
-                cur = acc.get(r2)
-                if cur is None:
-                    acc[r2] = -f * b
-                    heapq.heappush(todo, r2)
-                else:
-                    acc[r2] = cur - f * b
-        # backward: substitute into the echelon rows, last row first
-        coeffs = [0] * self.ncols
-        todo = [-k for k in rhs]
-        heapq.heapify(todo)
-        queued = set(rhs)
-        while todo:
-            k = -heapq.heappop(todo)
-            p = self._pivot_cols[k]
-            val = _num(rhs.get(k, 0) - sum(x * coeffs[c] for c, x
-                                           in self._rows[k].items() if c != p))
-            if val:
-                coeffs[p] = val
-                for i in self._above[k]:
-                    if i not in queued:
-                        queued.add(i)
-                        heapq.heappush(todo, -i)
+            parts.setdefault(self._label(key), {})[key] = val
+        exact, coeffs = True, [0] * self.ncols
+        for label, part in parts.items():
+            blk = self._block(label)
+            rows = {} if blk is None else blk.row_of
+            acc = {rows[key]: val for key, val in part.items() if key in rows}
+            exact = exact and len(acc) == len(part)
+            # forward: replay the recorded eliminations in key-row order
+            todo = sorted(acc)     # a sorted list is a heap
+            rhs = {}
+            while todo:
+                r = heapq.heappop(todo)
+                b = _num(acc.pop(r))
+                if not b:
+                    continue
+                k = blk.pivot_of[r]
+                if k is None:
+                    exact = False
+                    continue
+                b = rhs[k] = _quot(b, blk.scales[k])
+                for r2, f in blk.users[k]:
+                    cur = acc.get(r2)
+                    if cur is None:
+                        acc[r2] = -f * b
+                        heapq.heappush(todo, r2)
+                    else:
+                        acc[r2] = cur - f * b
+            # backward: substitute into the echelon rows, last row first
+            todo = sorted(-k for k in rhs)
+            queued = set(rhs)
+            while todo:
+                k = -heapq.heappop(todo)
+                p = blk.pivot_cols[k]
+                val = _num(rhs.get(k, 0) - sum(
+                    x * coeffs[c] for c, x in blk.rows[k].items() if c != p))
+                if val:
+                    coeffs[p] = val
+                    for i in blk.above[k]:
+                        if i not in queued:
+                            queued.add(i)
+                            heapq.heappush(todo, -i)
         return exact, coeffs
 
     def complete(self, rhs_map, components=(0, 1), extra_cols=()):
-        """Solve extra*s + curl(theta) = rhs; None when infeasible."""
-        keys = {k for k in self.columns if k[0] in components}
-        keys |= set(rhs_map)
-        for col in extra_cols:
-            keys |= set(col)
+        """Solve extra*s + curl(theta) = rhs; None when infeasible.  Blocks
+        no key of rhs or extra reaches are left out (their theta is free)."""
+        reached = set(rhs_map).union(*extra_cols)
+        columns = {k: col for label in {self._label(k) for k in reached}
+                   if label in self._blocks
+                   for k, col in self._block(label).columns.items()}
+        keys = {k for k in columns if k[0] in components} | reached
         shift = len(extra_cols)
         rows, rhs = [], []
         for key in sorted(keys):
             row = {i: col[key] for i, col in enumerate(extra_cols)
                    if key in col}
-            for m, val in self.columns.get(key, {}).items():
+            for m, val in columns.get(key, {}).items():
                 row[shift + m] = val
             rows.append(row)
             rhs.append(rhs_map.get(key, 0))
@@ -543,10 +628,11 @@ class WitnessSpace:
         """The reduced law components `reds` minus the reduced curl of the
         witness `coeffs`, from the stored curl columns."""
         out = [list(r.terms) for r in reds]
-        for val, col in zip(coeffs, self.curls):
+        for m, val in enumerate(coeffs):
             if val:
-                for key, x in col.items():
-                    out[key[0]].append((-val * x, self.factors[key]))
+                self._block(self._col_label[m])
+                for key, x in self._curls[m].items():
+                    out[key[0]].append((-val * x, self._factors[key]))
         return tuple(_build(terms) for terms in out)
 
 
@@ -597,35 +683,31 @@ def is_trivial(system, T, theta_ansatz=None, witness_space=None):
     return _triviality(reds, ws)[0]
 
 
-def _solutions_with_nonzero(space, index):
-    """Does the affine solution space contain a point whose coordinate at
-    `index` is nonzero?"""
-    if space is None:
-        return False
-    if space.particular[index] != 0:
-        return True
-    return any(v[index] != 0 for v in space.basis)
+def _equivalent(ws, a_map, b_map, components, allow_scale):
+    """Is a - s*b a reduced curl of the witness ansatz over `components`,
+    for some s != 0 when scaling is allowed, else for s = 1?"""
+    if not allow_scale:
+        shifted = dict(a_map)
+        for key, val in b_map.items():
+            shifted[key] = shifted.get(key, 0) - val
+        return ws.complete(shifted, components) is not None
+    sol = ws.complete(a_map, components, (b_map,))
+    return sol is not None and (sol.particular[0] != 0
+                                or any(v[0] != 0 for v in sol.basis))
 
 
 def vectors_equivalent_mod_trivial(system, A, B, theta_ansatz=None,
                                    allow_scale=True, witness_space=None):
     """True when A - s*B is a trivial law for some scale s (s != 0 when
     scaling is allowed, s = 1 otherwise)."""
-    table = system.table
-    if table.n != 2:
+    if system.table.n != 2:
         raise ValueError("equivalence test implemented for two independent "
                          "variables")
     ws = _witness_space(system, witness_space, theta_ansatz,
                         list(A) + list(B))
-    rhs_map = _law_rhs_map([system.reduce(c) for c in A])
-    b_col = _law_rhs_map([system.reduce(c) for c in B])
-    if not allow_scale:
-        shifted = dict(rhs_map)
-        for key, val in b_col.items():
-            shifted[key] = shifted.get(key, 0) - val
-        return ws.complete(shifted) is not None
-    sol = ws.complete(rhs_map, extra_cols=(b_col,))
-    return _solutions_with_nonzero(sol, 0)
+    return _equivalent(ws, _law_rhs_map([system.reduce(c) for c in A]),
+                       _law_rhs_map([system.reduce(c) for c in B]), (0, 1),
+                       allow_scale)
 
 
 def density_equivalent_mod_trivial(system, a, b, theta_ansatz=None,
@@ -633,20 +715,12 @@ def density_equivalent_mod_trivial(system, a, b, theta_ansatz=None,
     """True when density a matches density b up to scaling, total
     x-derivatives, and terms vanishing on solutions (two independent
     variables): reduce(a - s*b - D_x theta) == 0 is solvable."""
-    table = system.table
-    if table.n != 2:
+    if system.table.n != 2:
         raise ValueError("density test implemented for two independent "
                          "variables")
     ws = _witness_space(system, witness_space, theta_ansatz, [a, b])
-    rhs_map = _coeff_map(system.reduce(a), 0)
-    b_col = _coeff_map(system.reduce(b), 0)
-    if not allow_scale:
-        shifted = dict(rhs_map)
-        for key, val in b_col.items():
-            shifted[key] = shifted.get(key, 0) - val
-        return ws.complete(shifted, components=(0,)) is not None
-    sol = ws.complete(rhs_map, components=(0,), extra_cols=(b_col,))
-    return _solutions_with_nonzero(sol, 0)
+    return _equivalent(ws, _coeff_map(system.reduce(a), 0),
+                       _coeff_map(system.reduce(b), 0), (0,), allow_scale)
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,17 @@ VERBOSE_PINS = {
         "7550aa2c7b36ea09d6a6a242fef4f9eec6cbcf1799396eee49d16a7cb5f56841",
     "mixed gas1d --generator X0 --psi-degree 1":
         "5e9ed088c2212fe03c730e25f77381ab4498cc78af92a33d0b7e1a1a95e56bf2",
+    # laws that reach several weight blocks of the witness space each
+    "mixed gas1d --generator X1 --psi-degree 1":
+        "7e5188575888954cbe2bd0e25adffff9db3a3bf1ea6df65a337c4952b57290b7",
+    "mixed gas1d --generator X4 --psi-degree 1":
+        "ca147d7b0893faf0cb5bd9cf993e0a224ca0ee86f54dacacff33a4cd2e38becf",
+    "mixed sp --generator X1":
+        "b7d1bc4b0739b3e1d2bfea6b59f679383648eb044379122c6ce2819c0e71e4df",
+    "mixed fw --generator X3":
+        "dde03a3ef8c78e781b0bb81db0bf68989019039bff18618b8732204451ac4ea3",
+    "mixed kdv --generator X1":
+        "f6f958358e72a961ca30f4c88c93966acd12e5131c910478714baed22bfa1745",
 }
 
 

@@ -1,17 +1,30 @@
-"""`WitnessSpace.fit` against two independent oracles on the kdv and fw
-witness spaces: `ColumnSpace.member` over the same curl columns gives the
-triviality verdict and the witness, and a fresh `IncrementalSystem` fed the
-key rows of one law in priority order gives the coefficients that
-stripping uses.  The columns themselves, built from reduced theta entries,
-are checked against the curls reduced after differentiating."""
+"""`WitnessSpace.fit` against two independent oracles on the kdv, fw, sp
+and gas1d witness spaces and on a kdv ansatz with an entry that is not
+weighted-homogeneous: `ColumnSpace.member` over the same curl columns gives
+the triviality verdict and the witness, and a fresh `IncrementalSystem` fed
+the key rows of one law in global priority order gives the coefficients
+that stripping uses.  The columns themselves, built from reduced theta
+entries, are checked against the curls reduced after differentiating.  The
+scaling weights that split the space into blocks are checked against a
+sympy nullspace and against the weight of every key, blocks are built only
+when a fit reaches them, and concurrent fits on one fresh space match a
+serial run."""
+
+import sys
+import threading
+import time
 
 import pytest
 
 from clawforge.calculus import total_derivative
-from clawforge.expr import _monokey, _num
-from clawforge.lawgen import WitnessSpace, _coeff_map, default_theta_ansatz
-from clawforge.linsolve import ColumnSpace, IncrementalSystem
-from clawforge.modelfile import ansatz_spaces
+from clawforge.corpus import GAS1D_TEXT
+from clawforge.expr import IndepVar, _monokey, _num
+from clawforge.lawgen import (WitnessSpace, _coeff_map, _law_rhs_map,
+                              default_theta_ansatz, make_ansatz,
+                              mixed_method)
+from clawforge.linsolve import (ColumnSpace, IncrementalSystem,
+                                RationalMatrix, solve)
+from clawforge.modelfile import ansatz_spaces, parse_model_text
 from clawforge.parse import parse
 
 hyp = pytest.importorskip("hypothesis")
@@ -19,9 +32,21 @@ st = hyp.strategies
 
 SETTINGS = hyp.settings(max_examples=40, deadline=None, derandomize=True)
 
+FIT_CASES = ["kdv", "fw", "sp", "gas1d", "kdv-inhomogeneous"]
 
-def _space(entry):
-    ws = WitnessSpace(entry.system, default_theta_ansatz(entry.table))
+
+def _theta(entry, name):
+    """The model's theta ansatz, as `mixed` uses it."""
+    theta = ansatz_spaces(entry.model)["theta"]
+    if name.endswith("-inhomogeneous"):
+        # u + u[x] has no single kdv weight, so the space is one block
+        extra = parse("u + u[x]", entry.table)
+        theta = make_ansatz(theta.basis + (extra,), "th")
+    return theta
+
+
+def _space(entry, name):
+    ws = WitnessSpace(entry.system, _theta(entry, name))
     cs = ColumnSpace()
     for col in ws.curls:
         cs.add_column(col)
@@ -32,8 +57,14 @@ def _space(entry):
 
 
 @pytest.fixture(scope="module")
-def spaces(kdv, fw):
-    return {"kdv": _space(kdv), "fw": _space(fw)}
+def spaces(models):
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            cache[name] = _space(models[name.split("-")[0]], name)
+        return cache[name]
+    return get
 
 
 def _per_law_solution(ws, rhs_map):
@@ -49,9 +80,12 @@ def _same(x, y):
     return x == y and type(x) is type(y)
 
 
-@pytest.mark.parametrize("name", ["kdv", "fw"])
+@pytest.mark.parametrize("name", FIT_CASES)
 def test_fit_matches_member_and_per_law_elimination(spaces, name):
-    ws, cs, outside = spaces[name]
+    ws, cs, outside = spaces(name)
+    blocks = {"kdv": 20, "fw": 1, "sp": 19, "gas1d": 109,
+              "kdv-inhomogeneous": 1}
+    assert len(ws._blocks) == blocks[name]
     weight = st.fractions(min_value=-5, max_value=5,
                           max_denominator=4).filter(bool)
 
@@ -114,3 +148,215 @@ def test_columns_match_curls_reduced_per_entry(models, name):
                for k, col in columns.items() for m, c in col.items())
     assert ws.factors == factors
     assert ws.curls == curls
+
+
+def _complete_over_every_block(ws, rhs, components, extra):
+    """extra*s + curl(theta) = rhs solved over every curl column."""
+    keys = {k for k in ws.columns if k[0] in components}
+    keys |= set(rhs).union(*extra)
+    rows, b = [], []
+    for key in sorted(keys):
+        row = {i: col[key] for i, col in enumerate(extra) if key in col}
+        for m, val in ws.columns.get(key, {}).items():
+            row[len(extra) + m] = val
+        rows.append(row)
+        b.append(rhs.get(key, 0))
+    return solve(RationalMatrix(rows, ncols=len(extra) + ws.ncols), b)
+
+
+@pytest.mark.parametrize("name,degree", [("kdv", 3), ("gas1d", 1)])
+def test_complete_and_strip_on_unbuilt_blocks(models, name, degree):
+    """On a fresh space, `complete` builds the blocks that the right-hand
+    side and the extra column reach, and gives the feasibility, the
+    particular solution and the possible extra coordinates of a solve over
+    every block; `strip` builds the blocks of the coefficients it is
+    given and subtracts the same curls as a fully built space.  (Few
+    examples and a gas1d ansatz of degree 1: the dense solve is slow.)"""
+    entry = models[name]
+    theta = default_theta_ansatz(entry.table, degree=degree)
+    ws = WitnessSpace(entry.system, theta)
+    weight = st.fractions(min_value=-3, max_value=3,
+                          max_denominator=2).filter(bool)
+    combos = st.lists(st.tuples(st.integers(0, ws.ncols - 1), weight),
+                      min_size=1, max_size=3)
+
+    def law(combo, extra):
+        rhs = {}
+        for m, w in combo:
+            for key, x in ws.curls[m].items():
+                rhs[key] = rhs.get(key, 0) + w * x
+        for key, w in extra:
+            rhs[key] = rhs.get(key, 0) + w
+        return {k: _num(x) for k, x in rhs.items() if x}
+
+    extras = st.lists(st.tuples(st.sampled_from(sorted(ws.columns)), weight),
+                      max_size=2)
+
+    @hyp.settings(max_examples=12, deadline=None, derandomize=True)
+    @hyp.given(a=combos, b=combos, extra_a=extras, extra_b=extras,
+               components=st.sampled_from([(0, 1), (0,)]))
+    def check(a, b, extra_a, extra_b, components):
+        rhs, col = law(a, extra_a), law(b, extra_b)
+        fresh = WitnessSpace(entry.system, theta)
+        for cols in ((), (col,)):
+            got = fresh.complete(rhs, components, cols)
+            want = _complete_over_every_block(ws, rhs, components, cols)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.particular == want.particular
+                assert ({v[0] != 0 for v in got.basis if cols}
+                        == {v[0] != 0 for v in want.basis if cols})
+        coeffs = [0] * ws.ncols
+        for m, w in a:
+            coeffs[m] += w
+        reds = tuple(entry.system.reduce(e) for e in
+                     (parse("u^2*x", entry.table), parse("t*u", entry.table)))
+        assert fresh.strip(reds, coeffs) == ws.strip(reds, coeffs)
+
+    check()
+
+
+def _weight(factors, n, w):
+    """The weight of a monomial under the scaling w (one weight per
+    independent, then per dependent variable), read from its atoms."""
+    total = 0
+    for b, e in factors:
+        if isinstance(b, IndepVar):
+            total += e * w[b.index]
+        else:
+            total += e * (w[n + b.alpha] - sum(w[v.index] for v in b.mi))
+    return total
+
+
+def _sympy_scalings(system):
+    """A sympy nullspace of the weight differences of each equation's
+    terms: the scalings that leave every equation weighted-homogeneous."""
+    sympy = pytest.importorskip("sympy")
+    n, dim = system.table.n, system.table.n + system.table.m
+    w = sympy.symbols(f"w0:{dim}")
+    rows = []
+    for eq in system.equations:
+        lead = _weight(((eq.lead, 1),), n, w)
+        for _, f in eq.expr.terms:
+            diff = sympy.expand(_weight(f, n, w) - lead)
+            rows.append([diff.coeff(s) for s in w])
+    return sympy.Matrix(rows).nullspace()
+
+
+@pytest.mark.parametrize("name,expected", [
+    ("kdv", [(3, 1, -2)]), ("sp", [(-1, 1, 1)]), ("gas1d", 3), ("fw", 0)])
+def test_scaling_weights(models, name, expected):
+    """The scalings the space splits by span the sympy nullspace: kdv and
+    sp have one each (t, x, u), gas1d three, fw none, so fw is one block."""
+    sympy = pytest.importorskip("sympy")
+    entry = models[name]
+    ws = WitnessSpace(entry.system, default_theta_ansatz(entry.table))
+    oracle = _sympy_scalings(entry.system)
+    dim = expected if isinstance(expected, int) else len(expected)
+    assert len(oracle) == dim
+    if not dim:
+        # the default theta entries are monomials, homogeneous under any
+        # scaling, so one block means there is no scaling
+        assert ws._basis is None and list(ws._blocks) == [()]
+        return
+    got = sympy.Matrix([list(v) for v in ws._basis])
+    assert got.rank() == dim
+    assert got.col_join(sympy.Matrix.hstack(*oracle).T).rank() == dim
+    if not isinstance(expected, int):
+        assert sympy.Matrix(expected).col_join(got).rank() == 1
+
+
+@pytest.mark.parametrize("name", ["kdv", "sp", "gas1d"])
+def test_every_key_carries_its_block_weight(models, name):
+    """Each theta entry of a block has the block's weight under every
+    scaling, and each key of its curl has it once the monomial is
+    multiplied by the variable of its component (x for D_x, t for D_t)."""
+    entry = models[name]
+    ws = WitnessSpace(entry.system, _theta(entry, name))
+    n = entry.table.n
+    t, x = entry.table.indep
+    var = {0: ((x, 1),), 1: ((t, 1),)}
+    curls, factors = ws.curls, ws.factors
+    for label, blk in ws._blocks.items():
+        for m in blk.members:
+            for _, f in ws.theta.basis[m].terms:
+                assert tuple(_weight(f, n, w) for w in ws._basis) == label
+            for key in curls[m]:
+                f = factors[key] + var[key[0]]
+                assert tuple(_weight(f, n, w) for w in ws._basis) == label
+
+
+def _built(ws):
+    return {label for label, blk in ws._blocks.items()
+            if blk.rows is not None}
+
+
+def test_fit_builds_only_the_blocks_a_law_reaches(gas1d):
+    ws = WitnessSpace(gas1d.system, default_theta_ansatz(gas1d.table))
+    assert _built(ws) == set()
+    law = gas1d.model.laws["energy"]
+    rhs = _law_rhs_map([gas1d.system.reduce(c) for c in law.components])
+    ws.fit(rhs)
+    reached = {ws._label(key) for key in rhs} & set(ws._blocks)
+    assert _built(ws) == reached
+    assert 0 < len(reached) < len(ws._blocks)
+    ws.columns
+    assert _built(ws) == set(ws._blocks)
+
+
+@pytest.fixture(scope="module")
+def gas1d_laws(gas1d):
+    """Right-hand sides of the gas1d reference laws and of every law (kept
+    or trivial) of one mixed run, which reach several blocks each."""
+    spaces = ansatz_spaces(gas1d.model, psi_degree=1)
+    result = mixed_method(gas1d.system, gas1d.model.generator("X0"),
+                          spaces["psi"], spaces["h"],
+                          theta_ansatz=spaces["theta"])
+    laws = [law.components for law in gas1d.model.laws.values()]
+    laws += [law.components for law in result.laws + result.trivial]
+    return [_law_rhs_map([gas1d.system.reduce(c) for c in comps])
+            for comps in laws]
+
+
+@pytest.mark.parametrize("round_", range(3))
+def test_concurrent_fits_match_serial(gas1d_laws, round_):
+    """Four threads share one fresh gas1d witness space, whose blocks start
+    unbuilt, and fit the laws each from a different one on; all get what a
+    serial run on another fresh space gets.  The thread switches differ
+    from run to run, hence several rounds."""
+
+    def fresh():
+        system = parse_model_text(GAS1D_TEXT).system
+        return WitnessSpace(system, default_theta_ansatz(system.table))
+
+    def work(ws, order):
+        return {i: ws.fit(gas1d_laws[i]) for i in order}
+
+    count = len(gas1d_laws)
+    serial = work(fresh(), range(count))
+    shared = fresh()
+    orders = [[(i + k * count // 4) % count for i in range(count)]
+              for k in range(4)]
+    barrier = threading.Barrier(len(orders))
+    results = [None] * len(orders)
+
+    def run(k, order):
+        barrier.wait()
+        results[k] = work(shared, order)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)     # switch threads as often as possible
+    try:
+        # daemon threads: one stuck on a corrupted echelon fails the test
+        # and does not keep the process alive
+        threads = [threading.Thread(target=run, args=(k, order), daemon=True)
+                   for k, order in enumerate(orders)]
+        for th in threads:
+            th.start()
+        deadline = time.monotonic() + 60
+        for th in threads:
+            th.join(timeout=max(0, deadline - time.monotonic()))
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert results == [serial] * len(orders)

@@ -120,7 +120,7 @@ def _parse_generator_spec(model, spec):
             coef_text, label = piece.split("*", 1)
             try:
                 coef = Fraction(coef_text)
-            except ValueError:
+            except (ValueError, ZeroDivisionError):
                 raise CliError(f"bad coefficient {coef_text!r} in generator spec")
         else:
             coef, label = Fraction(1), piece

@@ -346,9 +346,6 @@ def multiplier_determining_system(system, ansatz_list):
 class MultiplierSet:
     v: tuple
 
-    def __iter__(self):
-        return iter(self.v)
-
 
 def solve_multipliers(system, ansatz_list):
     """Nullspace of the multiplier determining system, instantiated into

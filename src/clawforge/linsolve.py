@@ -1,24 +1,24 @@
 """Exact linear algebra over the rationals for determining systems.
 
-Matrices store their rows sparse (determining systems are mostly zeros);
-the nullspace presolve works on those rows directly.  Elimination is
-fraction-free (Bareiss) on a common-denominator integer dense copy of what
-is left, back-substitution stays on integers, and each row is divided by
-its pivot once at the end to give the reduced row-echelon form.  Values
-are exact rationals in the engine's representation: an `int` when
-integral, else a reduced `Fraction`, never a float; every division goes
-through `expr._quot`.  Bases are deterministic given the row and column
-order (reduced-echelon pivoting).
+Matrices store their rows sparse (determining systems are mostly zeros).
+One eliminator serves every routine: `IncrementalSystem` grows a sparse
+echelon one row at a time, pivots on the smallest column of each new row
+and normalizes that pivot to 1; it can record each row's eliminations,
+which `lawgen.WitnessSpace` replays.  `rank` counts the echelon's rows;
+`rref`, `nullspace` and `solve` back-substitute it, last row first, into
+the reduced row-echelon form.  That form is unique, so a basis or a
+particular solution depends only on the column order.  Values are exact
+rationals in the engine's representation: an `int` when integral, else a
+reduced `Fraction`, never a float; every division goes through
+`expr._quot`.
 
-`IncrementalSystem` grows a sparse echelon one constraint at a time and can
-record the eliminations of each row, which `lawgen.WitnessSpace` replays.
-`ColumnSpace` is not used by the library; it is kept only for its tests
-and for the benchmark tracer (`perfbench/tracer.py`)."""
+`ColumnSpace` is not used by the library; it is kept as the test oracle
+for `WitnessSpace.fit` and for the benchmark tracer
+(`perfbench/tracer.py`)."""
 
 from __future__ import annotations
 
 import heapq
-from math import gcd
 
 from .expr import _num, _quot
 
@@ -85,9 +85,6 @@ class SolutionSpace:
     def dimension(self):
         return len(self.basis)
 
-    def __iter__(self):
-        return iter(self.basis)
-
 
 def _sparse(vec):
     """Copy of a sparse vector without its zero entries."""
@@ -103,149 +100,6 @@ def _axpy(vec, f, other):
             vec[k] = _num(nv)
         else:
             vec.pop(k, None)
-
-
-def _integerize(row):
-    den = 1
-    for x in row:
-        den = den * x.denominator // gcd(den, x.denominator)
-    return [int(x * den) for x in row]
-
-
-def _bareiss(rows, ncols):
-    """Fraction-free forward elimination; returns (rows, pivot column list).
-    Rows come out as integers scaled row-by-row; only ratios matter."""
-    rows = [list(r) for r in rows]
-    piv_cols = []
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        p = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                p = i
-                break
-        if p is None:
-            continue
-        if p != r:
-            rows[r], rows[p] = rows[p], rows[r]
-        pivot_row = rows[r]
-        pivot = pivot_row[c]
-        for i in range(r + 1, len(rows)):
-            row = rows[i]
-            f = row[c]
-            if f == 0:
-                if pivot != prev:
-                    for j in range(ncols):
-                        row[j] = (pivot * row[j]) // prev
-                continue
-            for j in range(ncols):
-                row[j] = (pivot * row[j] - f * pivot_row[j]) // prev
-            row[c] = 0
-        prev = pivot
-        piv_cols.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, piv_cols
-
-
-def rref(matrix):
-    """Reduced row-echelon form (exact)."""
-    rows, piv_cols = _rref_rows(matrix.rows, matrix.ncols)
-    return RationalMatrix(rows, ncols=matrix.ncols)
-
-
-def _rref_rows(in_rows, ncols):
-    rows = [_integerize(r) for r in in_rows]
-    rows, piv_cols = _bareiss(rows, ncols)
-    # back-substitute on integers (each row kept primitive), then divide
-    # each row by its pivot; the rows past the rank are zero
-    for k in range(len(piv_cols) - 1, -1, -1):
-        c = piv_cols[k]
-        prow = rows[k]
-        pivot = prow[c]
-        for i in range(k):
-            f = rows[i][c]
-            if f:
-                row = [pivot * a - f * b for a, b in zip(rows[i], prow)]
-                g = gcd(*row)
-                rows[i] = [a // g for a in row]
-    out = [[_quot(x, rows[k][c]) for x in rows[k]]
-           for k, c in enumerate(piv_cols)]
-    # pad zero rows back to the original row count
-    out += [[0] * ncols for _ in range(len(in_rows) - len(out))]
-    return out, piv_cols
-
-
-def rank(matrix):
-    _, piv = _rref_rows(matrix.rows, matrix.ncols)
-    return len(piv)
-
-
-def nullspace(matrix):
-    """Exact basis of {v : Mv = 0}; dimension = cols - rank.
-
-    Determining systems are sparse, so singleton rows (one live column) are
-    presolved away before elimination: such a column is forced to zero and
-    every row it appears in shrinks, often cascading."""
-    forced = set()
-    live_rows = [dict(r) for r in matrix.sparse_rows]
-    changed = True
-    while changed:
-        changed = False
-        keep = []
-        for row in live_rows:
-            for c in forced & row.keys():
-                del row[c]
-            if len(row) == 1:
-                forced.add(next(iter(row)))
-                changed = True
-            elif row:
-                keep.append(row)
-        live_rows = keep
-    remaining = [c for c in range(matrix.ncols) if c not in forced]
-    index = {c: i for i, c in enumerate(remaining)}
-    dedup = {}
-    for row in live_rows:
-        key = tuple(sorted((index[c], x) for c, x in row.items()))
-        dedup.setdefault(key, row)
-    reduced = [[0] * len(remaining) for _ in dedup]
-    for out, row in zip(reduced, dedup.values()):
-        for c, x in row.items():
-            out[index[c]] = x
-    if reduced:
-        rows, piv_cols = _rref_rows(reduced, len(remaining))
-    else:
-        rows, piv_cols = [], []
-    piv_set = set(piv_cols)
-    basis = []
-    for j, fc in enumerate(remaining):
-        if j in piv_set:
-            continue
-        v = [0] * matrix.ncols
-        v[fc] = 1
-        for k, c in enumerate(piv_cols):
-            if rows[k][j] != 0:
-                v[remaining[c]] = -rows[k][j]
-        basis.append(v)
-    return SolutionSpace(basis, [0] * matrix.ncols)
-
-
-def solve(matrix, rhs):
-    """Solve Mv = rhs exactly.  Returns a SolutionSpace (particular plus the
-    homogeneous nullspace) or None when the system is inconsistent."""
-    if len(rhs) != matrix.nrows:
-        raise ValueError("dimension mismatch")
-    aug_rows = [list(r) + [b] for r, b in zip(matrix.rows, rhs)]
-    rows, piv_cols = _rref_rows(aug_rows, matrix.ncols + 1)
-    if matrix.ncols in piv_cols:
-        return None
-    particular = [0] * matrix.ncols
-    for k, c in enumerate(piv_cols):
-        particular[c] = rows[k][matrix.ncols]
-    null = nullspace(matrix)
-    return SolutionSpace(null.basis, particular)
 
 
 class ColumnSpace:
@@ -312,26 +166,36 @@ class IncrementalSystem:
 
     def _reduce(self, row, b, steps=None):
         """Eliminate the pivots from row in row order, visiting only the
-        rows whose pivots it holds; a row holds no earlier row's pivot.
-        Each elimination (row index, factor) is appended to `steps` when
-        it is a list."""
+        rows whose pivots it holds.  A row holds no earlier row's pivot,
+        so an elimination brings in only later rows' pivots.  Each
+        elimination (row index, factor) is appended to `steps` when it is
+        a list."""
+        pivots = self.pivots
         row = _sparse(row)
-        todo = [(self.pivots[c], c) for c in row if c in self.pivots]
+        todo = [(pivots[c], c) for c in row if c in pivots]
         heapq.heapify(todo)
         while todo:
             i, p = heapq.heappop(todo)
-            f = row.get(p)
-            if not f:
+            f = row.pop(p, None)
+            if f is None:
                 continue    # a duplicate entry, already eliminated
-            r = self.rows[i]
-            _axpy(row, f, r)
-            b = _num(b - f * self.rhs[i])
+            for c, x in self.rows[i].items():
+                cur = row.get(c)
+                if cur is None:
+                    if c != p:
+                        row[c] = _num(-(f * x))
+                        if c in pivots:
+                            heapq.heappush(todo, (pivots[c], c))
+                else:
+                    nv = cur - f * x
+                    if nv:
+                        row[c] = _num(nv)
+                    else:
+                        del row[c]
+            if self.rhs[i]:
+                b = _num(b - f * self.rhs[i])
             if steps is not None:
                 steps.append((i, f))
-            for c in r:
-                j = self.pivots.get(c, i)
-                if j > i and c in row:
-                    heapq.heappush(todo, (j, c))
         return row, b
 
     def try_add(self, row, b, steps=None):
@@ -339,8 +203,6 @@ class IncrementalSystem:
         accepted ones; a row independent of them becomes a new echelon
         row.  `steps`, when a list, receives the eliminations that reduced
         the row, as `_reduce` records them."""
-        if not isinstance(row, dict):
-            row = dict(enumerate(row))
         row, b = self._reduce(row, b, steps)
         if not row:
             return b == 0
@@ -359,6 +221,75 @@ class IncrementalSystem:
         for r, rb, p in reversed(list(zip(self.rows, self.rhs, self.pivots))):
             sol[p] = _num(rb - sum(x * sol[c] for c, x in r.items() if c != p))
         return sol
+
+
+def _echelon(matrix, rhs=None):
+    """The sparse echelon of the matrix rows, fed once through
+    `IncrementalSystem.try_add` (right-hand sides zero when rhs is None);
+    None when the system is inconsistent.  Short rows go first: a singleton
+    row forces its column, which later rows then lose at the cost of one
+    entry each."""
+    inc = IncrementalSystem(matrix.ncols)
+    pairs = zip(matrix.sparse_rows, rhs or [0] * matrix.nrows)
+    for row, b in sorted(pairs, key=lambda p: len(p[0])):
+        if not inc.try_add(row, b):
+            return None
+    return inc
+
+
+def _reduced(inc):
+    """(pivot, row, rhs) of each row of the reduced row-echelon form, by
+    pivot column.  A row of the echelon holds no earlier row's pivot, so
+    back-substituting the later rows into each row, last row first, leaves
+    each row with no pivot but its own."""
+    rows, rhs = [dict(r) for r in inc.rows], list(inc.rhs)
+    piv = list(inc.pivots)
+    for i in range(len(rows) - 1, -1, -1):
+        row = rows[i]
+        for c in [c for c in row if c != piv[i] and c in inc.pivots]:
+            j, f = inc.pivots[c], row[c]
+            _axpy(row, f, rows[j])
+            rhs[i] = _num(rhs[i] - f * rhs[j])
+    return sorted(zip(piv, rows, rhs), key=lambda t: t[0])
+
+
+def rref(matrix):
+    """Reduced row-echelon form (exact), padded with zero rows."""
+    rows = [row for _, row, _ in _reduced(_echelon(matrix))]
+    return RationalMatrix(rows + [{}] * (matrix.nrows - len(rows)),
+                          ncols=matrix.ncols)
+
+
+def rank(matrix):
+    return len(_echelon(matrix).rows)
+
+
+def nullspace(matrix):
+    """Exact basis of {v : Mv = 0}; dimension = cols - rank."""
+    return solve(matrix, [0] * matrix.nrows)
+
+
+def solve(matrix, rhs):
+    """Solve Mv = rhs exactly.  Returns a SolutionSpace or None when the
+    system is inconsistent.  The particular solution is zero on the free
+    columns; the basis holds one vector per free column, 1 there and minus
+    that column of the reduced rows at their pivots."""
+    if len(rhs) != matrix.nrows:
+        raise ValueError("dimension mismatch")
+    inc = _echelon(matrix, rhs)
+    if inc is None:
+        return None
+    particular = [0] * matrix.ncols
+    free = {c: [0] * matrix.ncols for c in range(matrix.ncols)
+            if c not in inc.pivots}
+    for c, v in free.items():
+        v[c] = 1
+    for p, row, b in _reduced(inc):
+        particular[p] = b
+        for c, x in row.items():
+            if c != p:
+                free[c][p] = -x
+    return SolutionSpace(free.values(), particular)
 
 
 def span_equal(vectors_a, vectors_b):

@@ -128,10 +128,12 @@ def test_mixed_unknown_generator(capsys):
 
 
 def test_mixed_generator_spec_without_label(capsys):
-    for spec in ("+", "-"):
+    for spec, message in (
+            ("+", "no generator label in generator spec '+'"),
+            ("-", "no generator label in generator spec '-'"),
+            ("1/0*X1", "bad coefficient '1/0' in generator spec")):
         assert main(["mixed", "kdv", "--generator", spec]) == 2
-        assert capsys.readouterr().err == (
-            f"error: no generator label in generator spec '{spec}'\n")
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_mixed_jet_orders_checked(monkeypatch, capsys):

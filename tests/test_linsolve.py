@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+from clawforge.expr import _num
 from clawforge.linsolve import (ColumnSpace, IncrementalSystem,
                                 RationalMatrix, nullspace, rank, rref, solve,
                                 span_equal)
@@ -112,3 +115,66 @@ def test_column_space_random_consistency():
         recon = {k: v for k, v in recon.items() if v != 0}
         target = {k: v for k, v in target.items() if v != 0}
         assert recon == target
+
+
+def _random_system(rng):
+    """A sparse rational matrix with zero rows, repeated rows and rows that
+    combine earlier ones, and a right-hand side that is sometimes
+    inconsistent."""
+    nc = rng.randint(1, 7)
+    rows, rhs = [], []
+    for _ in range(rng.randint(1, 7)):
+        kind = rng.random()
+        if kind < 0.15:
+            row, b = [0] * nc, 0
+        elif rows and kind < 0.45:
+            i, j = rng.randrange(len(rows)), rng.randrange(len(rows))
+            k = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            row = [_num(x + k * y) for x, y in zip(rows[i], rows[j])]
+            b = rhs[i] + k * rhs[j]
+        else:
+            row = [_num(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+                   if rng.random() < 0.4 else 0 for _ in range(nc)]
+            b = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        if rng.random() < 0.2:
+            b += 1      # breaks a combination, or a zero row
+        rows.append(row)
+        rhs.append(_num(b))
+    return rows, rhs
+
+
+def _fractions(vec):
+    return [Fraction(x.p, x.q) for x in vec]
+
+
+def test_linsolve_matches_sympy():
+    """`rref`, `rank`, `nullspace` and `solve` against sympy's Matrix on
+    random sparse systems; the reduced row-echelon form is unique, so the
+    nullspace basis (one vector per free column) and the particular
+    solution (zero on the free columns) must agree entry by entry."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(34)
+    inconsistent = 0
+    for _ in range(150):
+        rows, rhs = _random_system(rng)
+        M = RationalMatrix(rows)
+        S = sympy.Matrix([[sympy.Rational(x) for x in r] for r in rows])
+        want_rref, _ = S.rref()
+        assert rref(M).rows == [_fractions(want_rref.row(i))
+                                for i in range(want_rref.rows)]
+        assert rank(M) == S.rank()
+        assert nullspace(M).basis == [tuple(_fractions(v))
+                                      for v in S.nullspace()]
+        got = solve(M, rhs)
+        try:
+            sol, params = S.gauss_jordan_solve(
+                sympy.Matrix([sympy.Rational(b) for b in rhs]))
+        except ValueError:
+            inconsistent += 1
+            assert got is None
+            continue
+        assert got is not None
+        want = sol.subs({p: 0 for p in params})
+        assert list(got.particular) == _fractions(want)
+        assert got.dimension == len(params)
+    assert 10 < inconsistent < 140

@@ -11,7 +11,7 @@ import pytest
 from clawforge.calculus import total_derivative
 from clawforge.expr import (ZERO, Expr, FuncSym, SymbolTable, _quot, pdiff)
 from clawforge.linsolve import (ColumnSpace, IncrementalSystem,
-                                RationalMatrix, nullspace)
+                                RationalMatrix, nullspace, rref, solve)
 from clawforge.parse import parse
 
 from helpers import RADICALS, jet_terms
@@ -148,6 +148,7 @@ def test_column_space_member_exact_on_integer_input():
 
 def test_linear_algebra_values_canonical_random():
     rng = random.Random(61)
+    rhs_rng = random.Random(62)
     for _ in range(150):
         nc = rng.randint(2, 4)
         rows = [{c: rng.randint(-4, 4) for c in range(nc) if rng.random() < 0.7}
@@ -169,6 +170,13 @@ def test_linear_algebra_values_canonical_random():
         combo = cs.member({c: x for c, x in target.items() if x})
         assert combo is not None
         assert all(_canonical(x) for x in combo.values())
+        M = RationalMatrix(rows, ncols=nc)
+        assert all(_canonical(x) for r in rref(M).sparse_rows
+                   for x in r.values())
+        space = solve(M, [rhs_rng.randint(-3, 3) for _ in rows])
+        if space is not None:
+            assert all(_canonical(x) for v in (space.particular, *space.basis)
+                       for x in v)
 
 
 def test_nullspace_exact_on_integer_input():

@@ -7,8 +7,8 @@ that stripping uses.  The columns themselves, built from reduced theta
 entries, are checked against the curls reduced after differentiating.  The
 scaling weights that split the space into blocks are checked against a
 sympy nullspace and against the weight of every key, blocks are built only
-when a fit reaches them, and concurrent fits on one fresh space match a
-serial run."""
+when a fit reaches them, `complete` solves a gas1d space that is one
+block, and concurrent fits on one fresh space match a serial run."""
 
 import sys
 import threading
@@ -20,7 +20,8 @@ from clawforge.calculus import total_derivative
 from clawforge.corpus import GAS1D_TEXT
 from clawforge.expr import IndepVar, _monokey, _num
 from clawforge.lawgen import (WitnessSpace, _coeff_map, _law_rhs_map,
-                              default_theta_ansatz, make_ansatz,
+                              default_theta_ansatz,
+                              density_equivalent_mod_trivial, make_ansatz,
                               mixed_method)
 from clawforge.linsolve import (ColumnSpace, IncrementalSystem,
                                 RationalMatrix, solve)
@@ -214,6 +215,19 @@ def test_complete_and_strip_on_unbuilt_blocks(models, name, degree):
         assert fresh.strip(reds, coeffs) == ws.strip(reds, coeffs)
 
     check()
+
+
+def test_complete_on_one_gas1d_block(gas1d):
+    """`rho + u` has no single gas1d weight, so the default ansatz with it
+    is one block of 498 columns, and `complete` eliminates all of them at
+    once: the energy density is equivalent to itself."""
+    theta = default_theta_ansatz(gas1d.table)
+    theta = make_ansatz(theta.basis + (parse("rho + u", gas1d.table),), "th")
+    ws = WitnessSpace(gas1d.system, theta)
+    assert len(ws._blocks) == 1 and ws.ncols == 498
+    energy = gas1d.model.laws["energy"].components[0]
+    assert density_equivalent_mod_trivial(gas1d.system, energy, energy,
+                                          witness_space=ws)
 
 
 def _weight(factors, n, w):

@@ -66,7 +66,7 @@ def _check_degree(value, what):
 
 def _resolve_model(spec):
     try:
-        return corpus.get_model(spec).model
+        return corpus.get_model(spec)
     except KeyError:
         pass
     if os.path.exists(spec):
@@ -81,8 +81,7 @@ def _load_laws(spec, table):
     """Law entries from a built-in model, a model file, or a bare [laws]
     file, parsed against the verifying model's symbol table."""
     try:
-        entry = corpus.get_model(spec)
-        return dict(entry.model.laws)
+        return dict(corpus.get_model(spec).laws)
     except KeyError:
         pass
     if not os.path.exists(spec):
@@ -149,20 +148,19 @@ def _emit(payload, as_json, human_lines):
 # ---------------------------------------------------------------------------
 
 def cmd_models(args):
-    entries = corpus.builtin_models()
     payload = []
     lines = []
-    for key, entry in entries.items():
+    for name, model in corpus.builtin_models().items():
         info = {
-            "model": key,
-            "title": entry.title,
-            "independent": [v.name for v in entry.table.indep],
-            "dependent": list(entry.table.dep_names),
-            "generators": sorted(entry.model.generators),
-            "laws": sorted(entry.model.laws),
+            "model": name,
+            "title": model.title,
+            "independent": [v.name for v in model.table.indep],
+            "dependent": list(model.table.dep_names),
+            "generators": sorted(model.generators),
+            "laws": sorted(model.laws),
         }
         payload.append(info)
-        lines.append(f"{key}: {entry.title}")
+        lines.append(f"{name}: {model.title}")
         lines.append(f"  variables: ({', '.join(info['independent'])}) -> "
                      f"({', '.join(info['dependent'])})")
         lines.append(f"  generators: {', '.join(info['generators'])}")
@@ -218,13 +216,13 @@ def cmd_multipliers(args):
         "degree": args.degree,
         "system_rows": det.shape[0],
         "system_cols": det.shape[1],
-        "multipliers": [[str(v) for v in m.v] for m in mults],
+        "multipliers": [[str(v) for v in m] for m in mults],
     }
     lines = [f"determining system: {det.shape[0]} equations, "
              f"{det.shape[1]} unknowns",
              f"multiplier space dimension: {len(mults)}"]
     for i, m in enumerate(mults):
-        lines.append(f"  psi[{i}]: " + " | ".join(str(v) for v in m.v))
+        lines.append(f"  psi[{i}]: " + " | ".join(str(v) for v in m))
     _emit(payload, args.json, lines)
     return 0
 

@@ -9,18 +9,15 @@ silently fixed."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
 
-from .calculus import symmetry_residual
-from .lawgen import (expr_span_equal, make_ansatz, mixed_method,
-                     monomial_basis, solve_multipliers, verify)
-from .modelfile import ansatz_spaces, parse_model_text
-from .parse import parse
+from .modelfile import parse_model_text
 
 
 KDV_TEXT = """
 [model]
 name: kdv
+title: Korteweg-de Vries equation
 
 [vars]
 independent: t, x
@@ -58,6 +55,7 @@ h_degree: 2
 FW_TEXT = """
 [model]
 name: fw
+title: Fornberg-Whitham equation
 
 [vars]
 independent: t, x
@@ -86,6 +84,7 @@ h_degree: 2
 SP_TEXT = """
 [model]
 name: sp
+title: Short Pulse equation
 
 [vars]
 independent: t, x
@@ -123,6 +122,7 @@ theta_vars: u
 GAS1D_TEXT = """
 [model]
 name: gas1d
+title: polytropic gas dynamics, one space dimension (gamma = 3)
 
 [vars]
 independent: t, x
@@ -162,6 +162,7 @@ dilation-2.status: printed
 GAS3D_TEXT = """
 [model]
 name: gas3d
+title: polytropic gas dynamics, three space dimensions (gamma = 5/3)
 
 [vars]
 independent: t, x, y, z
@@ -231,55 +232,11 @@ entropy.note: the instance f(p*rho^(-gamma)) = p*rho^(-5/3) of the advected-func
 """
 
 
-@dataclass
-class ModelEntry:
-    """One built-in model: its parsed ModelFile and the regression settings
-    (mixed-method generators, expected multiplier basis at degree 2)."""
-
-    key: str
-    title: str
-    model: ModelFile
-    regression_generators: tuple = ()
-    multiplier_span: tuple = ()
-
-    @property
-    def system(self):
-        return self.model.system
-
-    @property
-    def table(self):
-        return self.model.table
-
-
-# key -> (title, model text, regression generators, multiplier span);
-# a model with no regression generators is checked by verification only
-_TEXTS = {
-    "kdv": ("Korteweg-de Vries equation", KDV_TEXT, ("X4",),
-            ("1", "u", "x + t*u")),
-    "fw": ("Fornberg-Whitham equation", FW_TEXT, ("X1",), ()),
-    "sp": ("Short Pulse equation", SP_TEXT, ("X3",), ()),
-    "gas1d": ("polytropic gas dynamics, one space dimension (gamma = 3)",
-              GAS1D_TEXT, (), ()),
-    "gas3d": ("polytropic gas dynamics, three space dimensions (gamma = 5/3)",
-              GAS3D_TEXT, (), ()),
-}
-
-_cache = None
-
-
+@functools.cache
 def builtin_models():
-    """The built-in model entries, keyed by short name."""
-    global _cache
-    if _cache is not None:
-        return _cache
-    entries = {}
-    for key, (title, text, generators, span) in _TEXTS.items():
-        entries[key] = ModelEntry(key=key, title=title,
-                                  model=parse_model_text(text, name=key),
-                                  regression_generators=generators,
-                                  multiplier_span=span)
-    _cache = entries
-    return entries
+    """The built-in models, keyed by name, in the order listed."""
+    texts = (KDV_TEXT, FW_TEXT, SP_TEXT, GAS1D_TEXT, GAS3D_TEXT)
+    return {m.name: m for m in map(parse_model_text, texts)}
 
 
 def get_model(name):
@@ -287,69 +244,3 @@ def get_model(name):
     if name not in models:
         raise KeyError(f"unknown model {name!r}; available: {sorted(models)}")
     return models[name]
-
-
-# ---------------------------------------------------------------------------
-# Regression harness
-# ---------------------------------------------------------------------------
-
-@dataclass
-class RegressionItem:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-@dataclass
-class RegressionReport:
-    model: str
-    items: list = field(default_factory=list)
-
-    @property
-    def ok(self):
-        return all(i.passed for i in self.items)
-
-    def add(self, name, passed, detail=""):
-        self.items.append(RegressionItem(name, passed, detail))
-
-
-def regression_run(entry):
-    """Symmetry checks, reference-law verification, and the default
-    law-generation pipelines for one model entry; failures become report
-    items, not exceptions."""
-    report = RegressionReport(model=entry.key if entry else "")
-    if entry is None:
-        return report
-    system = entry.system
-    for label, g in entry.model.generators.items():
-        residuals = symmetry_residual(g, system)
-        ok = all(r.is_zero for r in residuals)
-        report.add(f"symmetry {label}", ok,
-                   "" if ok else "; ".join(str(r) for r in residuals))
-    for law in entry.model.laws.values():
-        r = verify(system, list(law.components))
-        report.add(f"law {law.name} [{law.status}]", r.is_zero,
-                   "" if r.is_zero else f"residual {r}")
-    if entry.multiplier_span:
-        table = entry.table
-        basis = monomial_basis(table, 2,
-                               gens=list(table.indep) +
-                               [table.jet_by_alpha(a) for a in range(table.m)])
-        _det, mults = solve_multipliers(
-            system, [make_ansatz(basis, f"v{i}_")
-                     for i in range(len(system.equations))])
-        expected = [parse(s, table) for s in entry.multiplier_span]
-        got = [m.v[0] for m in mults]
-        ok = expr_span_equal(got, expected)
-        report.add("multiplier span", ok,
-                   f"basis {[str(g) for g in got]}")
-    for label in entry.regression_generators:
-        g = entry.model.generator(label)
-        spaces = ansatz_spaces(entry.model)
-        result = mixed_method(system, g, spaces["psi"], spaces["h"],
-                              theta_ansatz=spaces["theta"])
-        ok = len(result.laws) >= 1
-        report.add(f"mixed {label}", ok,
-                   f"{len(result.laws)} nontrivial / "
-                   f"{result.solution_dimension} solutions")
-    return report

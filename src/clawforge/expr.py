@@ -908,15 +908,7 @@ def _exp_str(e):
 
 
 def _base_str(b):
-    if isinstance(b, IndepVar) or isinstance(b, Param):
-        return b.name
-    if isinstance(b, Jet):
-        if not b.mi:
-            return b.name
-        return f"{b.name}[{','.join(v.name for v in b.mi)}]"
-    if isinstance(b, FuncSym):
-        return f"{b.name}{b.order * chr(39)}({to_string(b.arg)})"
-    return f"({to_string(b)})"
+    return repr(b) if isinstance(b, Atom) else f"({to_string(b)})"
 
 
 def _term_str(coeff, factors):

@@ -274,18 +274,6 @@ def flux_identity_residual(L, g, system):
 # Linear-system plumbing
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DeterminingSystem:
-    """One homogeneous linear equation per collected monomial coefficient."""
-
-    matrix: RationalMatrix
-    origin: str
-
-    @property
-    def shape(self):
-        return (self.matrix.nrows, self.matrix.ncols)
-
-
 def _linear_rows(exprs, unknowns):
     """Collect each expr over the unknowns; returns (rows, rhs) where rows
     are sparse dicts from unknown position to coefficient and rhs =
@@ -326,7 +314,8 @@ def _instantiate(e, mapping):
 def multiplier_determining_system(system, ansatz_list):
     """The full jet-space identity euler(sum v^a F_a) == 0 per dependent
     variable, collected by monomials into a homogeneous linear system for
-    the ansatz unknowns.  No reduction modulo the system is applied."""
+    the ansatz unknowns, one row per collected monomial coefficient.  No
+    reduction modulo the system is applied."""
     table = system.table
     if len(ansatz_list) != len(system.equations):
         raise ValueError("need one multiplier ansatz per equation")
@@ -338,21 +327,15 @@ def multiplier_determining_system(system, ansatz_list):
     rows, rhs = _linear_rows(residuals, unknowns)
     if any(b != 0 for b in rhs):
         raise AnsatzError("multiplier system is not homogeneous")
-    matrix = RationalMatrix(rows, ncols=len(unknowns))
-    return DeterminingSystem(matrix, origin="multiplier")
-
-
-@dataclass
-class MultiplierSet:
-    v: tuple
+    return RationalMatrix(rows, ncols=len(unknowns))
 
 
 def solve_multipliers(system, ansatz_list):
-    """Nullspace of the multiplier determining system, instantiated into
-    multiplier sets; each returned set satisfies the defining identity
-    exactly (checked)."""
+    """The determining matrix and its nullspace instantiated into
+    multiplier tuples, one entry per equation; each tuple satisfies the
+    defining identity exactly (checked)."""
     det = multiplier_determining_system(system, ansatz_list)
-    space = linsolve.nullspace(det.matrix)
+    space = linsolve.nullspace(det)
     unknowns = _unknowns(ansatz_list)
     table = system.table
     out = []
@@ -364,7 +347,7 @@ def solve_multipliers(system, ansatz_list):
             if not euler(L, alpha, table).is_zero:
                 raise RuntimeError("internal error: multiplier fails the "
                                    "defining identity after instantiation")
-        out.append(MultiplierSet(v))
+        out.append(v)
     return det, out
 
 
@@ -774,7 +757,7 @@ class ConservedVector:
 class MixedResult:
     laws: list
     trivial: list
-    determining: DeterminingSystem
+    determining: RationalMatrix
     solution_dimension: int
 
 
@@ -812,9 +795,8 @@ def mixed_method(system, g, psi_ansatz, h_ansatz, *, include_xi_l=False,
     if any(b != 0 for b in rhs):
         raise RuntimeError("internal error: mixed determining system is "
                            "not homogeneous")
-    matrix = RationalMatrix(rows, ncols=len(unknowns))
-    det = DeterminingSystem(matrix, origin="mixed")
-    space = linsolve.nullspace(matrix)
+    det = RationalMatrix(rows, ncols=len(unknowns))
+    space = linsolve.nullspace(det)
 
     ws = None
     if table.n == 2:

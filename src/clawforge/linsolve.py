@@ -53,6 +53,10 @@ class RationalMatrix:
         return len(self.sparse_rows)
 
     @property
+    def shape(self):
+        return (self.nrows, self.ncols)
+
+    @property
     def rows(self):
         """Dense view: one list of ncols values per row."""
         out = []

@@ -5,6 +5,7 @@ comment.  Expressions use the grammar from the parse module.
 
     [model]
     name: kdv
+    title: Korteweg-de Vries equation   # optional
 
     [vars]
     independent: t, x
@@ -28,6 +29,10 @@ comment.  Expressions use the grammar from the parse module.
     psi_degree: 1
     h_degree: 2
 
+Only the sections shown are read, and only the keys shown in [model] and
+[vars]; any other section or key is an error.  A key, a generator label,
+a law name or a law attribute given twice is an error too.
+
 Law components are separated by '|' in independent-variable order; a law
 named N may carry attribute lines `N.status:` / `N.note:` / `N.source:`,
 and any other attribute, or an attribute of an undefined law, is an error.
@@ -42,11 +47,12 @@ other key, or a negative integer, is an error.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 from .expr import Jet, SymbolTable
 from .calculus import Equation, Generator, PdeSystem, SolvedFormError
-from .lawgen import default_theta_ansatz, make_ansatz, monomial_basis
+from .lawgen import _jets, default_theta_ansatz, make_ansatz, monomial_basis
 from .parse import ParseError, parse
 
 
@@ -71,6 +77,7 @@ _ANSATZ_INT_KEYS = {
     "theta_degree", "theta_jets",
 }
 _ANSATZ_LIST_KEYS = {"psi_vars", "h_vars", "theta_vars"}
+_SECTIONS = {"model", "vars", "equations", "generators", "laws", "ansatz"}
 
 
 @dataclass
@@ -81,6 +88,7 @@ class ModelFile:
     generators: dict = field(default_factory=dict)
     laws: dict = field(default_factory=dict)
     ansatz: dict = field(default_factory=dict)
+    title: str = ""
 
     def generator(self, label):
         if label not in self.generators:
@@ -98,6 +106,8 @@ def _split_sections(text):
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip().lower()
+            if current not in _SECTIONS:
+                raise ModelFormatError(f"unknown section {line!r}", lineno)
             sections.setdefault(current, [])
             continue
         if current is None:
@@ -106,13 +116,21 @@ def _split_sections(text):
     return sections
 
 
-def _kv(lines, section):
+def _kv(lines, section, keys):
+    """{key: (line number, value)} of a section whose keys are all in
+    `keys`, each given once."""
     out = {}
     for lineno, line in lines:
         if ":" not in line:
             raise ModelFormatError(f"expected 'key: value' in [{section}]", lineno)
         key, value = line.split(":", 1)
-        out[key.strip().lower()] = (lineno, value.strip())
+        key = key.strip().lower()
+        if key not in keys:
+            raise ModelFormatError(f"unknown [{section}] key {key!r}", lineno)
+        if key in out:
+            raise ModelFormatError(f"duplicate [{section}] key {key!r}",
+                                   lineno)
+        out[key] = (lineno, value.strip())
     return out
 
 
@@ -127,11 +145,12 @@ def parse_model_text(text, name="model"):
     if "equations" not in sections:
         raise ModelFormatError("missing [equations] section")
 
-    meta = _kv(sections.get("model", []), "model")
-    if "name" in meta:
-        name = meta["name"][1]
+    meta = _kv(sections.get("model", []), "model", {"name", "title"})
+    meta = {key: value for key, (_, value) in meta.items()}
+    name = meta.get("name", name)
 
-    vars_kv = _kv(sections["vars"], "vars")
+    vars_kv = _kv(sections["vars"], "vars",
+                  {"independent", "dependent", "parameters", "functions"})
     if "independent" not in vars_kv or "dependent" not in vars_kv:
         raise ModelFormatError("[vars] needs 'independent:' and 'dependent:'")
     table = SymbolTable(
@@ -165,6 +184,8 @@ def parse_model_text(text, name="model"):
                                    lineno)
         label, body = line.split(":", 1)
         label = label.strip()
+        if label in generators:
+            raise ModelFormatError(f"duplicate generator {label!r}", lineno)
         xi = {v.name: None for v in table.indep}
         eta = {nm: None for nm in table.dep_names}
         for piece in body.split(";"):
@@ -198,22 +219,23 @@ def parse_model_text(text, name="model"):
     laws = parse_laws(sections.get("laws", []), table)
 
     ansatz = {}
-    for key, (lineno, value) in _kv(sections.get("ansatz", []), "ansatz").items():
-        if key in _ANSATZ_INT_KEYS:
-            try:
-                ansatz[key] = int(value)
-            except ValueError:
-                raise ModelFormatError(f"[ansatz] {key} must be an integer", lineno)
-            if ansatz[key] < 0:
-                raise ModelFormatError(f"[ansatz] {key} must be nonnegative",
-                                       lineno)
-        elif key in _ANSATZ_LIST_KEYS:
+    ansatz_kv = _kv(sections.get("ansatz", []), "ansatz",
+                    _ANSATZ_INT_KEYS | _ANSATZ_LIST_KEYS)
+    for key, (lineno, value) in ansatz_kv.items():
+        if key in _ANSATZ_LIST_KEYS:
             ansatz[key] = _names(value)
-        else:
-            raise ModelFormatError(f"unknown [ansatz] key {key!r}", lineno)
+            continue
+        try:
+            ansatz[key] = int(value)
+        except ValueError:
+            raise ModelFormatError(f"[ansatz] {key} must be an integer", lineno)
+        if ansatz[key] < 0:
+            raise ModelFormatError(f"[ansatz] {key} must be nonnegative",
+                                   lineno)
 
     return ModelFile(name=name, table=table, system=system,
-                     generators=generators, laws=laws, ansatz=ansatz)
+                     generators=generators, laws=laws, ansatz=ansatz,
+                     title=meta.get("title", ""))
 
 
 def parse_laws(lines, table):
@@ -239,13 +261,19 @@ def parse_laws(lines, table):
             raise ModelFormatError(
                 f"law {head!r} has {len(comps)} components; "
                 f"expected {table.n}", lineno)
+        if head in laws:
+            raise ModelFormatError(f"duplicate law {head!r}", lineno)
         laws[head] = LawEntry(head, tuple(comps))
+    seen = set()
     for lineno, head, value in attrs:
         lawname, attr = head.rsplit(".", 1)
         if lawname not in laws:
             raise ModelFormatError(f"attribute for unknown law {lawname!r}", lineno)
         if attr not in ("status", "note", "source"):
             raise ModelFormatError(f"unknown law attribute {attr!r}", lineno)
+        if head in seen:
+            raise ModelFormatError(f"duplicate law attribute {head!r}", lineno)
+        seen.add(head)
         setattr(laws[lawname], attr, value)
     return laws
 
@@ -275,7 +303,6 @@ def _read(path):
 
 
 def load_model(path):
-    import os
     default = os.path.splitext(os.path.basename(path))[0]
     return parse_model_text(_read(path), name=default)
 
@@ -301,19 +328,13 @@ _DEFAULTS = {
 
 
 def _gens_from_names(table, names, jet_order):
-    import itertools
     gens = []
     indep_names = {v.name for v in table.indep}
     for name in names:
         if name in indep_names:
             gens.append(table.indep_var(name))
         elif name in table.dep_names:
-            alpha = table.dep_names.index(name)
-            gens.append(table.jet_by_alpha(alpha))
-            for k in range(1, jet_order + 1):
-                for combo in itertools.combinations_with_replacement(
-                        table.indep, k):
-                    gens.append(table.jet_by_alpha(alpha, combo))
+            gens += [j for j in _jets(table, 0, jet_order) if j.name == name]
         else:
             raise ModelFormatError(f"unknown ansatz variable {name!r}")
     return gens

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import json
 import os
 import subprocess
@@ -284,7 +286,9 @@ def test_verify_missing_laws_file(capsys):
     ("density-u.colour: red", "unknown law attribute 'colour'"),
     ("ghost.status: printed", "attribute for unknown law 'ghost'"),
     ("broken: u | u[x", "expected ']', found None (at position 3)"),
-], ids=["unknown-attribute", "undefined-law", "bad-expression"])
+    ("[generator]", "unknown section '[generator]'"),
+], ids=["unknown-attribute", "undefined-law", "bad-expression",
+        "unknown-section"])
 def test_verify_rejects_bad_laws_file(tmp_path, capsys, line, message):
     laws = tmp_path / "bad.laws"
     laws.write_text(CORRECTED_KDV_LAWS + line + "\n")
@@ -292,6 +296,16 @@ def test_verify_rejects_bad_laws_file(tmp_path, capsys, line, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {laws}: {message} (line 5)\n"
+
+
+def test_verify_duplicate_law_is_not_dropped(tmp_path, capsys):
+    # the failing first 'mass' must not be replaced by the verifying second
+    laws = tmp_path / "gas.laws"
+    laws.write_text("[laws]\nmass: rho^2 | rho*u\nmass: rho | rho*u\n")
+    assert main(["verify", "gas1d", str(laws)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {laws}: duplicate law 'mass' (line 3)\n"
 
 
 def test_user_model_file(tmp_path, capsys):
@@ -409,3 +423,18 @@ def test_mixed_says_curl_triviality_needs_two_variables(tmp_path, capsys):
         main(["mixed", "--help"])
     assert "for two independent variables only" in " ".join(
         capsys.readouterr().out.split())
+
+
+def test_readme_library_example_runs():
+    # the README's Library block imports exactly the names the package
+    # exports, and its example runs
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Library", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    imported = {alias.name for node in ast.parse(code).body
+                if isinstance(node, ast.ImportFrom)
+                and node.module == "clawforge" for alias in node.names}
+    exported = {k for k, v in vars(clawforge).items()
+                if not k.startswith("_") and not inspect.ismodule(v)}
+    assert imported == exported
+    exec(code, {})

@@ -1,7 +1,7 @@
 import pytest
 
 from clawforge.calculus import Equation, PdeSystem, symmetry_residual
-from clawforge.corpus import builtin_models, get_model, regression_run
+from clawforge.corpus import get_model
 from clawforge.expr import IndepVar, Jet, SymbolTable, ZERO, substitute
 from clawforge.lawgen import verify
 from clawforge.parse import parse
@@ -13,13 +13,13 @@ def test_model_directory(models):
 
 def test_lookup_kdv(kdv):
     assert kdv.system.equations[0].lead == kdv.table.jet("u", ["t"])
-    assert len(kdv.model.generators) == 4
+    assert len(kdv.generators) == 4
 
 
 def test_lookup_sp(sp):
     assert sp.system.equations[0].lead == sp.table.jet("u", ["t", "x"])
-    assert len(sp.model.generators) == 3
-    g = sp.model.generator("X3")
+    assert len(sp.generators) == 3
+    g = sp.generator("X3")
     assert str(g.xi[0]) == "t" and str(g.xi[1]) == "-x" and str(g.eta[0]) == "-u"
 
 
@@ -30,45 +30,32 @@ def test_lookup_unknown():
 
 def test_all_generators_admitted(models):
     for entry in models.values():
-        for label, g in entry.model.generators.items():
+        for label, g in entry.generators.items():
             residuals = symmetry_residual(g, entry.system)
-            assert all(r.is_zero for r in residuals), (entry.key, label)
+            assert all(r.is_zero for r in residuals), (entry.name, label)
 
 
 def test_all_reference_laws_verify(models):
     for entry in models.values():
-        for law in entry.model.laws.values():
+        for law in entry.laws.values():
             r = verify(entry.system, list(law.components))
-            assert r.is_zero, (entry.key, law.name, str(r))
+            assert r.is_zero, (entry.name, law.name, str(r))
 
 
 def test_statuses_and_notes(models):
     seen = set()
     for entry in models.values():
-        for law in entry.model.laws.values():
+        for law in entry.laws.values():
             assert law.status in ("printed", "sign-corrected", "derived")
             seen.add(law.status)
             if law.status != "printed":
-                assert law.note, (entry.key, law.name)
+                assert law.note, (entry.name, law.name)
     assert seen == {"printed", "sign-corrected", "derived"}
-
-
-def test_regression_all_models(models):
-    for entry in models.values():
-        report = regression_run(entry)
-        assert report.items
-        assert report.ok, [(i.name, i.detail) for i in report.items
-                           if not i.passed]
-
-
-def test_regression_empty_entry():
-    report = regression_run(None)
-    assert report.items == []
 
 
 def test_gas1d_model_has_expected_laws(gas1d):
     assert {"mass", "momentum", "energy", "center-of-mass",
-            "dilation-1", "dilation-2"} <= set(gas1d.model.laws)
+            "dilation-1", "dilation-2"} <= set(gas1d.laws)
 
 
 def test_gas_self_adjointness_substitutions(gas1d, gas3d):
@@ -110,9 +97,9 @@ def test_gas3d_formal_function_family(gas3d):
 def test_gas3d_f_instances(gas3d):
     # the constant instance is the mass law; the p*rho^(-gamma) instance is
     # the entropy-like advected density
-    assert "mass" in gas3d.model.laws
-    assert "entropy" in gas3d.model.laws
-    entropy = gas3d.model.laws["entropy"]
+    assert "mass" in gas3d.laws
+    assert "entropy" in gas3d.laws
+    entropy = gas3d.laws["entropy"]
     assert "rho^(-2/3)" in str(entropy.components[0])
 
 
@@ -142,7 +129,7 @@ def test_gas3d_specializes_to_2d(gas3d):
         Equation(table2.jet("p", ["t"]),
                  P2("-(u*p[x] + v*p[y]) - 5/3*p*(u[x] + v[y])")),
     ])
-    for name, law in gas3d.model.laws.items():
+    for name, law in gas3d.laws.items():
         if name.startswith("dilation"):
             continue
         comps = [_specialize_to_2d(c, table3, table2)
@@ -152,7 +139,7 @@ def test_gas3d_specializes_to_2d(gas3d):
 
 
 def test_notes_document_discrepancies(models):
-    kdv = models["kdv"].model.laws
+    kdv = models["kdv"].laws
     assert "u[x]^2/2" in kdv["density-u"].note
-    gas3d = models["gas3d"].model.laws
+    gas3d = models["gas3d"].laws
     assert "velocity-bearing" in gas3d["energy"].note

@@ -118,3 +118,24 @@ def test_verbose_mixed_output_unchanged(job, digest):
         rc = main(job.split() + ["--verbose", "--json"])
     assert rc == 0
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+
+# sha256 of the `models` listing in both forms, the same under any
+# PYTHONHASHSEED: the titles and the generator and law names come from the
+# built-in model texts
+MODELS_PINS = {
+    "models --json":
+        "88d083a012380e34a369b15ecfd445a380581f7879ef373a775573f9ce3b7804",
+    "models":
+        "68e6bc4c6b495a5a1fca427f9a8706857b31a2ead7c5de00bba4e174e1981c58",
+}
+
+
+@pytest.mark.parametrize("job,digest", MODELS_PINS.items(),
+                         ids=list(MODELS_PINS))
+def test_models_listing_unchanged(job, digest):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = main(job.split())
+    assert rc == 0
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest

@@ -7,6 +7,7 @@ from clawforge.modelfile import (ModelFormatError, ansatz_spaces, load_model,
 GOOD = """
 [model]
 name: demo
+title: a demo model
 
 [vars]
 independent: t, x
@@ -36,6 +37,7 @@ h_vars: u
 def test_parse_good_model():
     m = parse_model_text(GOOD)
     assert m.name == "demo"
+    assert m.title == "a demo model"
     assert [v.name for v in m.table.indep] == ["t", "x"]
     assert m.system.order == 3
     assert set(m.generators) == {"X1", "X4"}
@@ -89,6 +91,39 @@ def test_negative_ansatz_integer():
             parse_model_text(text)
         assert str(info.value) == \
             f"[ansatz] {key} must be nonnegative (line {line})"
+
+
+@pytest.mark.parametrize("old,new,bad,message", [
+    ("basic.status: sign-corrected",
+     "basic.status: sign-corrected\nbasic: u | u", "basic: u | u",
+     "duplicate law 'basic'"),
+    ("basic.note: quadratic flux term",
+     "basic.note: quadratic flux term\nbasic.note: again",
+     "basic.note: again", "duplicate law attribute 'basic.note'"),
+    ("X4: x = 1", "X4: x = 1\nX4: t = 1", "X4: t = 1",
+     "duplicate generator 'X4'"),
+    ("name: demo", "name: demo\nname: other", "name: other",
+     "duplicate [model] key 'name'"),
+    ("dependent: u", "dependent: u\ndependent: v", "dependent: v",
+     "duplicate [vars] key 'dependent'"),
+    ("h_degree: 2", "h_degree: 2\nh_degree: 3", "h_degree: 3",
+     "duplicate [ansatz] key 'h_degree'"),
+    ("name: demo", "nmae: demo", "nmae: demo", "unknown [model] key 'nmae'"),
+    ("parameters: c0", "parameter: c0", "parameter: c0",
+     "unknown [vars] key 'parameter'"),
+    ("[generators]", "[generator]", "[generator]",
+     "unknown section '[generator]'"),
+], ids=["duplicate-law", "duplicate-law-attribute", "duplicate-generator",
+        "duplicate-model-key", "duplicate-vars-key", "duplicate-ansatz-key",
+        "unknown-model-key", "unknown-vars-key", "unknown-section"])
+def test_input_error_names_the_line(old, new, bad, message):
+    # a repeated name would silently replace the first one, and a misspelt
+    # key or section would be ignored; each is an error at its own line
+    text = GOOD.replace(old, new)
+    line = text.splitlines().index(bad) + 1
+    with pytest.raises(ModelFormatError) as info:
+        parse_model_text(text)
+    assert str(info.value) == f"{message} (line {line})"
 
 
 def test_attribute_for_unknown_law():

@@ -98,10 +98,10 @@ def test_print_parse_roundtrip_corpus(models):
         for eq in entry.system.equations:
             for e in (eq.lead.as_expr(), eq.rhs, eq.expr):
                 assert parse(str(e), table) == e
-        for g in entry.model.generators.values():
+        for g in entry.generators.values():
             for e in list(g.xi) + list(g.eta):
                 assert parse(str(e), table) == e
-        for law in entry.model.laws.values():
+        for law in entry.laws.values():
             for comp in law.components:
                 assert parse(str(comp), table) == comp
 

@@ -38,7 +38,7 @@ FIT_CASES = ["kdv", "fw", "sp", "gas1d", "kdv-inhomogeneous"]
 
 def _theta(entry, name):
     """The model's theta ansatz, as `mixed` uses it."""
-    theta = ansatz_spaces(entry.model)["theta"]
+    theta = ansatz_spaces(entry)["theta"]
     if name.endswith("-inhomogeneous"):
         # u + u[x] has no single kdv weight, so the space is one block
         extra = parse("u + u[x]", entry.table)
@@ -131,7 +131,7 @@ def test_columns_match_curls_reduced_per_entry(models, name):
     once, are the columns of reduce(D_x b) and reduce(-D_t b), values and
     their types included."""
     entry = models[name]
-    theta = ansatz_spaces(entry.model)["theta"]
+    theta = ansatz_spaces(entry)["theta"]
     ws = WitnessSpace(entry.system, theta)
     t, x = entry.table.indep
     columns, factors, curls = {}, {}, []
@@ -225,7 +225,7 @@ def test_complete_on_one_gas1d_block(gas1d):
     theta = make_ansatz(theta.basis + (parse("rho + u", gas1d.table),), "th")
     ws = WitnessSpace(gas1d.system, theta)
     assert len(ws._blocks) == 1 and ws.ncols == 498
-    energy = gas1d.model.laws["energy"].components[0]
+    energy = gas1d.laws["energy"].components[0]
     assert density_equivalent_mod_trivial(gas1d.system, energy, energy,
                                           witness_space=ws)
 
@@ -308,7 +308,7 @@ def _built(ws):
 def test_fit_builds_only_the_blocks_a_law_reaches(gas1d):
     ws = WitnessSpace(gas1d.system, default_theta_ansatz(gas1d.table))
     assert _built(ws) == set()
-    law = gas1d.model.laws["energy"]
+    law = gas1d.laws["energy"]
     rhs = _law_rhs_map([gas1d.system.reduce(c) for c in law.components])
     ws.fit(rhs)
     reached = {ws._label(key) for key in rhs} & set(ws._blocks)
@@ -322,11 +322,11 @@ def test_fit_builds_only_the_blocks_a_law_reaches(gas1d):
 def gas1d_laws(gas1d):
     """Right-hand sides of the gas1d reference laws and of every law (kept
     or trivial) of one mixed run, which reach several blocks each."""
-    spaces = ansatz_spaces(gas1d.model, psi_degree=1)
-    result = mixed_method(gas1d.system, gas1d.model.generator("X0"),
+    spaces = ansatz_spaces(gas1d, psi_degree=1)
+    result = mixed_method(gas1d.system, gas1d.generator("X0"),
                           spaces["psi"], spaces["h"],
                           theta_ansatz=spaces["theta"])
-    laws = [law.components for law in gas1d.model.laws.values()]
+    laws = [law.components for law in gas1d.laws.values()]
     laws += [law.components for law in result.laws + result.trivial]
     return [_law_rhs_map([gas1d.system.reduce(c) for c in comps])
             for comps in laws]

@@ -1,6 +1,8 @@
 """Variational calculus over jet space: total derivatives, the
 Euler-Lagrange operator, divergences, reduction modulo a PDE system in
-solved form, and Lie point-symmetry prolongation."""
+solved form, generators with their characteristics, and one memo of the
+total derivatives of a characteristic that serves both the prolongation of
+a point symmetry and the symmetry flux."""
 
 from __future__ import annotations
 
@@ -9,7 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .expr import (Atom, Expr, FuncSym, Jet, ONE, Param, _build, _chain_terms,
-                   _derive, _exact, _product_terms, pdiff, substitute)
+                   _derive, _product_terms, pdiff, substitute)
 
 
 class SolvedFormError(ValueError):
@@ -231,60 +233,59 @@ class Generator:
                         "flag the generator as a parametrized family")
 
     def is_point(self):
-        for c in list(self.xi) + list(self.eta):
-            if any(isinstance(a, Jet) and a.order > 0 for a in c.atoms()):
-                return False
-        return True
+        return not any(isinstance(a, Jet) and a.order > 0
+                       for c in self.xi + self.eta for a in c.atoms())
 
-    def scaled(self, q):
-        q = _exact(q)
-        return Generator(tuple(c * q for c in self.xi),
-                         tuple(c * q for c in self.eta),
-                         label=self.label, parametrized=self.parametrized)
 
-    def plus(self, other, label=""):
-        return Generator(tuple(a + b for a, b in zip(self.xi, other.xi)),
-                         tuple(a + b for a, b in zip(self.eta, other.eta)),
-                         label=label or f"{self.label}+{other.label}",
-                         parametrized=self.parametrized or other.parametrized)
+def characteristic(g, table):
+    """Evolutionary form W^a = eta^a - xi^j u^a_j of a generator."""
+    out = []
+    for alpha in range(table.m):
+        w = list(g.eta[alpha].terms)
+        for j, v in enumerate(table.indep):
+            w += _product_terms((-g.xi[j]).terms,
+                                table.jet_by_alpha(alpha, (v,)).as_expr().terms)
+        out.append(_build(w))
+    return out
 
 
 class Prolongation:
-    """Coefficients zeta^a_J of the prolonged generator, via the recursion
-    zeta_{J+i} = D_i zeta_J - u^a_{J+k} D_i xi^k with zeta_{} = eta^a.
-    Point symmetries only; the result is independent of how J is split."""
+    """The total derivatives D_J W^a of a generator's characteristic W,
+    memoized by (a, J as a multiset), each one D_v of the entry below it.
+    The symmetry flux reads them for any generator; `zeta` gives those of
+    a point symmetry's prolongation, D_J W^a + xi^k u^a_{J,k} (Olver,
+    Thm 2.36)."""
 
     def __init__(self, generator, table):
-        if not generator.is_point():
-            raise ValueError("prolongation requires a point symmetry "
-                             "(coefficients free of jets)")
         self.g = generator
         self.table = table
-        self._memo = {}
+        self.W = characteristic(generator, table)
+        self._memo = {table.jet_by_alpha(a): w for a, w in enumerate(self.W)}
+        self._zeta = {}
+
+    def dW(self, alpha, mi):
+        jet = self.table.jet_by_alpha(alpha, mi)   # sorts mi: the memo key
+        if jet not in self._memo:
+            self._memo[jet] = total_derivative(self.dW(alpha, jet.mi[1:]),
+                                               jet.mi[0])
+        return self._memo[jet]
 
     def zeta(self, alpha, mi):
-        mi = tuple(sorted(mi, key=lambda v: v.index))
-        key = (alpha, tuple(v.index for v in mi))
-        val = self._memo.get(key)
-        if val is not None:
-            return val
-        if not mi:
-            val = self.g.eta[alpha]
-        else:
-            v, rest = mi[0], mi[1:]
-            out = list(total_derivative(self.zeta(alpha, rest), v).terms)
-            for k, xk in enumerate(self.table.indep):
-                dxi = total_derivative(self.g.xi[k], v)
-                jet = Jet(alpha, self.table.dep_names[alpha], rest + (xk,))
-                out += _product_terms(jet.as_expr().terms, (-dxi).terms)
-            val = _build(out)
-        self._memo[key] = val
-        return val
+        jet = self.table.jet_by_alpha(alpha, mi)
+        if jet not in self._zeta:
+            if not self.g.is_point():
+                raise ValueError("prolongation requires a point symmetry "
+                                 "(coefficients free of jets)")
+            out = list(self.dW(alpha, mi).terms)
+            for xi, v in zip(self.g.xi, self.table.indep):
+                out += _product_terms(xi.terms, jet.shifted(v).as_expr().terms)
+            self._zeta[jet] = _build(out)
+        return self._zeta[jet]
 
 
 def prolong(generator, table, alpha, mi):
     """Prolongation coefficient zeta^alpha_J for the multi-index mi."""
-    return Prolongation(generator, table).zeta(alpha, tuple(mi))
+    return Prolongation(generator, table).zeta(alpha, mi)
 
 
 def apply_generator(generator, e, table, prolongation=None):
@@ -308,8 +309,6 @@ def symmetry_residual(generator, system):
     """Prolonged action of the generator on each equation, reduced modulo
     the system; the zero list means the generator is admitted."""
     pro = Prolongation(generator, system.table)
-    out = []
-    for eq in system.equations:
-        r = apply_generator(generator, eq.expr, system.table, prolongation=pro)
-        out.append(system.reduce(r))
-    return out
+    return [system.reduce(apply_generator(generator, eq.expr, system.table,
+                                          prolongation=pro))
+            for eq in system.equations]

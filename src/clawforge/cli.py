@@ -24,12 +24,12 @@ import os
 import sys
 from fractions import Fraction
 
-from .calculus import SolvedFormError, euler, total_derivative
-from .expr import DomainError, NonlinearError
+from .calculus import Generator, SolvedFormError, euler, total_derivative
+from .expr import ZERO, DomainError, NonlinearError
 from .lawgen import (AnsatzError, mixed_method, make_ansatz, monomial_basis,
                      solve_multipliers, verify)
-from .modelfile import (ModelFormatError, ansatz_spaces, load_laws,
-                        load_model)
+from .modelfile import (ModelFormatError, ansatz_spaces, laws_from_text,
+                        load_model, read_text)
 from .parse import ParseError, parse
 from . import corpus
 
@@ -78,16 +78,14 @@ def _resolve_model(spec):
 
 
 def _load_laws(spec, table):
-    """Law entries from a built-in model, a model file, or a bare [laws]
-    file, parsed against the verifying model's symbol table."""
-    try:
-        return dict(corpus.get_model(spec).laws)
-    except KeyError:
-        pass
-    if not os.path.exists(spec):
+    """Law entries from a built-in model's text, a model file, or a bare
+    [laws] file, parsed against the verifying model's symbol table."""
+    text = corpus.TEXTS.get(spec)
+    if text is None and not os.path.exists(spec):
         raise CliError(f"no built-in model or file named {spec!r}")
     try:
-        return load_laws(spec, table)
+        return laws_from_text(read_text(spec) if text is None else text,
+                              table)
     except ModelFormatError as exc:
         raise CliError(f"{spec}: {exc}")
 
@@ -101,11 +99,10 @@ def _parse_generator_spec(model, spec):
     sign = 1
     cur = ""
     for ch in text:
-        if ch in "+-" and cur:
-            pieces.append((sign, cur))
-            sign = 1 if ch == "+" else -1
-            cur = ""
-        elif ch in "+-" and not cur and not pieces:
+        if ch in "+-" and (cur or not pieces):
+            if cur:
+                pieces.append((sign, cur))
+                cur = ""
             sign = 1 if ch == "+" else -1
         else:
             cur += ch
@@ -113,7 +110,8 @@ def _parse_generator_spec(model, spec):
         pieces.append((sign, cur))
     if not pieces:
         raise CliError(f"no generator label in generator spec {spec!r}")
-    combined = None
+    xi = [ZERO] * model.table.n
+    eta = [ZERO] * model.table.m
     for sgn, piece in pieces:
         if "*" in piece:
             coef_text, label = piece.split("*", 1)
@@ -127,11 +125,9 @@ def _parse_generator_spec(model, spec):
             g = model.generator(label)
         except KeyError as exc:
             raise CliError(exc.args[0])
-        g = g.scaled(sgn * coef)
-        combined = g if combined is None else combined.plus(g, label=spec)
-    combined = type(combined)(combined.xi, combined.eta, label=spec,
-                              parametrized=combined.parametrized)
-    return combined
+        xi = [a + sgn * coef * b for a, b in zip(xi, g.xi)]
+        eta = [a + sgn * coef * b for a, b in zip(eta, g.eta)]
+    return Generator(tuple(xi), tuple(eta), label=spec)
 
 
 def _emit(payload, as_json, human_lines):

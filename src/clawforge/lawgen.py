@@ -1,7 +1,7 @@
-"""Conservation-law machinery: formal Lagrangians, characteristics, the
-symmetry-based conserved-vector formula, multiplier determining systems,
-the mixed determining pipeline with an auxiliary divergence-completion
-field H, triviality tests, and verification.
+"""Conservation-law machinery: formal Lagrangians, the symmetry-based
+conserved-vector formula, multiplier determining systems, the mixed
+determining pipeline with an auxiliary divergence-completion field H,
+triviality tests, and verification.
 
 Everything here is a pure pipeline over immutable inputs; determinism comes
 from stable monomial ordering throughout."""
@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import threading
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import factorial
@@ -19,7 +20,9 @@ from types import SimpleNamespace
 from .expr import (Expr, FuncSym, Jet, Param, ZERO, _build, _monokey,
                    _normal, _num, _product_terms, _quot, _term_product,
                    collect, pdiff)
-from .calculus import (apply_generator, divergence, euler, total_derivative)
+from .calculus import (Prolongation, apply_generator, divergence, euler,
+                       total_derivative)
+from .calculus import characteristic  # re-exported
 from . import linsolve
 from .linsolve import RationalMatrix
 
@@ -135,20 +138,8 @@ def default_theta_ansatz(table, degree=3, jet_order=2, gens=None, forbidden=()):
 
 
 # ---------------------------------------------------------------------------
-# Characteristics and formal Lagrangians
+# Formal Lagrangians
 # ---------------------------------------------------------------------------
-
-def characteristic(g, table):
-    """Evolutionary form W^a = eta^a - xi^j u^a_j of a generator."""
-    out = []
-    for alpha in range(table.m):
-        w = list(g.eta[alpha].terms)
-        for j, v in enumerate(table.indep):
-            w += _product_terms((-g.xi[j]).terms,
-                                table.jet_by_alpha(alpha, (v,)).as_expr().terms)
-        out.append(_build(w))
-    return out
-
 
 def formal_lagrangian(system, psi):
     """sum(psi^a * F_a) over the system's equations."""
@@ -163,109 +154,71 @@ def formal_lagrangian(system, psi):
 # The conserved-vector formula (symmetry route)
 # ---------------------------------------------------------------------------
 
-def _orderings(tup):
-    counts = {}
-    for v in tup:
-        counts[v.index] = counts.get(v.index, 0) + 1
-    m = factorial(len(tup))
-    for c in counts.values():
+def _orderings(mi):
+    """The number of distinct orderings of the multi-index mi."""
+    m = factorial(len(mi))
+    for c in Counter(v.index for v in mi).values():
         m //= factorial(c)
     return m
 
 
-class _OrderedPartials:
-    """Partials of L with respect to ordered derivative tuples, under the
-    symmetric-form convention: the partial for an ordered tuple is
-    pdiff(L, u_J) divided by the number of distinct orderings of J."""
-
-    def __init__(self, L, table):
-        self.L = L
-        self.table = table
-        self._cache = {}
-
-    def get(self, alpha, tup):
-        mi = tuple(sorted(tup, key=lambda v: v.index))
-        key = (alpha, tuple(v.index for v in mi))
-        val = self._cache.get(key)
-        if val is None:
-            jet = Jet(alpha, self.table.dep_names[alpha], mi)
-            d = pdiff(self.L, jet)
-            val = d if d.is_zero else d / _orderings(mi)
-            self._cache[key] = val
-        return val
-
-
-def symmetry_flux(L, g, system, include_xi_l=False):
+def symmetry_flux(L, g, system, include_xi_l=False, prolongation=None):
     """Flux components C^i built from the formal Lagrangian L and the
-    characteristic of g:
+    characteristic W of g, at any differential order of L:
 
-        C^i = [xi^i L] + W^a [dL/du_i - D_j dL/du_ij + D_j D_k dL/du_ijk]
-              + D_j(W^a) [dL/du_ij - D_k dL/du_ijk]
-              + D_j D_k(W^a) dL/du_ijk
+        C^i = [xi^i L] + sum over ordered J of D_J(W^a) B^a_{iJ},
+        B^a_P = (dL/du^a_P) / #orderings(P) - D_k B^a_{P,k},
 
-    with ordered sums over full index tuples and the symmetric-form
-    convention for mixed derivatives.  Supports L of differential order at
-    most three (covers every model in the corpus)."""
+    with B = 0 beyond the order of L, so |J| < order(L).  The partial is
+    shared by the orderings of P (the symmetric-form convention), so the
+    sum over ordered J runs over multisets weighted by their orderings.
+    D_J W is read from `prolongation` (default: a new Prolongation of g)."""
     table = system.table
-    if L.max_order() > 3:
-        raise ValueError(f"differential order of L exceeds 3: {L.max_order()}")
-    W = characteristic(g, table)
-    parts = _OrderedPartials(L, table)
-    indep = table.indep
+    order = L.max_order()
+    pro = prolongation or Prolongation(g, table)
+    atoms = L.atoms()
+    B = {}
 
-    dW = {}
-    ddW = {}
-    for alpha in range(table.m):
-        for j, vj in enumerate(indep):
-            dW[(alpha, j)] = total_derivative(W[alpha], vj)
-        for j, vj in enumerate(indep):
-            for k, vk in enumerate(indep):
-                ddW[(alpha, j, k)] = total_derivative(dW[(alpha, j)], vk)
+    def bracket(jet):
+        """B^a_P for the jet u^a_P."""
+        if jet not in B:
+            out = []
+            if jet in atoms:
+                out += (pdiff(L, jet) / _orderings(jet.mi)).terms
+            if jet.order < order:
+                for v in table.indep:
+                    out += (-total_derivative(bracket(jet.shifted(v)), v)).terms
+            B[jet] = _build(out)
+        return B[jet]
 
-    # each bracket is normalized once before it multiplies W or its
-    # derivatives; each component gathers raw terms and is normalized once
+    # each B is normalized once before it multiplies D_J W; each component
+    # gathers raw terms and is normalized once
     C = []
-    for i, vi in enumerate(indep):
-        comp = _product_terms(g.xi[i].terms, L.terms) if include_xi_l else []
+    for xi, vi in zip(g.xi, table.indep):
+        comp = _product_terms(xi.terms, L.terms) if include_xi_l else []
         for alpha in range(table.m):
-            bracket = list(parts.get(alpha, (vi,)).terms)
-            for j, vj in enumerate(indep):
-                p2 = parts.get(alpha, (vi, vj))
-                if not p2.is_zero:
-                    bracket += (-total_derivative(p2, vj)).terms
-                for k, vk in enumerate(indep):
-                    p3 = parts.get(alpha, (vi, vj, vk))
-                    if not p3.is_zero:
-                        bracket += total_derivative(
-                            total_derivative(p3, vj), vk).terms
-            comp += _product_terms(W[alpha].terms, _build(bracket).terms)
-            for j, vj in enumerate(indep):
-                b2 = list(parts.get(alpha, (vi, vj)).terms)
-                for k, vk in enumerate(indep):
-                    p3 = parts.get(alpha, (vi, vj, vk))
-                    if not p3.is_zero:
-                        b2 += (-total_derivative(p3, vk)).terms
-                comp += _product_terms(dW[(alpha, j)].terms, _build(b2).terms)
-            for j in range(len(indep)):
-                for k in range(len(indep)):
-                    p3 = parts.get(alpha, (vi, indep[j], indep[k]))
-                    comp += _product_terms(ddW[(alpha, j, k)].terms, p3.terms)
+            for k in range(order):
+                for J in itertools.combinations_with_replacement(table.indep, k):
+                    b = bracket(table.jet_by_alpha(alpha, J + (vi,)))
+                    if not b.is_zero:
+                        comp += _product_terms(pro.dW(alpha, J).terms,
+                                               (b * _orderings(J)).terms)
         C.append(_build(comp))
     return C
 
 
 def flux_identity_residual(L, g, system):
     """X(L) + L D_i(xi^i) - W^a dL/du^a - D_i(C^i), which is identically
-    zero for any L of order <= 3 and any point generator; exercises the
-    whole operator stack end to end."""
+    zero for any L and any point generator; exercises the whole operator
+    stack end to end."""
     table = system.table
-    C = symmetry_flux(L, g, system, include_xi_l=True)
-    W = characteristic(g, table)
-    out = list(apply_generator(g, L, table).terms)
+    pro = Prolongation(g, table)
+    C = symmetry_flux(L, g, system, include_xi_l=True, prolongation=pro)
+    out = list(apply_generator(g, L, table, prolongation=pro).terms)
     for i, v in enumerate(table.indep):
         out += _product_terms(L.terms, total_derivative(g.xi[i], v).terms)
     for alpha in range(table.m):
-        out += _product_terms((-W[alpha]).terms, euler(L, alpha, table).terms)
+        out += _product_terms((-pro.W[alpha]).terms, euler(L, alpha, table).terms)
     out += (-divergence(C, table)).terms
     return _build(out)
 

@@ -37,7 +37,8 @@ Law components are separated by '|' in independent-variable order; a law
 named N may carry attribute lines `N.status:` / `N.note:` / `N.source:`,
 and any other attribute, or an attribute of an undefined law, is an error.
 The same parser (`parse_laws`) reads the [laws] section of a laws file
-given to `verify`, with the same checks and line numbers.
+or built-in model given to `verify`, with the same checks and line
+numbers.  Generator coefficients hold no parameters.
 
 The [ansatz] section holds default search-space settings: the nonnegative
 integers psi_degree, psi_jets, h_degree, h_jets, theta_degree, theta_jets
@@ -50,7 +51,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from .expr import Jet, SymbolTable
+from .expr import Jet, Param, SymbolTable
 from .calculus import Equation, Generator, PdeSystem, SolvedFormError
 from .lawgen import _jets, default_theta_ansatz, make_ansatz, monomial_basis
 from .parse import ParseError, parse
@@ -201,6 +202,10 @@ def parse_model_text(text, name="model"):
                 ce = parse(coef.strip(), table)
             except ParseError as exc:
                 raise ModelFormatError(str(exc), lineno)
+            if any(isinstance(a, Param) for a in ce.atoms()):
+                raise ModelFormatError(f"coefficient {coef.strip()!r} of "
+                                       f"generator {label} contains a "
+                                       "parameter", lineno)
             if var in xi:
                 xi[var] = ce
             elif var in eta:
@@ -289,7 +294,7 @@ def _as_jet(e, lineno):
                            lineno)
 
 
-def _read(path):
+def read_text(path):
     """A model or laws file's text; a file that cannot be read as UTF-8
     text is a format error."""
     try:
@@ -304,13 +309,13 @@ def _read(path):
 
 def load_model(path):
     default = os.path.splitext(os.path.basename(path))[0]
-    return parse_model_text(_read(path), name=default)
+    return parse_model_text(read_text(path), name=default)
 
 
-def load_laws(path, table):
-    """The [laws] section of a model file or a bare laws file, parsed
-    against `table`; the file's other sections are not read."""
-    sections = _split_sections(_read(path))
+def laws_from_text(text, table):
+    """The [laws] section of a model text or a bare laws text, parsed
+    against `table`; the text's other sections are not read."""
+    sections = _split_sections(text)
     if "laws" not in sections:
         raise ModelFormatError("no [laws] section")
     return parse_laws(sections["laws"], table)

@@ -1,8 +1,9 @@
-"""Shared test utilities: the jet pools and the hypothesis strategies for
-jet polynomials and jet terms."""
+"""Shared test utilities: the jet pools, the hypothesis strategies for
+jet polynomials and jet terms, and a reference prolongation."""
 
 import itertools
 
+from clawforge.calculus import total_derivative
 from clawforge.expr import Expr, SymbolTable
 from clawforge.parse import parse
 
@@ -69,3 +70,17 @@ def jet_terms(st, tab, specials=()):
         return t if r is None else t * r
 
     return st.tuples(coeff, factors, special).map(build)
+
+
+def reference_zeta(g, table, alpha, mi):
+    """The prolongation coefficient zeta^alpha_J of a point generator by the
+    recursion zeta_{J,v} = D_v zeta_J - u^alpha_{J,k} D_v xi^k with
+    zeta_{} = eta^alpha, peeling the first variable of `mi` each step."""
+    if not mi:
+        return g.eta[alpha]
+    v, rest = mi[0], tuple(mi[1:])
+    out = total_derivative(reference_zeta(g, table, alpha, rest), v)
+    for xk, xi in zip(table.indep, g.xi):
+        jet = table.jet_by_alpha(alpha, rest + (xk,)).as_expr()
+        out = out - jet * total_derivative(xi, v)
+    return out

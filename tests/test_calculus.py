@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from clawforge.calculus import (Equation, Generator, PdeSystem,
@@ -7,7 +9,8 @@ from clawforge.expr import (ZERO, Atom, DomainError, Expr, FuncSym, Jet,
                             SymbolTable, pdiff, substitute)
 from clawforge.parse import parse
 
-from helpers import RADICALS, jet_polys, jet_pool, jet_terms, two_var_table
+from helpers import (RADICALS, jet_polys, jet_pool, jet_terms, reference_zeta,
+                     two_var_table)
 
 
 @pytest.fixture()
@@ -184,6 +187,20 @@ def test_prolong_galilei(tab):
     g = Generator((P(tab, "0"), P(tab, "t")), (P(tab, "-1"),), label="X1")
     assert prolong(g, tab, 0, [tab.indep[1]]).is_zero
     assert prolong(g, tab, 0, [tab.indep[0]]) == P(tab, "-u[x]")
+
+
+def test_prolong_matches_reference_recursion(models):
+    # zeta = D_J W + xi^k u_{J,k} from the shared memo against the
+    # recursion on zeta itself, for every ordering of each J up to order 3
+    for model in models.values():
+        table = model.table
+        for g in model.generators.values():
+            assert g.is_point()
+            for alpha in range(table.m):
+                for k in range(4):
+                    for J in itertools.product(table.indep, repeat=k):
+                        assert prolong(g, table, alpha, J) == \
+                            reference_zeta(g, table, alpha, J), (g.label, J)
 
 
 def test_prolong_rejects_generalized_generators(tab):

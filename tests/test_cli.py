@@ -82,7 +82,14 @@ def test_verify_json_reparses(tmp_path, capsys):
 
 
 def test_verify_builtin_laws_source(capsys):
-    assert main(["verify", "kdv", "kdv"]) == 0
+    # a built-in's laws are parsed against the verifying model's table, so
+    # gas1d's laws name a variable kdv does not have
+    for model, laws, code in (("kdv", "kdv", 0), ("fw", "kdv", 1),
+                              ("gas1d", "kdv", 1), ("kdv", "gas1d", 2)):
+        assert main(["verify", model, laws]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: gas1d: ") and "'rho'" in err[0]
 
 
 def test_multipliers_kdv(capsys):
@@ -309,8 +316,8 @@ def test_verify_duplicate_law_is_not_dropped(tmp_path, capsys):
 
 
 def test_user_model_file(tmp_path, capsys):
-    model = tmp_path / "burgers.model"
-    model.write_text("""
+    burgers = tmp_path / "burgers.model"
+    burgers.write_text("""
 [vars]
 independent: t, x
 dependent: u
@@ -325,9 +332,17 @@ X2: x = 1
 [laws]
 mass: u | -(u^2/2 + u[x])
 """)
-    assert main(["verify", str(model), str(model)]) == 0
-    assert main(["mixed", str(model), "--generator", "X2",
-                 "--psi-degree", "1"]) == 0
+    # fourth order: the symmetry flux has no cap on the order of L
+    heat4 = tmp_path / "heat4.model"
+    heat4.write_text("[vars]\nindependent: t, x\ndependent: u\n"
+                     "[equations]\nu[t] = u[x,x,x,x]\n"
+                     "[generators]\nX1: x = 1\n"
+                     "[laws]\nmass: u | -u[x,x,x]\n")
+    for model, mixed_args in ((burgers, ["X2", "--psi-degree", "1"]),
+                              (heat4, ["X1"])):
+        assert main(["verify", str(model), str(model)]) == 0
+        assert main(["mixed", str(model), "--generator"] + mixed_args) == 0
+    assert "T[x] = -u[x,x,x]\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv,bad", [

@@ -10,12 +10,17 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import itertools
 import os
 import random
 
 import pytest
 
+from clawforge.calculus import prolong
 from clawforge.cli import main
+from clawforge.corpus import builtin_models
+from clawforge.expr import Param
+from clawforge.lawgen import formal_lagrangian, symmetry_flux
 
 # perfbench/workloads.py is read, never edited: it holds the recorded hashes
 _spec = importlib.util.spec_from_file_location(
@@ -139,3 +144,71 @@ def test_models_listing_unchanged(job, digest):
         rc = main(job.split())
     assert rc == 0
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+
+# sha256 of the printed symmetry flux of every generator of each built-in
+# model, with and without the xi*L term, for L = sum(v_a * F_a) with one
+# fresh parameter per equation; and of every prolongation coefficient
+# zeta^a_J with |J| <= 3 of every generator.  No fixed job reaches most of
+# these generators (gas3d has 14).
+FLUX_PINS = {
+    "kdv":
+        "d341d0750f9c7d69a515f62f860a2c4788ae6043ea755ef41be13bbd45ef6684",
+    "fw":
+        "86cc075857584ce7d1b885b8e6f885dec25a50aad156313272200b29dd4f7828",
+    "sp":
+        "52bf9b6a9998b9c7f05b795ab14da4c89a69c9383f2154a580c9089d87f69f5b",
+    "gas1d":
+        "eaa569daafb4c67eb212d01fd71e9c8f9bcf0a044e15a4cd62a9292bb7f1435b",
+    "gas3d":
+        "18a865a9e36db2d6e92154c34617839c7473faf36e7d35f4ea79b3c34fea8ea5",
+}
+PROLONG_PINS = {
+    "kdv":
+        "d8e474719cfb1ce5538403a8431ad1e779a82e00d89c5122e50c94b3cb19964b",
+    "fw":
+        "f4fb7fdc83ddc4b9b3ef306553d47042613a91b251582e1887f368d04e852231",
+    "sp":
+        "897d56b00e6db4529cafb4feb9800ea80b97c78a3c7838a612346b4ce01f4b91",
+    "gas1d":
+        "3473ba5ce36f1ad928ed81b87837af8826685d9e8fb02fce1fa8b501ed853902",
+    "gas3d":
+        "6a3d112e0b5ced726f54b1b94a8759e7eb86ec5128d818b1d15dd1d80233a57a",
+}
+
+
+def _flux_text(model):
+    system = model.system
+    L = formal_lagrangian(system, [Param(f"v{i}").as_expr()
+                                   for i in range(len(system.equations))])
+    lines = []
+    for label, g in model.generators.items():
+        for include_xi_l in (False, True):
+            C = symmetry_flux(L, g, system, include_xi_l=include_xi_l)
+            lines.append(f"{label} {include_xi_l}: " +
+                         " | ".join(str(c) for c in C))
+    return "\n".join(lines)
+
+
+def _prolong_text(model):
+    table = model.table
+    lines = []
+    for label, g in model.generators.items():
+        for alpha in range(table.m):
+            for k in range(4):
+                for J in itertools.combinations_with_replacement(table.indep, k):
+                    lines.append(f"{label} {table.jet_by_alpha(alpha, J)!r}: "
+                                 f"{prolong(g, table, alpha, J)}")
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("name", list(FLUX_PINS))
+def test_symmetry_flux_unchanged(name):
+    text = _flux_text(builtin_models()[name])
+    assert hashlib.sha256(text.encode()).hexdigest() == FLUX_PINS[name]
+
+
+@pytest.mark.parametrize("name", list(PROLONG_PINS))
+def test_prolongation_unchanged(name):
+    text = _prolong_text(builtin_models()[name])
+    assert hashlib.sha256(text.encode()).hexdigest() == PROLONG_PINS[name]

@@ -113,9 +113,12 @@ def test_negative_ansatz_integer():
      "unknown [vars] key 'parameter'"),
     ("[generators]", "[generator]", "[generator]",
      "unknown section '[generator]'"),
+    ("X4: x = 1", "X4: x = c0", "X4: x = c0",
+     "coefficient 'c0' of generator X4 contains a parameter"),
 ], ids=["duplicate-law", "duplicate-law-attribute", "duplicate-generator",
         "duplicate-model-key", "duplicate-vars-key", "duplicate-ansatz-key",
-        "unknown-model-key", "unknown-vars-key", "unknown-section"])
+        "unknown-model-key", "unknown-vars-key", "unknown-section",
+        "generator-parameter"])
 def test_input_error_names_the_line(old, new, bad, message):
     # a repeated name would silently replace the first one, and a misspelt
     # key or section would be ignored; each is an error at its own line

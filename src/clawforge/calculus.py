@@ -283,11 +283,6 @@ class Prolongation:
         return self._zeta[jet]
 
 
-def prolong(generator, table, alpha, mi):
-    """Prolongation coefficient zeta^alpha_J for the multi-index mi."""
-    return Prolongation(generator, table).zeta(alpha, mi)
-
-
 def apply_generator(generator, e, table, prolongation=None):
     """Action of the (prolonged) generator on e: xi^i de/dx^i plus
     zeta^a_J de/du^a_J over every jet present in e."""

@@ -309,8 +309,19 @@ def solve_multipliers(system, ansatz_list):
 # ---------------------------------------------------------------------------
 
 def verify(system, T):
-    """Residual of D_i T^i reduced modulo the system; zero iff conserved."""
-    return system.reduce(divergence(T, system.table))
+    """Residual of D_i T^i reduced modulo the system; zero iff conserved.
+    Each component is reduced first and then differentiated through the
+    reduced-jet memo, which equals reduce(D_i T^i) since reduction commutes
+    with total derivatives."""
+    if len(T) != system.table.n:
+        raise ValueError(f"expected {system.table.n} components, got {len(T)}")
+    return _reduced_divergence(system, [system.reduce(c) for c in T])
+
+
+def _reduced_divergence(system, reds):
+    """reduce(D_i R^i) for already reduced components R."""
+    return _build([t for r, v in zip(reds, system.table.indep)
+                   for t in system.reduced_derivative_terms(r, v)])
 
 
 @dataclass
@@ -742,7 +753,7 @@ def mixed_method(system, g, psi_ansatz, h_ansatz, *, include_xi_l=False,
     L = formal_lagrangian(system, [a.expr for a in psi_ansatz])
     C = symmetry_flux(L, g, system, include_xi_l=include_xi_l)
     T = [c + a.expr for c, a in zip(C, h_ansatz)]
-    R = system.reduce(divergence(T, table))
+    R = verify(system, T)
 
     rows, rhs = _linear_rows([R], unknowns)
     if any(b != 0 for b in rhs):
@@ -762,7 +773,8 @@ def mixed_method(system, g, psi_ansatz, h_ansatz, *, include_xi_l=False,
         comps = tuple(_instantiate(c, mapping) for c in T)
         psi = tuple(_instantiate(a.expr, mapping) for a in psi_ansatz)
         h = tuple(_instantiate(a.expr, mapping) for a in h_ansatz)
-        residual = verify(system, comps)
+        reds = tuple(system.reduce(c) for c in comps)
+        residual = _reduced_divergence(system, reds)
         if not residual.is_zero:
             raise RuntimeError("internal error: mixed-method law failed "
                                "re-verification")
@@ -770,13 +782,12 @@ def mixed_method(system, g, psi_ansatz, h_ansatz, *, include_xi_l=False,
             components=comps, psi=psi, h=h, generator=g.label,
             coefficients={p.name: v for p, v in mapping.items() if v != 0},
             residual=residual)
-        reds = tuple(system.reduce(c) for c in comps)
         law.triviality, coeffs = _triviality(reds, ws)
         if law.triviality.trivial:
             trivia.append(law)
         else:
             law.stripped = reds if ws is None else ws.strip(reds, coeffs)
-            check = verify(system, law.stripped)
+            check = _reduced_divergence(system, law.stripped)
             if not check.is_zero:
                 raise RuntimeError("internal error: stripped law failed "
                                    "re-verification")

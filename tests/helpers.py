@@ -1,7 +1,9 @@
 """Shared test utilities: the jet pools, the hypothesis strategies for
 jet polynomials and jet terms, and a reference prolongation."""
 
+import importlib.util
 import itertools
+import os
 
 from clawforge.calculus import total_derivative
 from clawforge.expr import Expr, SymbolTable
@@ -10,6 +12,18 @@ from clawforge.parse import parse
 # rational powers of polynomial bases, for the normal-form properties
 RADICALS = ("(1+u[x]^2)^(1/2)", "(1+u[x]^2)^(-1/2)", "(u+t)^(-1)",
             "(u[x]+x)^(3/2)", "2^(1/2)")
+
+
+def perfbench_workloads():
+    """perfbench/workloads.py as a module; it is read, never edited, and
+    holds the recorded hashes and the seeded verify candidates."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads",
+        os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                     "perfbench", "workloads.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def two_var_table():

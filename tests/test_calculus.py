@@ -2,8 +2,8 @@ import itertools
 
 import pytest
 
-from clawforge.calculus import (Equation, Generator, PdeSystem,
-                                SolvedFormError, divergence, euler, prolong,
+from clawforge.calculus import (Equation, Generator, PdeSystem, Prolongation,
+                                SolvedFormError, divergence, euler,
                                 symmetry_residual, total_derivative)
 from clawforge.expr import (ZERO, Atom, DomainError, Expr, FuncSym, Jet,
                             SymbolTable, pdiff, substitute)
@@ -175,18 +175,19 @@ def test_solved_form_validation(tab):
 
 def test_prolong_translation_is_zero(tab):
     g = Generator((P(tab, "1"), P(tab, "0")), (P(tab, "0"),), label="dt")
-    assert prolong(g, tab, 0, [tab.indep[1]]).is_zero
+    assert Prolongation(g, tab).zeta(0, [tab.indep[1]]).is_zero
 
 
 def test_prolong_scaling(tab):
     g = Generator((P(tab, "3*t"), P(tab, "x")), (P(tab, "-2*u"),), label="X2")
-    assert prolong(g, tab, 0, [tab.indep[1]]) == P(tab, "-3*u[x]")
+    assert Prolongation(g, tab).zeta(0, [tab.indep[1]]) == P(tab, "-3*u[x]")
 
 
 def test_prolong_galilei(tab):
     g = Generator((P(tab, "0"), P(tab, "t")), (P(tab, "-1"),), label="X1")
-    assert prolong(g, tab, 0, [tab.indep[1]]).is_zero
-    assert prolong(g, tab, 0, [tab.indep[0]]) == P(tab, "-u[x]")
+    pro = Prolongation(g, tab)
+    assert pro.zeta(0, [tab.indep[1]]).is_zero
+    assert pro.zeta(0, [tab.indep[0]]) == P(tab, "-u[x]")
 
 
 def test_prolong_matches_reference_recursion(models):
@@ -196,17 +197,18 @@ def test_prolong_matches_reference_recursion(models):
         table = model.table
         for g in model.generators.values():
             assert g.is_point()
+            pro = Prolongation(g, table)
             for alpha in range(table.m):
                 for k in range(4):
                     for J in itertools.product(table.indep, repeat=k):
-                        assert prolong(g, table, alpha, J) == \
+                        assert pro.zeta(alpha, J) == \
                             reference_zeta(g, table, alpha, J), (g.label, J)
 
 
 def test_prolong_rejects_generalized_generators(tab):
     g = Generator((P(tab, "0"), P(tab, "u[x]")), (P(tab, "0"),), label="gen")
     with pytest.raises(ValueError):
-        prolong(g, tab, 0, [tab.indep[1]])
+        Prolongation(g, tab).zeta(0, [tab.indep[1]])
 
 
 def test_symmetry_residuals_kdv(tab):

@@ -1,34 +1,29 @@
 """Golden outputs: each fixed benchmark job, run in-process with `--json`,
 must print exactly the bytes whose sha256 the benchmark recorded, and the
-counts stated in the paper must hold.  The `verify gas3d` laws files of one
-fixed verify-seeded seed must get the verdicts their construction fixes and
-print the recorded bytes, and so must five `--verbose` mixed jobs, which
-print the stripped laws and the trivial witnesses.  This is the gate for
-refactors that promise unchanged results."""
+counts stated in the paper must hold.  The `verify gas3d` laws files of
+three verify-seeded seeds must get the verdicts their construction fixes
+and print the recorded bytes, and so must `mixed gas3d --generator X1`,
+`verify gas3d gas3d` and ten `--verbose` mixed jobs, which print the
+stripped laws and the trivial witnesses.  This is the gate for refactors
+that promise unchanged results."""
 
 import contextlib
 import hashlib
-import importlib.util
 import io
 import itertools
-import os
 import random
 
 import pytest
 
-from clawforge.calculus import prolong
+from clawforge.calculus import Prolongation
 from clawforge.cli import main
 from clawforge.corpus import builtin_models
 from clawforge.expr import Param
 from clawforge.lawgen import formal_lagrangian, symmetry_flux
 
-# perfbench/workloads.py is read, never edited: it holds the recorded hashes
-_spec = importlib.util.spec_from_file_location(
-    "perfbench_workloads",
-    os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                 "perfbench", "workloads.py"))
-workloads = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(workloads)
+from helpers import perfbench_workloads
+
+workloads = perfbench_workloads()
 
 JOBS = [(job, digest) for jobs in workloads.FIXED_JOBS.values()
         for job, digest in jobs.items()]
@@ -59,10 +54,19 @@ VERIFY_DIGESTS = (
 )
 
 
-def test_seeded_verify_output_unchanged(tmp_path):
-    files = workloads.verify_files(random.Random(VERIFY_SEED))
-    assert len(files) == len(VERIFY_DIGESTS)
-    for i, ((text, expected), digest) in enumerate(zip(files, VERIFY_DIGESTS)):
+# the same for two more seeds
+MORE_VERIFY_DIGESTS = {
+    11: ("825565055df3547771cdda6da7b20a30496b8833f573b979a9c802e9c6ad1a19",
+         "65ca8b096cad502eb1a7e894856926c3395109a2fa3eebf05b02f5437b99c0b9"),
+    13: ("f1a444161589816b5e0f835c2feb00ff73b2c0d76dcf1c003bb22a570ce98318",
+         "925921152e9c03aefc0384483942bf78d612ac431c7cdd53769fa12ecda1e73f"),
+}
+
+
+def _check_seeded_verify(tmp_path, seed, digests):
+    files = workloads.verify_files(random.Random(seed))
+    assert len(files) == len(digests)
+    for i, ((text, expected), digest) in enumerate(zip(files, digests)):
         path = tmp_path / f"verify-{i}.laws"
         path.write_text(text, encoding="utf-8")
         buf = io.StringIO()
@@ -71,6 +75,36 @@ def test_seeded_verify_output_unchanged(tmp_path):
         out = buf.getvalue()
         assert workloads.check_verify_output(out, rc, expected)
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_seeded_verify_output_unchanged(tmp_path):
+    _check_seeded_verify(tmp_path, VERIFY_SEED, VERIFY_DIGESTS)
+
+
+@pytest.mark.parametrize("seed", list(MORE_VERIFY_DIGESTS))
+def test_more_seeded_verify_output_unchanged(tmp_path, seed):
+    _check_seeded_verify(tmp_path, seed, MORE_VERIFY_DIGESTS[seed])
+
+
+# sha256 of two `--json` reports that no fixed job prints: the only mixed
+# run with four independent variables, where the determining residual is
+# largest, and the verdicts on the gas3d reference laws
+LARGE_PINS = {
+    "mixed gas3d --generator X1 --json":
+        "d586d05b93bb55dbdab969fcb9ab376284b29d609104fb76ffbdb1b9ff6aa554",
+    "verify gas3d gas3d --json":
+        "7b00a949beec8b7018cb67ca1e9ca00452b31fe4eeeab7b7b3bd47bbb2b3635c",
+}
+
+
+@pytest.mark.parametrize("job,digest", LARGE_PINS.items(),
+                         ids=list(LARGE_PINS))
+def test_large_output_unchanged(job, digest):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = main(job.split())
+    assert rc == 0
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
 
 
 # sha256 of `mixed kdv --generator X4 --verbose --json`: the trivial laws and
@@ -194,11 +228,12 @@ def _prolong_text(model):
     table = model.table
     lines = []
     for label, g in model.generators.items():
+        pro = Prolongation(g, table)
         for alpha in range(table.m):
             for k in range(4):
                 for J in itertools.combinations_with_replacement(table.indep, k):
                     lines.append(f"{label} {table.jet_by_alpha(alpha, J)!r}: "
-                                 f"{prolong(g, table, alpha, J)}")
+                                 f"{pro.zeta(alpha, J)}")
     return "\n".join(lines)
 
 

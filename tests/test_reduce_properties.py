@@ -5,8 +5,11 @@ every total derivative up to a second reduction.  Stripping a law subtracts
 the stored reduced curl columns from its reduced components, and the
 witness columns differentiate reduced theta entries, which is sound because
 of the last three.  `PdeSystem.reduced_derivative` is checked against
-`reduce(total_derivative(e, v))`, also under concurrent use."""
+`reduce(total_derivative(e, v))`, also under concurrent use, and `verify`,
+which reduces each component before it differentiates, against
+`reduce(divergence(T))`."""
 
+import random
 import sys
 import threading
 
@@ -15,14 +18,18 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from clawforge.calculus import (total_derivative,  # noqa: E402
+from clawforge.calculus import (divergence, total_derivative,  # noqa: E402
                                 total_derivative_mi)
 from clawforge.corpus import GAS1D_TEXT  # noqa: E402
-from clawforge.expr import Jet, substitute  # noqa: E402
-from clawforge.modelfile import parse_model_text  # noqa: E402
+from clawforge.expr import Jet, Param, substitute  # noqa: E402
+from clawforge.lawgen import (formal_lagrangian, symmetry_flux,  # noqa: E402
+                              verify)
+from clawforge.modelfile import (ansatz_spaces, laws_from_text,  # noqa: E402
+                                 parse_model_text)
 from clawforge.parse import parse  # noqa: E402
 
-from helpers import RADICALS, jet_polys, jet_pool  # noqa: E402
+from helpers import (RADICALS, jet_polys, jet_pool,  # noqa: E402
+                     perfbench_workloads)
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -218,3 +225,118 @@ def test_concurrent_reduce_and_derivative_match_serial(round_):
         sys.setswitchinterval(old)
     assert not any(th.is_alive() for th in threads)
     assert results == [serial] * len(orders)
+
+
+# -- verify: reduce each component, then differentiate ------------------------
+
+def _outcome(f):
+    """f()'s value, or the type of the exception it raises."""
+    try:
+        return "value", f()
+    except Exception as exc:
+        return "raises", type(exc)
+
+
+def _check_verify(system, T):
+    assert _outcome(lambda: verify(system, T)) == \
+        _outcome(lambda: system.reduce(divergence(T, system.table)))
+
+
+def _opaque(entry):
+    """Opaque powers: the radicals of the normal-form tests, the inverse of
+    an equation, whose base reduces to zero so that both sides must raise,
+    and powers of bases that hold a leading jet."""
+    eq = entry.system.equations[0]
+    texts = list(RADICALS) + [f"({eq.expr})^(-1)"]
+    if entry.table.n == 2:
+        lead, dep = eq.lead.as_expr(), entry.table.jet_by_alpha(0).as_expr()
+        texts += [f"({lead} + {dep})^(1/2)", f"(1 + {lead}^2)^(-1/2)"]
+    return [parse(t, entry.table) for t in texts]
+
+
+def components(entry, opts):
+    """A component: a polynomial that holds a leading jet or one that need
+    not, optionally times an opaque power, plus optionally a parameter
+    times another polynomial, as in the parametrized T of the mixed route;
+    function symbols wherever the model declares them.  gas3d's leading
+    jets have images of four to six terms; with derivatives of them, or
+    powers of bases that hold them, one example can take most of a minute,
+    so with more than two independent variables a component draws only
+    jets up to first order (leading jets among them) and only the fixed
+    radicals."""
+    opts = dict(opts, with_funcs=bool(entry.table.funcs))
+    polys = model_polys(entry, **opts)
+    head = polys
+    if entry.table.n == 2:
+        head = st.one_of(principal_polys(entry, **opts), polys)
+    opaque = st.one_of(st.none(), st.sampled_from(_opaque(entry)))
+    param = st.one_of(st.none(), st.sampled_from(
+        [Param("c0").as_expr(), Param("c1").as_expr() / 2]))
+
+    def build(args):
+        a, r, c, b = args
+        e = a if r is None else a * r
+        return e if c is None else e + c * b
+
+    return st.tuples(head, opaque, param, polys).map(build)
+
+
+# (model, strategy options, examples): n components of principal jets
+# differentiate into large unreduced divergences, so fewer and shorter
+VERIFY_CASES = [
+    ("kdv", {"max_order": 2, "max_factors": 2, "max_terms": 2}, 15),
+    ("fw", {"max_order": 2, "max_factors": 2, "max_terms": 2}, 15),
+    ("sp", {"max_order": 2, "max_factors": 2, "max_terms": 2}, 15),
+    ("gas1d", {"max_order": 1, "max_factors": 2, "max_terms": 2}, 12),
+    ("gas3d", {"max_order": 1, "max_factors": 1, "max_terms": 2}, 6),
+]
+
+
+@pytest.mark.parametrize("name,opts,examples", VERIFY_CASES,
+                         ids=[c[0] for c in VERIFY_CASES])
+def test_verify_equals_reduced_divergence(models, name, opts, examples):
+    entry = models[name]
+    comps = components(entry, opts)
+
+    @settings(max_examples=examples, deadline=None, derandomize=True)
+    @given(T=st.tuples(*[comps] * entry.table.n))
+    def check(T):
+        _check_verify(entry.system, list(T))
+
+    check()
+
+
+def test_verify_equals_reduced_divergence_on_reference_laws(models):
+    for entry in models.values():
+        for law in entry.laws.values():
+            _check_verify(entry.system, list(law.components))
+    assert len(models["gas3d"].laws) == 14
+
+
+def test_verify_equals_reduced_divergence_on_seeded_candidates(gas3d):
+    workloads = perfbench_workloads()
+    for seed in range(1, 6):
+        for text, expected in workloads.verify_files(random.Random(seed)):
+            laws = laws_from_text(text, gas3d.table)
+            assert set(laws) == set(expected)
+            for law in laws.values():
+                _check_verify(gas3d.system, list(law.components))
+
+
+def test_verify_equals_reduced_divergence_on_mixed_ansatz(models):
+    # T = C + H of the mixed route over each model's own ansatz, before its
+    # parameters are solved for
+    for name in ("kdv", "fw", "sp", "gas1d"):
+        entry = models[name]
+        spaces = ansatz_spaces(entry)
+        L = formal_lagrangian(entry.system, [a.expr for a in spaces["psi"]])
+        for g in entry.generators.values():
+            C = symmetry_flux(L, g, entry.system)
+            _check_verify(entry.system,
+                          [c + a.expr for c, a in zip(C, spaces["h"])])
+
+
+def test_verify_rejects_a_wrong_component_count(kdv):
+    T = [parse("u", kdv.table)]
+    assert _outcome(lambda: verify(kdv.system, T)) == ("raises", ValueError)
+    _check_verify(kdv.system, T)

@@ -1,8 +1,9 @@
-"""Variational calculus over jet space: total derivatives, the
-Euler-Lagrange operator, divergences, reduction modulo a PDE system in
-solved form, generators with their characteristics, and one memo of the
-total derivatives of a characteristic that serves both the prolongation of
-a point symmetry and the symmetry flux."""
+"""Variational calculus over jet space: total derivatives, the gradient
+(every partial by a jet from one pass over the terms) and the
+Euler-Lagrange operator built on it, divergences, reduction modulo a PDE
+system in solved form, generators with their characteristics, and one memo
+of the total derivatives of a characteristic that serves both the
+prolongation of a point symmetry and the symmetry flux."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .expr import (Atom, Expr, FuncSym, Jet, ONE, Param, _build, _chain_terms,
-                   _derive, _product_terms, pdiff, substitute)
+                   _derive, _derive_all, _product_terms, pdiff, substitute)
 
 
 class SolvedFormError(ValueError):
@@ -46,19 +47,46 @@ def total_derivative_mi(e, mi):
     return e
 
 
-def euler(e, alpha, table):
-    """Variational derivative of e with respect to dependent variable
-    `alpha`: sum over the unordered multi-indices J present in e of
-    (-1)^|J| D_J (de/du_J).  Annihilates total divergences."""
+def _gradient(e):
+    """{jet: de/djet} for every jet e holds, including those inside
+    function arguments and opaque bases, from one pass over the terms
+    (`_derive_all`); a function symbol or an opaque base goes by the chain
+    rule, once per distinct base.  Each partial is normalized once, at the
+    end of the pass, so the raw terms are gone before a caller works on
+    the partials."""
+
+    def base_gradient(b):
+        if isinstance(b, Jet):
+            return ((b, ONE.terms),)
+        if isinstance(b, FuncSym):
+            return [(a, _chain_terms(b, d))
+                    for a, d in _gradient(b.arg).items()]
+        if isinstance(b, Atom):
+            return ()
+        return [(a, d.terms) for a, d in _gradient(b).items()]
+
+    return {a: _build(t) for a, t in _derive_all(e, base_gradient).items()}
+
+
+def _euler(grad, alpha):
+    """The variational derivative with respect to `alpha` of the expression
+    whose gradient is `grad`, normalized once.  The partials by the jets of
+    `alpha` are taken out of `grad` as they are used, so each is freed as
+    soon as its total derivative is taken."""
     out = []
-    for a in e.jets(alpha):
-        d = pdiff(e, a)
-        if d.is_zero:
-            continue
+    for a in [a for a in grad if a.alpha == alpha]:
         sign = -1 if a.order % 2 else 1
-        dj = total_derivative_mi(d, a.mi)
+        dj = total_derivative_mi(grad.pop(a), a.mi)
         out.extend((sign * c, f) for c, f in dj.terms)
     return _build(out)
+
+
+def euler(e, alpha, table):
+    """Variational derivative of e with respect to dependent variable
+    `alpha`: sum over the unordered multi-indices J of the jets e holds of
+    (-1)^|J| D_J (de/du_J), every partial read from one gradient of e.
+    Annihilates total divergences."""
+    return _euler(_gradient(e), alpha)
 
 
 def divergence(T, table):
@@ -291,12 +319,9 @@ def apply_generator(generator, e, table, prolongation=None):
     for v, xi in zip(table.indep, generator.xi):
         if not xi.is_zero:
             out.extend(_product_terms(xi.terms, pdiff(e, v).terms))
-    for a in e.atoms():
-        if isinstance(a, Jet):
-            d = pdiff(e, a)
-            if not d.is_zero:
-                zeta = pro.zeta(a.alpha, a.mi)
-                out.extend(_product_terms(zeta.terms, d.terms))
+    for a, d in _gradient(e).items():
+        if not d.is_zero:
+            out.extend(_product_terms(pro.zeta(a.alpha, a.mi).terms, d.terms))
     return _build(out)
 
 

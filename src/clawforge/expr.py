@@ -316,10 +316,6 @@ class Expr:
             self._atoms = frozenset(found)
         return self._atoms
 
-    def jets(self, alpha=None):
-        return [a for a in sorted(self.atoms())
-                if isinstance(a, Jet) and (alpha is None or a.alpha == alpha)]
-
     def max_order(self):
         return max((a.order for a in self.atoms() if isinstance(a, Jet)), default=0)
 
@@ -493,9 +489,10 @@ def _int_power(e, k):
 
 def _normal(raw_terms):
     """Raw terms normalized and keyed like `_accumulate`: like terms
-    merged, then opaque-base reduction run to a fixpoint."""
+    merged, then opaque-base reduction run to a fixpoint.  Factors sort by
+    `_bkey`, atoms first, so only a term's last factor need be tested."""
     acc = _accumulate(raw_terms)
-    if any(not isinstance(b, Atom) for _, f in acc.values() for b, _ in f):
+    if any(f and not isinstance(f[-1][0], Atom) for _, f in acc.values()):
         acc = _radical_reduce(acc.values())
     return acc
 
@@ -698,19 +695,20 @@ def make_power(base, e):
 # Calculus on atoms
 # ---------------------------------------------------------------------------
 
-def _derive(e, base_derivative):
-    """The derivation that maps each factor base b to the raw terms
-    `base_derivative(b)`, applied to e by the product and power rules:
-    every factor b^k of a term gives k * b^(k-1) * d(b) times the other
-    factors.  `base_derivative` is called once per distinct base; returns
-    the raw terms, for the caller to normalize once."""
+def _derive_all(e, base_gradient):
+    """Several derivations applied to e at once by the product and power
+    rules: `base_gradient(b)` gives pairs (key, raw terms of the derivative
+    of the factor base b along key), and every factor b^k of a term adds
+    k * b^(k-1) * db times the other factors to its key's raw terms.
+    `base_gradient` is called once per distinct base; returns {key: raw
+    terms}, for the caller to normalize."""
     dbases = {}
-    out = []
+    out = {}
     for coeff, factors in e.terms:
         for i, (b, k) in enumerate(factors):
             db = dbases.get(b)
             if db is None:
-                db = dbases[b] = base_derivative(b)
+                db = dbases[b] = base_gradient(b)
             if not db:
                 continue
             if k == 1:
@@ -718,9 +716,18 @@ def _derive(e, base_derivative):
             else:
                 rest = factors[:i] + ((b, k - 1),) + factors[i + 1:]
             ck = coeff * k
-            for dc, df in db:
-                out.extend(_term_product(ck, rest, dc, df))
+            for key, terms in db:
+                bucket = out.setdefault(key, [])
+                for dc, df in terms:
+                    bucket.extend(_term_product(ck, rest, dc, df))
     return out
+
+
+def _derive(e, base_derivative):
+    """The raw terms of the one derivation of `_derive_all` that maps each
+    factor base b to the raw terms `base_derivative(b)`."""
+    return _derive_all(e, lambda b: ((0, d),) if (d := base_derivative(b))
+                       else ()).get(0, [])
 
 
 def _chain_terms(f, darg):

@@ -19,9 +19,9 @@ from types import SimpleNamespace
 
 from .expr import (Expr, FuncSym, Jet, Param, ZERO, _build, _monokey,
                    _normal, _num, _product_terms, _quot, _term_product,
-                   collect, pdiff)
-from .calculus import (Prolongation, apply_generator, divergence, euler,
-                       total_derivative)
+                   collect)
+from .calculus import (Prolongation, _euler, _gradient, apply_generator,
+                       divergence, total_derivative)
 from .calculus import characteristic  # re-exported
 from . import linsolve
 from .linsolve import RationalMatrix
@@ -150,6 +150,12 @@ def formal_lagrangian(system, psi):
                    for t in _product_terms(p.terms, eq.expr.terms)])
 
 
+def _euler_residuals(L, table):
+    """euler(L, alpha, table) for every alpha, from one gradient of L."""
+    grad = _gradient(L)
+    return [_euler(grad, alpha) for alpha in range(table.m)]
+
+
 # ---------------------------------------------------------------------------
 # The conserved-vector formula (symmetry route)
 # ---------------------------------------------------------------------------
@@ -172,19 +178,20 @@ def symmetry_flux(L, g, system, include_xi_l=False, prolongation=None):
     with B = 0 beyond the order of L, so |J| < order(L).  The partial is
     shared by the orderings of P (the symmetric-form convention), so the
     sum over ordered J runs over multisets weighted by their orderings.
-    D_J W is read from `prolongation` (default: a new Prolongation of g)."""
+    D_J W is read from `prolongation` (default: a new Prolongation of g),
+    and every partial of L from one gradient of L."""
     table = system.table
     order = L.max_order()
     pro = prolongation or Prolongation(g, table)
-    atoms = L.atoms()
+    grad = _gradient(L)
     B = {}
 
     def bracket(jet):
         """B^a_P for the jet u^a_P."""
         if jet not in B:
             out = []
-            if jet in atoms:
-                out += (pdiff(L, jet) / _orderings(jet.mi)).terms
+            if jet in grad:
+                out += (grad[jet] / _orderings(jet.mi)).terms
             if jet.order < order:
                 for v in table.indep:
                     out += (-total_derivative(bracket(jet.shifted(v)), v)).terms
@@ -217,8 +224,8 @@ def flux_identity_residual(L, g, system):
     out = list(apply_generator(g, L, table, prolongation=pro).terms)
     for i, v in enumerate(table.indep):
         out += _product_terms(L.terms, total_derivative(g.xi[i], v).terms)
-    for alpha in range(table.m):
-        out += _product_terms((-pro.W[alpha]).terms, euler(L, alpha, table).terms)
+    for w, E in zip(pro.W, _euler_residuals(L, table)):
+        out += _product_terms((-w).terms, E.terms)
     out += (-divergence(C, table)).terms
     return _build(out)
 
@@ -276,8 +283,7 @@ def multiplier_determining_system(system, ansatz_list):
         a.require_polynomial("multiplier")
     unknowns = _unknowns(ansatz_list)
     L = formal_lagrangian(system, [a.expr for a in ansatz_list])
-    residuals = [euler(L, alpha, table) for alpha in range(table.m)]
-    rows, rhs = _linear_rows(residuals, unknowns)
+    rows, rhs = _linear_rows(_euler_residuals(L, table), unknowns)
     if any(b != 0 for b in rhs):
         raise AnsatzError("multiplier system is not homogeneous")
     return RationalMatrix(rows, ncols=len(unknowns))
@@ -296,10 +302,9 @@ def solve_multipliers(system, ansatz_list):
         mapping = dict(zip(unknowns, vec))
         v = tuple(_instantiate(a.expr, mapping) for a in ansatz_list)
         L = formal_lagrangian(system, list(v))
-        for alpha in range(table.m):
-            if not euler(L, alpha, table).is_zero:
-                raise RuntimeError("internal error: multiplier fails the "
-                                   "defining identity after instantiation")
+        if any(E.terms for E in _euler_residuals(L, table)):
+            raise RuntimeError("internal error: multiplier fails the "
+                               "defining identity after instantiation")
         out.append(v)
     return det, out
 
@@ -845,8 +850,7 @@ def self_adjointness_check(system, psi):
         if any(isinstance(a, Param) for a in p.atoms()):
             raise ValueError("psi must be free of unknown parameters")
     L = formal_lagrangian(system, list(psi))
-    residuals = tuple(system.reduce(euler(L, alpha, table))
-                      for alpha in range(table.m))
+    residuals = tuple(system.reduce(E) for E in _euler_residuals(L, table))
     return SelfAdjointnessReport(psi=tuple(psi), residuals=residuals)
 
 

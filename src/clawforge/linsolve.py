@@ -230,12 +230,14 @@ class IncrementalSystem:
 def _echelon(matrix, rhs=None):
     """The sparse echelon of the matrix rows, fed once through
     `IncrementalSystem.try_add` (right-hand sides zero when rhs is None);
-    None when the system is inconsistent.  Short rows go first: a singleton
-    row forces its column, which later rows then lose at the cost of one
-    entry each."""
+    None when the system is inconsistent.  Each distinct (row, rhs) pair is
+    fed once: a repeat would reduce to 0 = 0.  Short rows go first: a
+    singleton row forces its column, which later rows then lose at the cost
+    of one entry each."""
     inc = IncrementalSystem(matrix.ncols)
-    pairs = zip(matrix.sparse_rows, rhs or [0] * matrix.nrows)
-    for row, b in sorted(pairs, key=lambda p: len(p[0])):
+    pairs = {(frozenset(row.items()), b): row
+             for row, b in zip(matrix.sparse_rows, rhs or [0] * matrix.nrows)}
+    for (_, b), row in sorted(pairs.items(), key=lambda p: len(p[1])):
         if not inc.try_add(row, b):
             return None
     return inc

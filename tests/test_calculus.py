@@ -7,6 +7,7 @@ from clawforge.calculus import (Equation, Generator, PdeSystem, Prolongation,
                                 symmetry_residual, total_derivative)
 from clawforge.expr import (ZERO, Atom, DomainError, Expr, FuncSym, Jet,
                             SymbolTable, pdiff, substitute)
+from clawforge.lawgen import formal_lagrangian
 from clawforge.parse import parse
 
 from helpers import (RADICALS, jet_polys, jet_pool, jet_terms, reference_zeta,
@@ -376,3 +377,63 @@ def test_pdiff_and_total_derivative_match_sympy():
             assert sympy.expand(to_sympy(total_derivative(e, v)) - D) == 0
 
     check()
+
+
+def test_euler_matches_sympy(models):
+    """euler against the Euler operator spelled out in sympy, on formal
+    Lagrangians psi^a F_a of kdv, gas1d and gas3d (negative powers of rho
+    included) plus a jet polynomial: sum over the jets u^alpha_J of L of
+    (-D)^J dL/du^alpha_J, with D_v the explicit v-derivative plus the chain
+    rule through every jet."""
+    sympy = pytest.importorskip("sympy")
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    def sym(a):
+        return sympy.Symbol(repr(a))
+
+    def to_sympy(e):
+        return sympy.Add(*[
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*[sym(b) ** sympy.Rational(k.numerator, k.denominator)
+                          for b, k in f])
+            for c, f in e.terms])
+
+    def D(E, v, jets):
+        # jets maps each jet symbol met so far to its Jet
+        out = sympy.diff(E, sym(v))
+        for s in E.free_symbols:
+            if s in jets:
+                shifted = jets[s].shifted(v)
+                jets[sym(shifted)] = shifted
+                out += sympy.diff(E, s) * sym(shifted)
+        return out
+
+    def sympy_euler(E, alpha, jets):
+        out = sympy.Integer(0)
+        for s in E.free_symbols:
+            a = jets.get(s)
+            if a is not None and a.alpha == alpha:
+                d = sympy.diff(E, s)
+                for v in a.mi:
+                    d = D(d, v, jets)
+                out += (-1) ** a.order * d
+        return out
+
+    for name, examples in (("kdv", 10), ("gas1d", 6), ("gas3d", 3)):
+        entry = models[name]
+        table, system = entry.table, entry.system
+        polys = jet_polys(st, table, max_order=1, max_terms=2, max_factors=2)
+        k = len(system.equations)
+
+        @hyp.settings(max_examples=examples, deadline=None, derandomize=True)
+        @hyp.given(psi=st.lists(polys, min_size=k, max_size=k), extra=polys)
+        def check(psi, extra):
+            e = formal_lagrangian(system, psi) + extra
+            jets = {sym(a): a for a in e.atoms() if isinstance(a, Jet)}
+            E = to_sympy(e)
+            for alpha in range(table.m):
+                assert sympy.expand(to_sympy(euler(e, alpha, table))
+                                    - sympy_euler(E, alpha, jets)) == 0
+
+        check()

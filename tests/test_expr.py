@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from clawforge.expr import (ZERO, DomainError, Expr, FuncSym, NonlinearError,
-                            SymbolTable, _build, _expand_term, _num,
-                            _term_product, collect, key_expr, make_power,
-                            pdiff, substitute)
+from clawforge.expr import (ZERO, Atom, DomainError, Expr, FuncSym,
+                            NonlinearError, SymbolTable, _build, _expand_term,
+                            _num, _term_product, collect, key_expr,
+                            make_power, pdiff, substitute)
 from clawforge.lawgen import make_ansatz
 from clawforge.parse import parse
 
@@ -480,5 +480,34 @@ def test_term_product_merge_matches_dict_and_sort():
             assert [type(c) for c, _ in got] == [type(c) for c, _ in want]
             assert [type(e) for _, f in got for _, e in f] == \
                 [type(e) for _, f in want for _, e in f]
+
+    check()
+
+
+def test_normal_forms_keep_opaque_bases_last():
+    """`_normal` looks only at a term's last factor to decide whether the
+    opaque-base reduction runs; that is sound because every normalized term
+    keeps its factors sorted by `_bkey`, atoms (function symbols too)
+    before opaque bases.  Checked on built terms, their products and their
+    partial derivatives."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    tab = SymbolTable(["t", "x"], ["u"], funcs=["f"])
+    terms = st.lists(_raw_terms(st, tab), min_size=1, max_size=3)
+    atoms = [e.terms[0][1][0][0] for e in jet_pool(tab, 2)]
+
+    def check_terms(e):
+        for _, f in e.terms:
+            keys = [b._bkey for b, _ in f]
+            assert keys == sorted(keys)
+            opaque = [not isinstance(b, Atom) for b, _ in f]
+            assert opaque == sorted(opaque)
+
+    @hyp.settings(max_examples=80, deadline=None, derandomize=True)
+    @hyp.given(left=terms, right=terms, a=st.sampled_from(atoms))
+    def check(left, right, a):
+        x, y = _build(left), _build(right)
+        for e in (x, y, x * y, x + y, pdiff(x * y, a)):
+            check_terms(e)
 
     check()

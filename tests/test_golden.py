@@ -4,8 +4,10 @@ counts stated in the paper must hold.  The `verify gas3d` laws files of
 three verify-seeded seeds must get the verdicts their construction fixes
 and print the recorded bytes, and so must `mixed gas3d --generator X1`,
 `verify gas3d gas3d` and ten `--verbose` mixed jobs, which print the
-stripped laws and the trivial witnesses.  This is the gate for refactors
-that promise unchanged results."""
+stripped laws and the trivial witnesses.  The `euler` command on radical
+inputs, the one order-1 multiplier of sp and the self-adjointness
+residuals are pinned too.  This is the gate for refactors that promise
+unchanged results."""
 
 import contextlib
 import hashlib
@@ -19,7 +21,9 @@ from clawforge.calculus import Prolongation
 from clawforge.cli import main
 from clawforge.corpus import builtin_models
 from clawforge.expr import Param
-from clawforge.lawgen import formal_lagrangian, symmetry_flux
+from clawforge.lawgen import (formal_lagrangian, self_adjointness_check,
+                              symmetry_flux)
+from clawforge.parse import parse
 
 from helpers import perfbench_workloads
 
@@ -247,3 +251,84 @@ def test_symmetry_flux_unchanged(name):
 def test_prolongation_unchanged(name):
     text = _prolong_text(builtin_models()[name])
     assert hashlib.sha256(text.encode()).hexdigest() == PROLONG_PINS[name]
+
+
+# sha256 of `euler MODEL EXPR --var NAME --json` for one expression per
+# built-in that holds a rational power of a polynomial base (and, in
+# gas1d, a function symbol of a jet), for every dependent variable: the
+# variational derivative reads every partial from one gradient, and these
+# reach the chain rule through opaque bases and function arguments
+EULER_EXPRS = {
+    "kdv": "u*u[x,x]*(1 + u[x]^2)^(-1/2) + (u + t)^(-1)*u[x]^2",
+    "fw": "u[t,x]*(1 + u^2)^(1/2) + u[x,x]^2*(u[x] + x)^(3/2)",
+    "sp": "(u + t*u[t] - x*u[x])*u[x,x]*(1 + u[x]^2)^(-3/2)",
+    "gas1d": "p*rho^(-2)*u[x] + f(u[x])*(rho + p[x])^(1/2)",
+    "gas3d": "p*rho^(-5/3)*(u[x] + v[y] + w[z]) + "
+             "(u^2 + v^2 + w^2)^(1/2)*rho[x]",
+}
+EULER_PINS = {
+    ("kdv", "u"):
+        "940173287b61d4afd8b17c0f51ffe8527e8e261ee518cab8f18b45768ca52d72",
+    ("fw", "u"):
+        "3d4184ecab778c38e6dc130a306ee75e9e2b158e1c49896a6e6dc363cd09426f",
+    ("sp", "u"):
+        "d85ee4b207b010e6a702bd7ffe8b3468e694f6f31b97200c296db149e22d7c8f",
+    ("gas1d", "rho"):
+        "b787e7008257261f68a8673f0d25c7d943f32a56c5f7b7bc0343df7d4b980ce8",
+    ("gas1d", "u"):
+        "9172d5375b790fd2e8c93b421c76eaa67079181de8139423f5fe93e76bd2fd72",
+    ("gas1d", "p"):
+        "8f1ec0987cb91c150fb0a967e5785d7dbe99932499d053bb1416e411a87a7161",
+    ("gas3d", "rho"):
+        "28a13d199bc34b2796e3e3772c4250cc28aff9a29000bee4f555fad758334fa3",
+    ("gas3d", "u"):
+        "29bb3caa7f0fe5c5956704ff62547994e0b1a6c0b9cf9a837bce464cb0586f65",
+    ("gas3d", "v"):
+        "a5529c4b57a69a042e466ce6a227c81cba7fa89cb10af11cb6f312e526a42284",
+    ("gas3d", "w"):
+        "1b12a4e13662d2501bdb9cacf611d07dc07477a436d1230d6286bbe28531cf18",
+    ("gas3d", "p"):
+        "131bb7ded83cc6aec0f54d67dd4576e924113dac59f16aa153b9de8595eae74b",
+}
+
+
+@pytest.mark.parametrize("model,var", list(EULER_PINS),
+                         ids=[f"{m}-{v}" for m, v in EULER_PINS])
+def test_euler_output_unchanged(model, var):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = main(["euler", model, EULER_EXPRS[model], "--var", var, "--json"])
+    assert rc == 0
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == \
+        EULER_PINS[model, var]
+
+
+def test_sp_order_one_multiplier_unchanged():
+    # the one multiplier u^2*u[x] - 2*u[t] passes the instantiated check
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = main("multipliers sp --degree 3 --order 1 --json".split())
+    out = buf.getvalue()
+    assert rc == 0
+    assert '"u^2*u[x] - 2*u[t]"' in out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "69d43012095bdac4c688120acfcc00cfdd139a82ba545906e4fa9a996df9804f")
+
+
+# reduced residuals of euler(psi * F) per dependent variable: zero for kdv
+# with psi = u (kdv is nonlinearly self-adjoint), and not for the others
+SELF_ADJOINTNESS_PINS = [
+    ("kdv", ("u",), ("0",)),
+    ("kdv", ("x*u[x]",), ("-x*u[x]^2 + u*u[x] + 3*u[x,x,x]",)),
+    ("gas1d", ("u", "rho", "p"), ("0", "-5*p*p[x]", "5*u[x]*p")),
+    ("fw", ("u",), ("3*u[x]*u[x,x]",)),
+]
+
+
+@pytest.mark.parametrize("name,psi,residuals", SELF_ADJOINTNESS_PINS)
+def test_self_adjointness_residuals_unchanged(name, psi, residuals):
+    model = builtin_models()[name]
+    report = self_adjointness_check(
+        model.system, [parse(s, model.table) for s in psi])
+    assert tuple(str(r) for r in report.residuals) == residuals
+    assert report.holds == all(r == "0" for r in residuals)

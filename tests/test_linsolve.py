@@ -178,3 +178,46 @@ def test_linsolve_matches_sympy():
         assert list(got.particular) == _fractions(want)
         assert got.dimension == len(params)
     assert 10 < inconsistent < 140
+
+
+def test_repeated_rows_reach_the_echelon_once(monkeypatch):
+    """Multiplier systems repeat rows; each distinct (row, rhs) pair is fed
+    to `try_add` once, a row repeated with another right-hand side still
+    makes the system inconsistent, and repeats change no solution."""
+    sympy = pytest.importorskip("sympy")
+    fed = []
+    try_add = IncrementalSystem.try_add
+
+    def counted(self, row, b, steps=None):
+        fed.append((frozenset(row.items()), b))
+        return try_add(self, row, b, steps)
+
+    monkeypatch.setattr(IncrementalSystem, "try_add", counted)
+    rows = [[1, 2, 0], [0, 1, 1], [Fraction(1), 2, 0], [0, 1, 1], [1, 2, 0]]
+    got = solve(RationalMatrix(rows), [1, 2, 1, 2, 1])
+    assert len(fed) == len(set(fed)) == 2
+    assert got.particular == (-3, 2, 0) and got.basis == [(2, -1, 1)]
+    assert solve(RationalMatrix(rows), [1, 2, 1, 2, 3]) is None
+    fed.clear()
+    assert nullspace(RationalMatrix(rows)).basis == [(2, -1, 1)]
+    assert len(fed) == 2
+
+    rng = random.Random(35)
+    for _ in range(60):
+        rows, rhs = _random_system(rng)
+        for _ in range(rng.randint(1, 4)):
+            i = rng.randrange(len(rows))
+            rows.append(rows[i])
+            rhs.append(rhs[i] + (rng.random() < 0.3))
+        fed.clear()
+        got = solve(RationalMatrix(rows), rhs)
+        assert len(fed) == len(set(fed))
+        S = sympy.Matrix([[sympy.Rational(x) for x in r] for r in rows])
+        try:
+            sol, params = S.gauss_jordan_solve(
+                sympy.Matrix([sympy.Rational(b) for b in rhs]))
+        except ValueError:
+            assert got is None
+            continue
+        assert list(got.particular) == \
+            _fractions(sol.subs({p: 0 for p in params}))

@@ -7,7 +7,8 @@ witness columns differentiate reduced theta entries, which is sound because
 of the last three.  `PdeSystem.reduced_derivative` is checked against
 `reduce(total_derivative(e, v))`, also under concurrent use, and `verify`,
 which reduces each component before it differentiates, against
-`reduce(divergence(T))`."""
+`reduce(divergence(T))`.  The gradient behind the Euler operator is
+checked against one `pdiff` pass per jet, on the same components."""
 
 import random
 import sys
@@ -18,12 +19,12 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from clawforge.calculus import (divergence, total_derivative,  # noqa: E402
-                                total_derivative_mi)
+from clawforge.calculus import (_gradient, divergence, euler,  # noqa: E402
+                                total_derivative, total_derivative_mi)
 from clawforge.corpus import GAS1D_TEXT  # noqa: E402
-from clawforge.expr import Jet, Param, substitute  # noqa: E402
-from clawforge.lawgen import (formal_lagrangian, symmetry_flux,  # noqa: E402
-                              verify)
+from clawforge.expr import ZERO, Jet, Param, pdiff, substitute  # noqa: E402
+from clawforge.lawgen import (_euler_residuals,  # noqa: E402
+                              formal_lagrangian, symmetry_flux, verify)
 from clawforge.modelfile import (ansatz_spaces, laws_from_text,  # noqa: E402
                                  parse_model_text)
 from clawforge.parse import parse  # noqa: E402
@@ -340,3 +341,70 @@ def test_verify_rejects_a_wrong_component_count(kdv):
     T = [parse("u", kdv.table)]
     assert _outcome(lambda: verify(kdv.system, T)) == ("raises", ValueError)
     _check_verify(kdv.system, T)
+
+
+# -- the gradient: one pass over the terms gives every partial ----------------
+
+def per_jet_partials(e):
+    """The reference: one `pdiff` pass over e per jet it holds, as the
+    Euler operator took its partials before the gradient."""
+    return {a: pdiff(e, a) for a in e.atoms() if isinstance(a, Jet)}
+
+
+def per_jet_euler(e, alpha):
+    """The reference Euler operator: the sum over the jets u^alpha_J of e
+    of (-1)^|J| D_J pdiff(e, u^alpha_J), one pdiff pass per jet."""
+    out = ZERO
+    for a, d in per_jet_partials(e).items():
+        if a.alpha == alpha:
+            out = out + (-1) ** a.order * total_derivative_mi(d, a.mi)
+    return out
+
+
+# (model, strategy options, examples): the components above, with function
+# symbols in gas1d and gas3d, opaque powers everywhere and parameters
+GRADIENT_CASES = [
+    ("kdv", {"max_order": 3, "max_factors": 2, "max_terms": 3}, 30),
+    ("sp", {"max_order": 2, "max_factors": 2, "max_terms": 2}, 30),
+    ("gas1d", {"max_order": 2, "max_factors": 2, "max_terms": 2}, 30),
+    ("gas3d", {"max_order": 1, "max_factors": 2, "max_terms": 2}, 10),
+]
+
+
+@pytest.mark.parametrize("name,opts,examples", GRADIENT_CASES,
+                         ids=[c[0] for c in GRADIENT_CASES])
+def test_gradient_matches_per_jet_pdiff(models, name, opts, examples):
+    entry = models[name]
+    table = entry.table
+
+    @settings(max_examples=examples, deadline=None, derandomize=True)
+    @given(e=components(entry, opts))
+    def check(e):
+        grad = _gradient(e)
+        partials = per_jet_partials(e)
+        assert set(grad) == set(partials)
+        for a, d in partials.items():
+            assert grad[a] == d
+        expected = [per_jet_euler(e, alpha) for alpha in range(table.m)]
+        assert [euler(e, alpha, table) for alpha in range(table.m)] == expected
+        assert _euler_residuals(e, table) == expected
+
+    check()
+
+
+def test_gradient_serves_every_formal_lagrangian_partial(models):
+    # L = psi^a F_a over each model's own psi ansatz and, for gas3d, five
+    # reference densities as psi, one with a rational power of rho
+    for name, entry in models.items():
+        table, system = entry.table, entry.system
+        if name == "gas3d":
+            psi = [entry.laws[law].components[0] for law in
+                   ("entropy", "energy", "mass", "momentum-x", "angular-z")]
+        else:
+            psi = [a.expr for a in ansatz_spaces(entry)["psi"]]
+        L = formal_lagrangian(system, psi)
+        grad = _gradient(L)
+        for a, d in per_jet_partials(L).items():
+            assert grad[a] == d
+        assert _euler_residuals(L, table) == \
+            [per_jet_euler(L, alpha) for alpha in range(table.m)]

@@ -200,7 +200,7 @@ def cmd_multipliers(args):
     model = _resolve_model(args.model)
     table = model.table
     basis = monomial_basis(table, args.degree, jet_order=args.order)
-    ansatz = [make_ansatz(basis, f"v{i}_", set(table.params))
+    ansatz = [make_ansatz(basis, f"v{i}_")
               for i in range(len(model.system.equations))]
     try:
         det, mults = solve_multipliers(model.system, ansatz)

@@ -2,9 +2,9 @@
 
 An expression is a normalized sum of terms.  Each term is an exact rational
 coefficient times a multiset of (base, exponent) factors, where a base is an
-atom (independent variable, jet coordinate, unknown constant, or formal
-function symbol) or a polynomial sub-expression carried opaquely under a
-negative-integer or fractional rational exponent.
+atom (independent variable, jet coordinate, model parameter, ansatz
+unknown, or formal function symbol) or a polynomial sub-expression carried
+opaquely under a negative-integer or fractional rational exponent.
 
 Normal forms are canonical: syntactic equality of normal forms decides
 zero-equivalence for this expression class (polynomials in jets and
@@ -84,9 +84,6 @@ class Atom:
 
     def __eq__(self, other):
         return self is other or (isinstance(other, Atom) and self._key == other._key)
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     def __lt__(self, other):
         return self._key < other._key
@@ -191,7 +188,7 @@ class Jet(Atom):
 
 
 class Param(Atom):
-    """Unknown constant (ansatz coefficient, arbitrary constant)."""
+    """Constant parameter declared by a model."""
 
     __slots__ = ("name",)
 
@@ -201,6 +198,18 @@ class Param(Atom):
 
     def __repr__(self):
         return self.name
+
+
+class Unknown(Param):
+    """Ansatz unknown (see `lawgen.make_ansatz`): a Param that prints like
+    one, but whose own sort key keeps it unequal to every model parameter,
+    whatever the names."""
+
+    __slots__ = ()
+
+    def __init__(self, name):
+        self.name = name
+        self._set_key((4, name))
 
 
 class FuncSym(Atom):
@@ -279,10 +288,6 @@ class Expr:
                 return self == Expr.const(other)
             return NotImplemented
         return self.terms == other.terms
-
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return NotImplemented if r is NotImplemented else not r
 
     # -- predicates --
 
@@ -806,55 +811,31 @@ def _replaced(b, k, subs):
 # Collection by monomials
 # ---------------------------------------------------------------------------
 
-class LinearForm:
-    """Affine form  const + sum(coeffs[p] * p)  over Param unknowns."""
-
-    __slots__ = ("const", "coeffs")
-
-    def __init__(self):
-        self.const = 0
-        self.coeffs = {}
-
-    def items(self):
-        return sorted(self.coeffs.items(), key=lambda kv: kv[0].sort_key())
-
-    def __repr__(self):
-        parts = [str(self.const)] if self.const else []
-        parts += [f"{c}*{p!r}" for p, c in self.items()]
-        return " + ".join(parts) if parts else "0"
-
-
 def collect(e, unknowns):
-    """Partition e as sum over monomial keys of key * (affine form in the
-    unknown parameters).  Keys are canonical factor tuples free of unknowns,
-    in deterministic order.  Raises NonlinearError if any term has joint
-    degree > 1 in the unknowns."""
-    unknowns = frozenset(unknowns)
+    """Split the normal form e, linear in `unknowns` (a set or dict of
+    atoms), by monomial: {key: {unknown: coefficient}}, with the part free
+    of unknowns under None.  A key is the factor tuple of a term of e
+    without its unknown, so it is canonical; keys come in `_monokey` order.
+    Each (key, unknown) pair is one term of e, so no coefficient is zero.
+    Raises NonlinearError on a term with a product or a power of unknowns."""
     found = {}
     for coeff, factors in e.terms:
-        present = [(b, k) for b, k in factors if b in unknowns]
-        if len(present) > 1 or (present and present[0][1] != 1):
+        hits = [i for i, (b, _) in enumerate(factors) if b in unknowns]
+        if len(hits) > 1 or (hits and factors[hits[0]][1] != 1):
             raise NonlinearError(
                 f"term is nonlinear in the unknowns: {Expr(((coeff, factors),))!r}",
                 term=(coeff, factors))
-        if present:
-            key = tuple(fe for fe in factors if fe[0] not in unknowns)
+        if hits:
+            i = hits[0]
+            p, key = factors[i][0], factors[:i] + factors[i + 1:]
         else:
-            key = factors
+            p, key = None, factors
         form = found.get(key)
         if form is None:
-            form = found[key] = LinearForm()
-        if present:
-            p = present[0][0]
-            form.coeffs[p] = form.coeffs.get(p, 0) + coeff
+            found[key] = {p: coeff}
         else:
-            form.const += coeff
+            form[p] = coeff
     return {key: found[key] for key in sorted(found, key=_monokey)}
-
-
-def key_expr(key):
-    """The monomial Expr corresponding to a collect() key."""
-    return Expr(((1, key),))
 
 
 # ---------------------------------------------------------------------------

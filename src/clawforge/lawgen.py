@@ -17,9 +17,9 @@ from functools import cached_property
 from math import factorial
 from types import SimpleNamespace
 
-from .expr import (Expr, FuncSym, Jet, Param, ZERO, _build, _monokey,
-                   _normal, _num, _product_terms, _quot, _term_product,
-                   collect)
+from .expr import (Expr, FuncSym, Jet, Param, Unknown, ZERO, _build,
+                   _monokey, _normal, _num, _product_terms, _quot,
+                   _term_product, collect)
 from .calculus import (Prolongation, _euler, _gradient, apply_generator,
                        divergence, total_derivative)
 from .calculus import characteristic  # re-exported
@@ -91,28 +91,23 @@ def _jets(table, lo, hi):
             for combo in itertools.combinations_with_replacement(table.indep, k)]
 
 
-def _fresh_params(prefix, count, forbidden):
-    while any(f"{prefix}{i}" in forbidden for i in range(count)):
-        prefix += "_"
-    return tuple(Param(f"{prefix}{i}") for i in range(count))
-
-
-def _param_names(exprs):
-    return {a.name for e in exprs for a in e.atoms() if isinstance(a, Param)}
-
-
-def _unknowns(ansatz_list):
-    """The unknowns of all the ansatz spaces, each once, in first-seen
+def _columns(ansatz_list):
+    """Each unknown of the ansatz spaces -> its column, in first-seen
     order."""
-    return list(dict.fromkeys(p for a in ansatz_list for p in a.unknowns))
+    unknowns = dict.fromkeys(p for a in ansatz_list for p in a.unknowns)
+    return {p: i for i, p in enumerate(unknowns)}
 
 
-def make_ansatz(basis, prefix, forbidden=()):
+def make_ansatz(basis, prefix):
+    """The ansatz sum(unknown_m * basis_m) with one new `expr.Unknown`
+    named prefix + m per basis entry.  Unknowns are an atom kind of their
+    own, so a model parameter of the same name is a different atom."""
     basis = tuple(basis)
-    return Ansatz(_fresh_params(prefix, len(basis), set(forbidden)), basis)
+    return Ansatz(tuple(Unknown(f"{prefix}{i}") for i in range(len(basis))),
+                  basis)
 
 
-def default_theta_ansatz(table, degree=3, jet_order=2, gens=None, forbidden=()):
+def default_theta_ansatz(table, degree=3, jet_order=2, gens=None):
     """Witness space for the triviality tests: polynomial monomials over
     `gens` (default: independent and dependent variables) plus jet-bearing
     monomials (single jets up to jet_order, and products of two first-order
@@ -134,7 +129,7 @@ def default_theta_ansatz(table, degree=3, jet_order=2, gens=None, forbidden=()):
         for j1, j2 in itertools.combinations_with_replacement(firsts, 2):
             basis.append(_build(_product_terms(
                 m.terms, _product_terms(j1.terms, j2.terms))))
-    return make_ansatz(dict.fromkeys(basis), "th", forbidden)
+    return make_ansatz(dict.fromkeys(basis), "th")
 
 
 # ---------------------------------------------------------------------------
@@ -234,37 +229,47 @@ def flux_identity_residual(L, g, system):
 # Linear-system plumbing
 # ---------------------------------------------------------------------------
 
-def _linear_rows(exprs, unknowns):
-    """Collect each expr over the unknowns; returns (rows, rhs) where rows
-    are sparse dicts from unknown position to coefficient and rhs =
-    -constant part."""
-    column = {p: i for i, p in enumerate(unknowns)}
+def _linear_rows(exprs, column):
+    """Collect each expr over the unknowns, the keys of `column` (unknown ->
+    column); returns (rows, rhs), one per key: the sparse row from column
+    to coefficient, and minus the part free of unknowns."""
     rows, rhs = [], []
     for e in exprs:
-        for form in collect(e, unknowns).values():
-            rows.append({column[p]: c for p, c in form.coeffs.items()})
-            rhs.append(-form.const)
+        for form in collect(e, column).values():
+            rhs.append(-form.pop(None, 0))
+            rows.append({column[p]: c for p, c in form.items()})
     return rows, rhs
 
 
-def _instantiate(e, mapping):
-    """Substitute rational values for unknown Params of an expression that
-    is linear in them, in a single pass over the terms."""
+def _instantiate(exprs, column, vectors):
+    """The expressions `exprs`, linear in the unknowns of `column`, at each
+    solution vector (indexed like `column`): one (the nonzero values by
+    unknown, the tuple of instances) per vector.  Each expression is
+    collected once and its entries grouped by unknown (None for the part
+    free of them); an instance sums the entries of the nonzero unknowns.
+    The keys of a normal form split by `collect` are canonical, distinct
+    and in order, and any subset of them is too, so the nonzero sums are
+    the terms of the instance as they are."""
+    forms = []
+    for e in exprs:
+        form, by = collect(e, column), {}
+        for i, coeffs in enumerate(form.values()):
+            for p, c in coeffs.items():
+                by.setdefault(p, {})[i] = c
+        forms.append((list(form), by))
     out = []
-    for coeff, factors in e.terms:
-        c = coeff
-        rest = factors
-        hit = False
-        for i, (b, k) in enumerate(factors):
-            if isinstance(b, Param) and b in mapping:
-                if hit or k != 1:
-                    raise ValueError("expression is not linear in the unknowns")
-                hit = True
-                c = c * mapping[b]
-                rest = factors[:i] + factors[i + 1:]
-        if c != 0:
-            out.append((c, rest))
-    return _build(out)
+    for vec in vectors:
+        values = {p: x for p, x in zip(column, vec) if x}
+        instances = []
+        for keys, by in forms:
+            acc = dict(by.get(None, {}))
+            for p, v in values.items():
+                for i, c in by.get(p, {}).items():
+                    acc[i] = acc.get(i, 0) + c * v
+            instances.append(Expr(tuple((_num(c), keys[i])
+                                        for i, c in sorted(acc.items()) if c)))
+        out.append((values, tuple(instances)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -281,12 +286,12 @@ def multiplier_determining_system(system, ansatz_list):
         raise ValueError("need one multiplier ansatz per equation")
     for a in ansatz_list:
         a.require_polynomial("multiplier")
-    unknowns = _unknowns(ansatz_list)
+    column = _columns(ansatz_list)
     L = formal_lagrangian(system, [a.expr for a in ansatz_list])
-    rows, rhs = _linear_rows(_euler_residuals(L, table), unknowns)
+    rows, rhs = _linear_rows(_euler_residuals(L, table), column)
     if any(b != 0 for b in rhs):
         raise AnsatzError("multiplier system is not homogeneous")
-    return RationalMatrix(rows, ncols=len(unknowns))
+    return RationalMatrix(rows, ncols=len(column))
 
 
 def solve_multipliers(system, ansatz_list):
@@ -295,14 +300,11 @@ def solve_multipliers(system, ansatz_list):
     defining identity exactly (checked)."""
     det = multiplier_determining_system(system, ansatz_list)
     space = linsolve.nullspace(det)
-    unknowns = _unknowns(ansatz_list)
-    table = system.table
     out = []
-    for vec in space.basis:
-        mapping = dict(zip(unknowns, vec))
-        v = tuple(_instantiate(a.expr, mapping) for a in ansatz_list)
+    for _, v in _instantiate([a.expr for a in ansatz_list],
+                             _columns(ansatz_list), space.basis):
         L = formal_lagrangian(system, list(v))
-        if any(E.terms for E in _euler_residuals(L, table)):
+        if any(E.terms for E in _euler_residuals(L, system.table)):
             raise RuntimeError("internal error: multiplier fails the "
                                "defining identity after instantiation")
         out.append(v)
@@ -594,15 +596,13 @@ def _law_rhs_map(reds):
     return out
 
 
-def _witness_space(system, witness_space, theta_ansatz, exprs):
+def _witness_space(system, witness_space, theta_ansatz):
     """The given witness space, else one over the given theta ansatz, else
-    one over the default theta ansatz with unknowns that avoid the
-    parameter names in `exprs` (iterated only in that last case)."""
+    one over the default theta ansatz."""
     if witness_space is not None:
         return witness_space
     if theta_ansatz is None:
-        theta_ansatz = default_theta_ansatz(system.table,
-                                            forbidden=_param_names(exprs))
+        theta_ansatz = default_theta_ansatz(system.table)
     return WitnessSpace(system, theta_ansatz)
 
 
@@ -628,7 +628,7 @@ def is_trivial(system, T, theta_ansatz=None, witness_space=None):
     reds = [system.reduce(c) for c in T]
     ws = None
     if system.table.n == 2 and not all(r.is_zero for r in reds):
-        ws = _witness_space(system, witness_space, theta_ansatz, T)
+        ws = _witness_space(system, witness_space, theta_ansatz)
     return _triviality(reds, ws)[0]
 
 
@@ -652,8 +652,7 @@ def vectors_equivalent_mod_trivial(system, A, B, theta_ansatz=None,
     if system.table.n != 2:
         raise ValueError("equivalence test implemented for two independent "
                          "variables")
-    ws = _witness_space(system, witness_space, theta_ansatz,
-                        list(A) + list(B))
+    ws = _witness_space(system, witness_space, theta_ansatz)
     return _equivalent(ws, _law_rhs_map([system.reduce(c) for c in A]),
                        _law_rhs_map([system.reduce(c) for c in B]), (0, 1),
                        allow_scale)
@@ -667,7 +666,7 @@ def density_equivalent_mod_trivial(system, a, b, theta_ansatz=None,
     if system.table.n != 2:
         raise ValueError("density test implemented for two independent "
                          "variables")
-    ws = _witness_space(system, witness_space, theta_ansatz, [a, b])
+    ws = _witness_space(system, witness_space, theta_ansatz)
     return _equivalent(ws, _coeff_map(system.reduce(a), 0),
                        _coeff_map(system.reduce(b), 0), (0,), allow_scale)
 
@@ -685,7 +684,7 @@ def strip_trivial(system, T, theta_ansatz=None, witness_space=None):
     base = tuple(system.reduce(c) for c in T)
     if system.table.n != 2:
         return base
-    ws = _witness_space(system, witness_space, theta_ansatz, T)
+    ws = _witness_space(system, witness_space, theta_ansatz)
     _, coeffs = ws.fit(_law_rhs_map(base))
     return ws.strip(base, coeffs)
 
@@ -708,10 +707,6 @@ class ConservedVector:
     residual: Expr = ZERO
     stripped: tuple | None = None
     triviality: TrivialityReport | None = None
-
-    @property
-    def verified(self):
-        return self.residual.is_zero
 
     @property
     def h_is_zero(self):
@@ -753,31 +748,27 @@ def mixed_method(system, g, psi_ansatz, h_ansatz, *, include_xi_l=False,
     for a in h_ansatz:
         a.require_polynomial("H")
 
-    unknowns = _unknowns(list(psi_ansatz) + list(h_ansatz))
+    ansatz = list(psi_ansatz) + list(h_ansatz)
+    column = _columns(ansatz)
 
     L = formal_lagrangian(system, [a.expr for a in psi_ansatz])
     C = symmetry_flux(L, g, system, include_xi_l=include_xi_l)
     T = [c + a.expr for c, a in zip(C, h_ansatz)]
-    R = verify(system, T)
 
-    rows, rhs = _linear_rows([R], unknowns)
+    rows, rhs = _linear_rows([verify(system, T)], column)
     if any(b != 0 for b in rhs):
         raise RuntimeError("internal error: mixed determining system is "
                            "not homogeneous")
-    det = RationalMatrix(rows, ncols=len(unknowns))
+    det = RationalMatrix(rows, ncols=len(column))
     space = linsolve.nullspace(det)
 
-    ws = None
-    if table.n == 2:
-        ws = _witness_space(system, None, theta_ansatz,
-                            (a.expr for a in list(psi_ansatz) + list(h_ansatz)))
+    ws = _witness_space(system, None, theta_ansatz) if table.n == 2 else None
 
+    n = table.n
     laws, trivia = [], []
-    for vec in space.basis:
-        mapping = dict(zip(unknowns, vec))
-        comps = tuple(_instantiate(c, mapping) for c in T)
-        psi = tuple(_instantiate(a.expr, mapping) for a in psi_ansatz)
-        h = tuple(_instantiate(a.expr, mapping) for a in h_ansatz)
+    for values, inst in _instantiate(T + [a.expr for a in ansatz], column,
+                                     space.basis):
+        comps, psi, h = inst[:n], inst[n:-n], inst[-n:]
         reds = tuple(system.reduce(c) for c in comps)
         residual = _reduced_divergence(system, reds)
         if not residual.is_zero:
@@ -785,7 +776,7 @@ def mixed_method(system, g, psi_ansatz, h_ansatz, *, include_xi_l=False,
                                "re-verification")
         law = ConservedVector(
             components=comps, psi=psi, h=h, generator=g.label,
-            coefficients={p.name: v for p, v in mapping.items() if v != 0},
+            coefficients={p.name: v for p, v in values.items()},
             residual=residual)
         law.triviality, coeffs = _triviality(reds, ws)
         if law.triviality.trivial:
@@ -812,15 +803,15 @@ def fluxes_from_multipliers(system, multipliers, h_ansatz):
         raise ValueError("need one multiplier per equation")
     for a in h_ansatz:
         a.require_polynomial("flux")
-    unknowns = _unknowns(h_ansatz)
+    column = _columns(h_ansatz)
     target = formal_lagrangian(system, list(multipliers))
     residual = target - divergence([a.expr for a in h_ansatz], table)
-    rows, rhs = _linear_rows([residual], unknowns)
-    sol = linsolve.solve(RationalMatrix(rows, ncols=len(unknowns)), rhs)
+    rows, rhs = _linear_rows([residual], column)
+    sol = linsolve.solve(RationalMatrix(rows, ncols=len(column)), rhs)
     if sol is None:
         return None
-    mapping = dict(zip(unknowns, sol.particular))
-    phi = tuple(_instantiate(a.expr, mapping) for a in h_ansatz)
+    (_, phi), = _instantiate([a.expr for a in h_ansatz], column,
+                             [sol.particular])
     if not (target - divergence(list(phi), table)).is_zero:
         raise RuntimeError("internal error: reconstructed flux fails the "
                            "divergence identity")
@@ -858,17 +849,7 @@ def expr_span_equal(exprs_a, exprs_b):
     """Span equality of two lists of expressions, decided by exact
     elimination over their joint monomial coefficient vectors."""
     exprs_a, exprs_b = list(exprs_a), list(exprs_b)
-    keys = set()
-    collected = []
-    for e in exprs_a + exprs_b:
-        c = collect(e, frozenset())
-        collected.append(c)
-        keys |= set(c.keys())
-    keys = sorted(keys, key=_monokey)
-
-    def vec(c):
-        return [c[k].const if k in c else 0 for k in keys]
-
-    va = [vec(c) for c in collected[:len(exprs_a)]]
-    vb = [vec(c) for c in collected[len(exprs_a):]]
-    return linsolve.span_equal(va, vb)
+    maps = [_coeff_map(e, 0) for e in exprs_a + exprs_b]
+    keys = sorted(set().union(*maps))
+    vecs = [[m.get(k, 0) for k in keys] for m in maps]
+    return linsolve.span_equal(vecs[:len(exprs_a)], vecs[len(exprs_a):])

@@ -357,8 +357,6 @@ def ansatz_spaces(model, **overrides):
     def setting(key):
         return cfg.get(key, _DEFAULTS.get(key))
 
-    forbidden = set(table.params)
-
     def basis_for(kind):
         degree = setting(f"{kind}_degree")
         jets = setting(f"{kind}_jets")
@@ -367,15 +365,15 @@ def ansatz_spaces(model, **overrides):
         return monomial_basis(table, degree, jet_order=jets, gens=gens)
 
     psi_basis = basis_for("psi")
-    psi = [make_ansatz(psi_basis, f"p{alpha}_", forbidden)
+    psi = [make_ansatz(psi_basis, f"p{alpha}_")
            for alpha in range(len(model.system.equations))]
     h_basis = basis_for("h")
-    h = [make_ansatz(h_basis, f"h{i}_", forbidden) for i in range(table.n)]
+    h = [make_ansatz(h_basis, f"h{i}_") for i in range(table.n)]
     theta = None
     if table.n == 2:
         names = cfg.get("theta_vars")
         gens = (_gens_from_names(table, names, 1) if names else None)
         theta = default_theta_ansatz(table, degree=setting("theta_degree"),
                                      jet_order=setting("theta_jets"),
-                                     gens=gens, forbidden=forbidden)
+                                     gens=gens)
     return {"psi": psi, "h": h, "theta": theta}

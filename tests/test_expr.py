@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from clawforge.expr import (ZERO, Atom, DomainError, Expr, FuncSym,
-                            NonlinearError, SymbolTable, _build, _expand_term,
-                            _num, _term_product, collect, key_expr,
-                            make_power, pdiff, substitute)
+                            NonlinearError, Param, SymbolTable, Unknown,
+                            _build, _expand_term, _num, _term_product,
+                            collect, make_power, pdiff, substitute)
 from clawforge.lawgen import make_ansatz
 from clawforge.parse import parse
 
@@ -260,10 +260,8 @@ def test_substitute_touched_and_untouched_terms_agree(tab):
 def test_collect_basic(tab):
     c0, c1 = tab.params["c0"], tab.params["c1"]
     got = collect(P(tab, "c0*u[x] + c1*u*u[x]"), {c0, c1})
-    keys = {str(key_expr(k)): form for k, form in got.items()}
-    assert set(keys) == {"u[x]", "u*u[x]"}
-    assert keys["u[x]"].coeffs[c0] == 1
-    assert keys["u*u[x]"].coeffs[c1] == 1
+    keys = {str(Expr(((1, k),))): form for k, form in got.items()}
+    assert keys == {"u[x]": {c0: 1}, "u*u[x]": {c1: 1}}
 
 
 def test_collect_zero(tab):
@@ -282,8 +280,18 @@ def test_collect_constant_part(tab):
     c0 = tab.params["c0"]
     got = collect(P(tab, "u + c0*u"), {c0})
     (key, form), = got.items()
-    assert str(key_expr(key)) == "u"
-    assert form.const == 1 and form.coeffs[c0] == 1
+    assert str(Expr(((1, key),))) == "u"
+    assert form == {None: 1, c0: 1}
+
+
+def test_unknown_prints_like_a_param_but_never_equals_one(tab):
+    c0, u0 = tab.params["c0"], Unknown("c0")
+    assert isinstance(u0, Param) and repr(u0) == repr(c0) == "c0"
+    assert u0 != c0 and c0 != u0 and len({u0, c0}) == 2
+    assert u0 == Unknown("c0")
+    # the parameter stays in the key
+    (key, form), = collect(c0 * u0 + 2 * c0, {u0}).items()
+    assert key == ((c0, 1),) and form == {None: 2, u0: 1}
 
 
 # -- misc ----------------------------------------------------------------------

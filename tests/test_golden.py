@@ -5,8 +5,9 @@ three verify-seeded seeds must get the verdicts their construction fixes
 and print the recorded bytes, and so must `mixed gas3d --generator X1`,
 `verify gas3d gas3d` and ten `--verbose` mixed jobs, which print the
 stripped laws and the trivial witnesses.  The `euler` command on radical
-inputs, the one order-1 multiplier of sp and the self-adjointness
-residuals are pinned too.  This is the gate for refactors that promise
+inputs, the one order-1 multiplier of sp, the self-adjointness
+residuals, three more mixed runs, the fluxes of kdv's multipliers and a
+model whose parameters are named like ansatz unknowns are pinned too.  This is the gate for refactors that promise
 unchanged results."""
 
 import contextlib
@@ -21,8 +22,9 @@ from clawforge.calculus import Prolongation
 from clawforge.cli import main
 from clawforge.corpus import builtin_models
 from clawforge.expr import Param
-from clawforge.lawgen import (formal_lagrangian, self_adjointness_check,
-                              symmetry_flux)
+from clawforge.lawgen import (fluxes_from_multipliers, formal_lagrangian,
+                              make_ansatz, monomial_basis,
+                              self_adjointness_check, symmetry_flux)
 from clawforge.parse import parse
 
 from helpers import perfbench_workloads
@@ -332,3 +334,97 @@ def test_self_adjointness_residuals_unchanged(name, psi, residuals):
         model.system, [parse(s, model.table) for s in psi])
     assert tuple(str(r) for r in report.residuals) == residuals
     assert report.holds == all(r == "0" for r in residuals)
+
+
+def _digest(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = main(argv)
+    assert rc == 0
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+# sha256 of runs that instantiate many laws from one parametrized flux: a
+# larger psi ansatz, the gas1d projective generator with its trivial laws
+# and witnesses, and a combined generator
+INSTANTIATION_PINS = {
+    "mixed kdv --generator X4 --psi-degree 3 --json":
+        "1a9728b28f6d90a4ad89d924812c5d657bcc1957ff68b310051445e373c9b819",
+    "mixed gas1d --generator X13 --psi-degree 1 --verbose --json":
+        "a2aa4142417c256d753e27b8c2184a4121a2edbee34ddb8ba425c2a5cebde2a0",
+    "mixed kdv --generator X3+2*X4 --json":
+        "3be2509864033364f8775fcbf784049b5dc13ad595b69e0e08c82fb7adb57aa7",
+}
+
+
+@pytest.mark.parametrize("job,digest", INSTANTIATION_PINS.items(),
+                         ids=list(INSTANTIATION_PINS))
+def test_instantiated_laws_unchanged(job, digest):
+    assert _digest(job.split()) == digest
+
+
+# a kdv model file whose parameters are named like the ansatz unknowns
+# (p0_0, h0_0, h1_0 of mixed, v0_0 of multipliers, th0 of the witness
+# space), and a variant whose equation holds one of them; an unknown never
+# stands for a model parameter, so the first prints what kdv prints and
+# the second treats p0_0 as a generic coefficient
+COLLISION_MODEL = """
+[model]
+name: {name}
+
+[vars]
+independent: t, x
+dependent: u
+parameters: p0_0, h0_0, h1_0, v0_0, th0
+
+[equations]
+u[t] = u[x,x,x] + {coef}u*u[x]
+
+[generators]
+X4: x = 1
+
+[ansatz]
+psi_degree: 2
+h_degree: 2
+"""
+COLLISION_PINS = {
+    ("kdv-params", "", "mixed {} --generator X4 --json"):
+        "8edcf4629fc30b315a328195c1c04cfc141e3fc432769e185aa5711525de54a9",
+    ("kdv-params", "", "multipliers {} --degree 2 --json"):
+        "67403bbbc014c95383ae3ad838ad5a9dd17b4d4117bcb246806caec95c3e45ff",
+    ("kdv-param-in-equation", "p0_0*", "mixed {} --generator X4 --json"):
+        "fdfa985013c9085d3b52609f94b431f50948fda09c18740f1c13a3f0cab2a977",
+    ("kdv-param-in-equation", "p0_0*", "multipliers {} --degree 2 --json"):
+        "c0ce98d510f2488f9f394e23534ff1cfe3c84ee27db1e17f0ddcf91798db7073",
+}
+
+
+@pytest.mark.parametrize("name,coef,job", list(COLLISION_PINS),
+                         ids=[f"{n}-{j.split()[0]}" for n, _, j in COLLISION_PINS])
+def test_parameters_named_like_unknowns(tmp_path, name, coef, job):
+    path = tmp_path / f"{name}.model"
+    path.write_text(COLLISION_MODEL.format(name=name, coef=coef),
+                    encoding="utf-8")
+    assert _digest(job.format(path).split()) == COLLISION_PINS[name, coef, job]
+
+
+# the fluxes of kdv's three multipliers over a degree-4 flux ansatz
+FLUX_FROM_MULTIPLIER_PINS = {
+    "1": ("u", "-1/2*u^2 - u[x,x]"),
+    "u": ("1/2*u^2", "-u*u[x,x] - 1/3*u^3 + 1/2*u[x]^2"),
+    "t*u + x": ("1/2*t*u^2 + x*u",
+                "-t*u*u[x,x] - 1/3*t*u^3 + 1/2*t*u[x]^2 - 1/2*x*u^2 - "
+                "x*u[x,x] + u[x]"),
+}
+
+
+def test_fluxes_from_multipliers_unchanged():
+    kdv = builtin_models()["kdv"]
+    table = kdv.table
+    t, x = table.indep
+    gens = [t, x] + [table.jet("u", mi) for mi in ((), ("x",), ("x", "x"))]
+    basis = monomial_basis(table, 4, gens=gens)
+    h = [make_ansatz(basis, "h0_"), make_ansatz(basis, "h1_")]
+    for psi, fluxes in FLUX_FROM_MULTIPLIER_PINS.items():
+        phi = fluxes_from_multipliers(kdv.system, [parse(psi, table)], h)
+        assert tuple(str(c) for c in phi) == fluxes

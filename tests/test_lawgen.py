@@ -306,6 +306,9 @@ def test_self_adjointness_rejects_unknowns():
     kdv = kdv_system(tab)
     with pytest.raises(ValueError):
         self_adjointness_check(kdv, [parse("c0*u", tab)])
+    # an ansatz unknown, named like the parameter c0
+    with pytest.raises(ValueError):
+        self_adjointness_check(kdv, [make_ansatz([parse("u", tab)], "c").expr])
 
 
 # -- the mixed pipeline --------------------------------------------------------------

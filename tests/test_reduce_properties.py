@@ -8,7 +8,8 @@ of the last three.  `PdeSystem.reduced_derivative` is checked against
 `reduce(total_derivative(e, v))`, also under concurrent use, and `verify`,
 which reduces each component before it differentiates, against
 `reduce(divergence(T))`.  The gradient behind the Euler operator is
-checked against one `pdiff` pass per jet, on the same components."""
+checked against one `pdiff` pass per jet, on the same components, and
+the instantiation of a `collect` form against `substitute`."""
 
 import random
 import sys
@@ -22,8 +23,9 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from clawforge.calculus import (_gradient, divergence, euler,  # noqa: E402
                                 total_derivative, total_derivative_mi)
 from clawforge.corpus import GAS1D_TEXT  # noqa: E402
-from clawforge.expr import ZERO, Jet, Param, pdiff, substitute  # noqa: E402
-from clawforge.lawgen import (_euler_residuals,  # noqa: E402
+from clawforge.expr import (ZERO, Jet, NonlinearError, Param,  # noqa: E402
+                            Unknown, collect, pdiff, substitute)
+from clawforge.lawgen import (_euler_residuals, _instantiate,  # noqa: E402
                               formal_lagrangian, symmetry_flux, verify)
 from clawforge.modelfile import (ansatz_spaces, laws_from_text,  # noqa: E402
                                  parse_model_text)
@@ -408,3 +410,43 @@ def test_gradient_serves_every_formal_lagrangian_partial(models):
             assert grad[a] == d
         assert _euler_residuals(L, table) == \
             [per_jet_euler(L, alpha) for alpha in range(table.m)]
+
+
+# -- instantiation: a combination of the collected form -----------------------
+
+# unknowns named like the parameters that `components` draws, which stay
+# part of the keys
+UNKNOWNS = [Unknown("c0"), Unknown("c1"), Unknown("a2")]
+
+
+@pytest.mark.parametrize("name,opts,examples", GRADIENT_CASES,
+                         ids=[c[0] for c in GRADIENT_CASES])
+def test_instantiate_matches_substitute(models, name, opts, examples):
+    comps = components(models[name], opts)
+    values = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+    @settings(max_examples=examples, deadline=None, derandomize=True)
+    @given(parts=st.lists(comps, min_size=len(UNKNOWNS) + 1,
+                          max_size=len(UNKNOWNS) + 1),
+           vals=st.lists(st.one_of(st.just(0), values),
+                         min_size=len(UNKNOWNS), max_size=len(UNKNOWNS)))
+    def check(parts, vals):
+        e = parts[0]
+        for p, b in zip(UNKNOWNS, parts[1:]):
+            e = e + p * b
+        column = {p: i for i, p in enumerate(UNKNOWNS)}
+        form = collect(e, column)
+        assert all(c for coeffs in form.values() for c in coeffs.values())
+        (values, (got,)), = _instantiate([e], column, [vals])
+        mapping = dict(zip(UNKNOWNS, vals))
+        assert values == {p: v for p, v in mapping.items() if v}
+        assert got == substitute(e, mapping)
+        b = parts[1]
+        if not b.is_zero:
+            c0, c1 = UNKNOWNS[:2]
+            with pytest.raises(NonlinearError):
+                collect(c0 * c1 * b, set(UNKNOWNS))
+            with pytest.raises(NonlinearError):
+                collect(c0 ** 2 * b, set(UNKNOWNS))
+
+    check()

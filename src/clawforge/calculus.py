@@ -8,7 +8,6 @@ prolongation of a point symmetry and the symmetry flux."""
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from functools import cached_property
 
 from .expr import (Atom, Expr, FuncSym, Jet, ONE, Param, _build, _chain_terms,
@@ -103,10 +102,9 @@ def divergence(T, table):
 # PDE systems in solved form
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Equation:
-    lead: Jet
-    rhs: Expr
+    def __init__(self, lead, rhs):
+        self.lead, self.rhs = lead, rhs
 
     @cached_property
     def expr(self):
@@ -239,21 +237,17 @@ class PdeSystem:
 # Generators and prolongation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Generator:
     """Infinitesimal generator xi^i d/dx^i + eta^a d/du^a.  Coefficients may
     depend on the independent and dependent variables (point symmetry) or on
     jets (generalized; accepted by characteristic and flux operations only).
     Parameters are allowed only in flagged parametrized families."""
 
-    xi: tuple
-    eta: tuple
-    label: str = ""
-    parametrized: bool = False
-
-    def __post_init__(self):
-        if not self.parametrized:
-            for c in list(self.xi) + list(self.eta):
+    def __init__(self, xi, eta, label="", parametrized=False):
+        self.xi, self.eta = xi, eta
+        self.label, self.parametrized = label, parametrized
+        if not parametrized:
+            for c in list(xi) + list(eta):
                 bad = [a for a in c.atoms() if isinstance(a, Param)]
                 if bad:
                     raise ValueError(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 
-from .modelfile import parse_model_text
+from .modelfile import _model_from_text
 
 
 KDV_TEXT = """
@@ -239,8 +239,9 @@ TEXTS = {"kdv": KDV_TEXT, "fw": FW_TEXT, "sp": SP_TEXT, "gas1d": GAS1D_TEXT,
 
 @functools.cache
 def builtin_models():
-    """The built-in models, keyed by name, in the order listed."""
-    return {name: parse_model_text(text) for name, text in TEXTS.items()}
+    """The built-in models, keyed by name, in the order listed; each parses
+    its [laws] when they are first read."""
+    return {name: _model_from_text(text) for name, text in TEXTS.items()}
 
 
 def get_model(name):

@@ -12,7 +12,6 @@ import heapq
 import itertools
 import threading
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import factorial
 from types import SimpleNamespace
@@ -35,22 +34,19 @@ class AnsatzError(ValueError):
 # Ansatz spaces
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Ansatz:
     """A finite-dimensional search space: the represented object is
     sum(unknown_m * basis_m).  Basis entries are pairwise distinct normal
     forms free of the unknowns."""
 
-    unknowns: tuple
-    basis: tuple
-
-    def __post_init__(self):
-        if len(self.unknowns) != len(self.basis):
+    def __init__(self, unknowns, basis):
+        self.unknowns, self.basis = unknowns, basis
+        if len(unknowns) != len(basis):
             raise AnsatzError("unknowns and basis differ in length")
-        if len({b.sort_key() for b in self.basis}) != len(self.basis):
+        if len({b.sort_key() for b in basis}) != len(basis):
             raise AnsatzError("ansatz basis entries must be distinct")
-        mine = set(self.unknowns)
-        for b in self.basis:
+        mine = set(unknowns)
+        for b in basis:
             if mine & b.atoms():
                 raise AnsatzError(f"ansatz basis entry {b!r} contains an unknown")
 
@@ -331,11 +327,11 @@ def _reduced_divergence(system, reds):
                    for t in system.reduced_derivative_terms(r, v)])
 
 
-@dataclass
 class TrivialityReport:
-    trivial: bool
-    kind: str | None = None       # "vanishing" | "curl"
-    witness: Expr | None = None   # theta for curl-type triviality
+    def __init__(self, trivial, kind=None, witness=None):
+        self.trivial = trivial
+        self.kind = kind          # "vanishing" | "curl"
+        self.witness = witness    # theta for curl-type triviality
 
     def __bool__(self):
         return self.trivial
@@ -693,20 +689,16 @@ def strip_trivial(system, T, theta_ansatz=None, witness_space=None):
 # The mixed determining pipeline
 # ---------------------------------------------------------------------------
 
-@dataclass
 class ConservedVector:
     """A verified conservation-law vector with full provenance: which
-    generator was used, the solved psi and H (H == 0 flags the pure
-    symmetry-route subcase), and the solved ansatz coefficients."""
+    generator was used and the solved psi and H (H == 0 flags the pure
+    symmetry-route subcase)."""
 
-    components: tuple
-    psi: tuple
-    h: tuple
-    generator: str = ""
-    coefficients: dict = field(default_factory=dict)
-    residual: Expr = ZERO
-    stripped: tuple | None = None
-    triviality: TrivialityReport | None = None
+    def __init__(self, components, psi, h, generator="", residual=ZERO,
+                 stripped=None, triviality=None):
+        self.components, self.psi, self.h = components, psi, h
+        self.generator, self.residual = generator, residual
+        self.stripped, self.triviality = stripped, triviality
 
     @property
     def h_is_zero(self):
@@ -717,12 +709,11 @@ class ConservedVector:
         return self.stripped if self.stripped is not None else self.components
 
 
-@dataclass
 class MixedResult:
-    laws: list
-    trivial: list
-    determining: RationalMatrix
-    solution_dimension: int
+    def __init__(self, laws, trivial, determining, solution_dimension):
+        self.laws, self.trivial = laws, trivial
+        self.determining = determining
+        self.solution_dimension = solution_dimension
 
 
 def mixed_method(system, g, psi_ansatz, h_ansatz, *, include_xi_l=False,
@@ -766,18 +757,16 @@ def mixed_method(system, g, psi_ansatz, h_ansatz, *, include_xi_l=False,
 
     n = table.n
     laws, trivia = [], []
-    for values, inst in _instantiate(T + [a.expr for a in ansatz], column,
-                                     space.basis):
+    for _, inst in _instantiate(T + [a.expr for a in ansatz], column,
+                                space.basis):
         comps, psi, h = inst[:n], inst[n:-n], inst[-n:]
         reds = tuple(system.reduce(c) for c in comps)
         residual = _reduced_divergence(system, reds)
         if not residual.is_zero:
             raise RuntimeError("internal error: mixed-method law failed "
                                "re-verification")
-        law = ConservedVector(
-            components=comps, psi=psi, h=h, generator=g.label,
-            coefficients={p.name: v for p, v in values.items()},
-            residual=residual)
+        law = ConservedVector(comps, psi, h, generator=g.label,
+                              residual=residual)
         law.triviality, coeffs = _triviality(reds, ws)
         if law.triviality.trivial:
             trivia.append(law)
@@ -822,10 +811,9 @@ def fluxes_from_multipliers(system, multipliers, h_ansatz):
 # Nonlinear self-adjointness (derived check)
 # ---------------------------------------------------------------------------
 
-@dataclass
 class SelfAdjointnessReport:
-    psi: tuple
-    residuals: tuple
+    def __init__(self, psi, residuals):
+        self.psi, self.residuals = psi, residuals
 
     @property
     def holds(self):

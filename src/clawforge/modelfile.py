@@ -49,7 +49,7 @@ other key, or a negative integer, is an error.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from functools import cached_property
 
 from .expr import Jet, Param, SymbolTable
 from .calculus import Equation, Generator, PdeSystem, SolvedFormError
@@ -64,13 +64,11 @@ class ModelFormatError(ValueError):
         self.line = line
 
 
-@dataclass
 class LawEntry:
-    name: str
-    components: tuple
-    status: str = "printed"
-    note: str = ""
-    source: str = ""
+    def __init__(self, name, components, status="printed", note="",
+                 source=""):
+        self.name, self.components = name, components
+        self.status, self.note, self.source = status, note, source
 
 
 _ANSATZ_INT_KEYS = {
@@ -81,15 +79,20 @@ _ANSATZ_LIST_KEYS = {"psi_vars", "h_vars", "theta_vars"}
 _SECTIONS = {"model", "vars", "equations", "generators", "laws", "ansatz"}
 
 
-@dataclass
 class ModelFile:
-    name: str
-    table: SymbolTable
-    system: PdeSystem
-    generators: dict = field(default_factory=dict)
-    laws: dict = field(default_factory=dict)
-    ansatz: dict = field(default_factory=dict)
-    title: str = ""
+    """A parsed model; `laws` parses the [laws] lines on its first read."""
+
+    def __init__(self, name, table, system, generators=None, law_lines=(),
+                 ansatz=None, title=""):
+        self.name, self.table, self.system = name, table, system
+        self.generators = {} if generators is None else generators
+        self.law_lines = law_lines
+        self.ansatz = {} if ansatz is None else ansatz
+        self.title = title
+
+    @cached_property
+    def laws(self):
+        return parse_laws(self.law_lines, self.table)
 
     def generator(self, label):
         if label not in self.generators:
@@ -140,6 +143,14 @@ def _names(value):
 
 
 def parse_model_text(text, name="model"):
+    """The model of a model text, its [laws] parsed and checked."""
+    model = _model_from_text(text, name)
+    model.laws    # parsed here, so that a bad law is an error at load
+    return model
+
+
+def _model_from_text(text, name="model"):
+    """The model of a model text; its [laws] are parsed when first read."""
     sections = _split_sections(text)
     if "vars" not in sections:
         raise ModelFormatError("missing [vars] section")
@@ -221,8 +232,6 @@ def parse_model_text(text, name="model"):
                   for nm in table.dep_names),
             label=label)
 
-    laws = parse_laws(sections.get("laws", []), table)
-
     ansatz = {}
     ansatz_kv = _kv(sections.get("ansatz", []), "ansatz",
                     _ANSATZ_INT_KEYS | _ANSATZ_LIST_KEYS)
@@ -238,9 +247,8 @@ def parse_model_text(text, name="model"):
             raise ModelFormatError(f"[ansatz] {key} must be nonnegative",
                                    lineno)
 
-    return ModelFile(name=name, table=table, system=system,
-                     generators=generators, laws=laws, ansatz=ansatz,
-                     title=meta.get("title", ""))
+    return ModelFile(name, table, system, generators,
+                     sections.get("laws", []), ansatz, meta.get("title", ""))
 
 
 def parse_laws(lines, table):

@@ -5,8 +5,6 @@ is exact equality of normal forms."""
 import json
 import time
 
-from fractions import Fraction
-
 import pytest
 
 from clawforge.calculus import divergence, euler, total_derivative
@@ -136,10 +134,12 @@ def test_criterion_5_mixed_method():
                              spaces["psi"], spaces["h"],
                              theta_ansatz=spaces["theta"])
     assert len(result_fw.laws) >= 2
-    unknown_names = sorted({n for law in result_fw.laws
-                            for n in law.coefficients})
-    vectors = [[law.coefficients.get(n, Fraction(0)) for n in unknown_names]
-               for law in result_fw.laws]
+    # independent: the laws' coefficient vectors, keyed by (component,
+    # monomial), have full rank
+    maps = [{(i, f): c for i, comp in enumerate(law.components)
+             for c, f in comp.terms} for law in result_fw.laws]
+    keys = list(dict.fromkeys(k for m in maps for k in m))
+    vectors = [[m.get(k, 0) for k in keys] for m in maps]
     assert rank(RationalMatrix(vectors)) == len(result_fw.laws)
     target = parse("u - 5/3*t*u[t]", tabf)
     theta = default_theta_ansatz(tabf, degree=3, jet_order=2)

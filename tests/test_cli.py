@@ -453,3 +453,22 @@ def test_readme_library_example_runs():
                 if not k.startswith("_") and not inspect.ismodule(v)}
     assert imported == exported
     exec(code, {})
+
+
+@pytest.mark.parametrize("argv", [
+    ["mixed", "{model}", "--generator", "X1"],
+    ["multipliers", "{model}"],
+], ids=["mixed", "multipliers"])
+def test_user_model_with_bad_law_is_an_input_error(tmp_path, capsys, argv):
+    # a user model's [laws] are checked on load, though neither command
+    # reads them
+    model = tmp_path / "burgers.model"
+    model.write_text("[vars]\nindependent: t, x\ndependent: u\n"
+                     "[equations]\nu[t] = u[x,x] + u*u[x]\n"
+                     "[generators]\nX1: x = 1\n"
+                     "[laws]\nbroken: u | u[x\n")
+    assert main([a.format(model=model) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {model}: expected ']', found None "
+                            "(at position 3) (line 9)\n")

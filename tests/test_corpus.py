@@ -1,9 +1,17 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import clawforge
 from clawforge.calculus import Equation, PdeSystem, symmetry_residual
-from clawforge.corpus import get_model
+from clawforge.corpus import TEXTS, get_model
 from clawforge.expr import IndepVar, Jet, SymbolTable, ZERO, substitute
 from clawforge.lawgen import verify
+from clawforge.modelfile import laws_from_text
 from clawforge.parse import parse
 
 
@@ -143,3 +151,29 @@ def test_notes_document_discrepancies(models):
     assert "u[x]^2/2" in kdv["density-u"].note
     gas3d = models["gas3d"].laws
     assert "velocity-bearing" in gas3d["energy"].note
+
+
+def test_startup_loads_no_dataclasses_and_parses_no_builtin_laws():
+    # a fresh process, since this one has read the built-in laws already
+    src = Path(clawforge.__file__).resolve().parents[1]
+    code = ("import json, sys\n"
+            "import clawforge.cli\n"
+            "from clawforge import corpus\n"
+            "models = corpus.builtin_models()\n"
+            "print(json.dumps({'modules': sorted({'dataclasses', 'inspect'}"
+            " & set(sys.modules)), 'parsed': [name for name, m in"
+            " models.items() if 'laws' in vars(m)]}))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"modules": [], "parsed": []}
+
+
+def test_builtin_laws_read_lazily_match_the_text(models):
+    for name, model in models.items():
+        want = laws_from_text(TEXTS[name], model.table)
+        got = model.laws
+        assert list(got) == list(want), name
+        for a, b in zip(got.values(), want.values()):
+            assert (a.name, a.components, a.status, a.note) == \
+                (b.name, b.components, b.status, b.note), (name, a.name)

@@ -3,15 +3,19 @@
 Euler-Lagrange operator built on it, divergences, reduction modulo a PDE
 system in solved form, generators with their characteristics, and one memo
 of the total derivatives of a characteristic that serves both the
-prolongation of a point symmetry and the symmetry flux."""
+prolongation of a point symmetry and the symmetry flux.
+
+Each derivative below only says what it does to a single atom (a jet, an
+independent variable); `expr._derive_all` carries it through products,
+powers, function symbols and opaque bases."""
 
 from __future__ import annotations
 
 import threading
 from functools import cached_property
 
-from .expr import (Atom, Expr, FuncSym, Jet, ONE, Param, _build, _chain_terms,
-                   _derive, _derive_all, _product_terms, pdiff, substitute)
+from .expr import (Jet, ONE, Param, _build, _derive_all, _product_terms, pdiff,
+                   substitute)
 
 
 class SolvedFormError(ValueError):
@@ -26,18 +30,14 @@ class SolvedFormError(ValueError):
 def total_derivative(e, v):
     """D_v e: differentiate explicit dependence on the independent variable v
     and advance every jet coordinate by one v-derivative, in one pass over
-    the terms (function symbols and opaque bases by the chain rule)."""
+    the terms (`_derive_all`)."""
 
-    def base_derivative(b):
-        if isinstance(b, Jet):
-            return b.shifted(v).as_expr().terms
-        if isinstance(b, FuncSym):
-            return _chain_terms(b, total_derivative(b.arg, v))
-        if isinstance(b, Atom):
-            return ONE.terms if b == v else ()
-        return total_derivative(b, v).terms
+    def rule(a):
+        if isinstance(a, Jet):
+            return ((v, a.shifted(v).as_expr().terms),)
+        return ((v, ONE.terms),) if a == v else None
 
-    return _build(_derive(e, base_derivative))
+    return _build(_derive_all(e, rule).get(v, ()))
 
 
 def total_derivative_mi(e, mi):
@@ -49,22 +49,12 @@ def total_derivative_mi(e, mi):
 def _gradient(e):
     """{jet: de/djet} for every jet e holds, including those inside
     function arguments and opaque bases, from one pass over the terms
-    (`_derive_all`); a function symbol or an opaque base goes by the chain
-    rule, once per distinct base.  Each partial is normalized once, at the
-    end of the pass, so the raw terms are gone before a caller works on
-    the partials."""
-
-    def base_gradient(b):
-        if isinstance(b, Jet):
-            return ((b, ONE.terms),)
-        if isinstance(b, FuncSym):
-            return [(a, _chain_terms(b, d))
-                    for a, d in _gradient(b.arg).items()]
-        if isinstance(b, Atom):
-            return ()
-        return [(a, d.terms) for a, d in _gradient(b).items()]
-
-    return {a: _build(t) for a, t in _derive_all(e, base_gradient).items()}
+    (`_derive_all`).  Each partial is normalized once, at the end of the
+    pass, so the raw terms are gone before a caller works on the
+    partials."""
+    one = ONE.terms
+    return {a: _build(t) for a, t in _derive_all(
+        e, lambda a: ((a, one),) if isinstance(a, Jet) else None).items()}
 
 
 def _euler(grad, alpha):
@@ -211,26 +201,22 @@ class PdeSystem:
 
     def reduced_derivative_terms(self, e, v):
         """The raw terms of `reduced_derivative(e, v)`, not yet normalized:
-        each jet maps to the image of its v-derivative, a function symbol
-        or opaque base goes by the chain rule on its reduced argument."""
+        each jet maps to the image of its v-derivative, memoized by jet and
+        variable (`_derive_all` takes function symbols and opaque bases)."""
 
-        def base_derivative(b):
-            if isinstance(b, Jet):
-                terms = self._dterms.get((b, v))
-                if terms is None:
-                    d = b.shifted(v)
-                    img = self._image(d)
-                    terms = self._dterms[b, v] = (
-                        d.as_expr() if img is None else img).terms
-                return terms
-            if isinstance(b, FuncSym):
-                return _chain_terms(b, self.reduced_derivative(b.arg, v))
-            if isinstance(b, Atom):
-                return ONE.terms if b == v else ()
-            return self.reduced_derivative(b, v).terms
+        def rule(a):
+            if not isinstance(a, Jet):
+                return ((v, ONE.terms),) if a == v else None
+            terms = self._dterms.get((a, v))
+            if terms is None:
+                d = a.shifted(v)
+                img = self._image(d)
+                terms = self._dterms[a, v] = (
+                    d.as_expr() if img is None else img).terms
+            return ((v, terms),)
 
         with self._lock:
-            return _derive(e, base_derivative)
+            return _derive_all(e, rule).get(v, ())
 
 
 # ---------------------------------------------------------------------------

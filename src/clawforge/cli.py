@@ -22,10 +22,9 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .calculus import Generator, SolvedFormError, euler, total_derivative
-from .expr import ZERO, DomainError, NonlinearError
+from .expr import ZERO, DomainError, NonlinearError, SymbolTable, collect
 from .lawgen import (AnsatzError, mixed_method, make_ansatz, monomial_basis,
                      solve_multipliers, verify)
 from .modelfile import (ModelFormatError, ansatz_spaces, laws_from_text,
@@ -91,42 +90,28 @@ def _load_laws(spec, table):
 
 
 def _parse_generator_spec(model, spec):
-    """A generator label or a rational combination like 'X1+2*X3-1/2*X4'."""
-    text = spec.replace(" ", "")
-    if not text:
-        raise CliError("empty generator spec")
-    pieces = []
-    sign = 1
-    cur = ""
-    for ch in text:
-        if ch in "+-" and (cur or not pieces):
-            if cur:
-                pieces.append((sign, cur))
-                cur = ""
-            sign = 1 if ch == "+" else -1
-        else:
-            cur += ch
-    if cur:
-        pieces.append((sign, cur))
-    if not pieces:
-        raise CliError(f"no generator label in generator spec {spec!r}")
+    """A generator label, or a combination of labels with rational
+    coefficients read by the expression grammar, like 'X1+2*X3-X4/2'."""
+    if spec in model.generators:
+        return model.generators[spec]
+    labels = sorted(model.generators)
+    table = SymbolTable((), (), params=labels)
+    try:
+        form = collect(parse(spec, table), table.params.values())
+    except (ParseError, DomainError) as exc:
+        raise CliError(f"bad generator spec {spec!r}: {exc}; have {labels}")
+    except NonlinearError:
+        form = None
+    coeffs = form.get(()) if form and len(form) == 1 else None
+    if not coeffs or None in coeffs:
+        raise CliError(f"generator spec {spec!r} is not a rational "
+                       f"combination of the labels {labels}")
     xi = [ZERO] * model.table.n
     eta = [ZERO] * model.table.m
-    for sgn, piece in pieces:
-        if "*" in piece:
-            coef_text, label = piece.split("*", 1)
-            try:
-                coef = Fraction(coef_text)
-            except (ValueError, ZeroDivisionError):
-                raise CliError(f"bad coefficient {coef_text!r} in generator spec")
-        else:
-            coef, label = Fraction(1), piece
-        try:
-            g = model.generator(label)
-        except KeyError as exc:
-            raise CliError(exc.args[0])
-        xi = [a + sgn * coef * b for a, b in zip(xi, g.xi)]
-        eta = [a + sgn * coef * b for a, b in zip(eta, g.eta)]
+    for p, c in coeffs.items():
+        g = model.generators[p.name]
+        xi = [a + c * b for a, b in zip(xi, g.xi)]
+        eta = [a + c * b for a, b in zip(eta, g.eta)]
     return Generator(tuple(xi), tuple(eta), label=spec)
 
 

@@ -18,6 +18,9 @@ float or an integral `Fraction`.  Every division goes through `_quot`.
 Both kinds have `.numerator` and `.denominator`, which is all that keys and
 printing read, so the choice never changes a normal form or its text.
 
+One chain rule serves every derivative: `_derive_all` carries a rule for
+single atoms through products, powers, function symbols and opaque bases.
+
 Values are immutable after construction and all operations are pure.
 """
 
@@ -700,20 +703,22 @@ def make_power(base, e):
 # Calculus on atoms
 # ---------------------------------------------------------------------------
 
-def _derive_all(e, base_gradient):
-    """Several derivations applied to e at once by the product and power
-    rules: `base_gradient(b)` gives pairs (key, raw terms of the derivative
-    of the factor base b along key), and every factor b^k of a term adds
-    k * b^(k-1) * db times the other factors to its key's raw terms.
-    `base_gradient` is called once per distinct base; returns {key: raw
-    terms}, for the caller to normalize."""
+def _derive_all(e, rule):
+    """Derivations of e, all in one pass, by the product, power and chain
+    rules.  `rule(a)` gives for an atom a the pairs (key, raw terms of the
+    derivative of a along key), or None: then a function symbol f(arg)
+    goes by the chain rule, f'(arg) times the derivatives of arg, and any
+    other atom is constant.  An opaque base goes by its own derivatives.
+    A factor b^k of a term adds k * b^(k-1) * db times the other factors
+    to each key's raw terms, each distinct base differentiated once.
+    Returns {key: raw terms}, for the caller to normalize."""
     dbases = {}
     out = {}
     for coeff, factors in e.terms:
         for i, (b, k) in enumerate(factors):
             db = dbases.get(b)
             if db is None:
-                db = dbases[b] = base_gradient(b)
+                db = dbases[b] = _derive_base(b, rule)
             if not db:
                 continue
             if k == 1:
@@ -728,34 +733,27 @@ def _derive_all(e, base_gradient):
     return out
 
 
-def _derive(e, base_derivative):
-    """The raw terms of the one derivation of `_derive_all` that maps each
-    factor base b to the raw terms `base_derivative(b)`."""
-    return _derive_all(e, lambda b: ((0, d),) if (d := base_derivative(b))
-                       else ()).get(0, [])
-
-
-def _chain_terms(f, darg):
-    """Raw terms of f'(arg) * darg, for a function symbol f applied to arg
-    and darg a derivative of arg."""
-    return _product_terms(darg.terms, f.raised().as_expr().terms)
+def _derive_base(b, rule):
+    """The (key, raw terms) pairs of the derivatives of one factor base b
+    under `rule` (see `_derive_all`); those of a function argument or an
+    opaque base are normalized before they are used."""
+    if isinstance(b, Atom):
+        db = rule(b)
+        if db is not None or not isinstance(b, FuncSym):
+            return db or ()
+        df = b.raised().as_expr().terms
+        return [(key, _product_terms(_build(t).terms, df))
+                for key, t in _derive_all(b.arg, rule).items()]
+    return [(key, _build(t).terms) for key, t in _derive_all(b, rule).items()]
 
 
 def pdiff(e, a):
     """Partial derivative of e with respect to the atom a, treating all other
     atoms as constants.  Function symbols differentiate through their
     argument by the chain rule; opaque powers by the power rule."""
-
-    def base_derivative(b):
-        if isinstance(b, Atom):
-            if b == a:
-                return ONE.terms
-            if isinstance(b, FuncSym):
-                return _chain_terms(b, pdiff(b.arg, a))
-            return ()
-        return pdiff(b, a).terms
-
-    return _build(_derive(e, base_derivative))
+    one = ((a, ONE.terms),)
+    return _build(_derive_all(e, lambda b: one if b == a else None)
+                  .get(a, ()))
 
 
 def _touches(b, keys):

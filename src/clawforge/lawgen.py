@@ -239,10 +239,10 @@ def _linear_rows(exprs, column):
 
 def _instantiate(exprs, column, vectors):
     """The expressions `exprs`, linear in the unknowns of `column`, at each
-    solution vector (indexed like `column`): one (the nonzero values by
-    unknown, the tuple of instances) per vector.  Each expression is
-    collected once and its entries grouped by unknown (None for the part
-    free of them); an instance sums the entries of the nonzero unknowns.
+    solution vector (indexed like `column`): one tuple of instances per
+    vector.  Each expression is collected once and its entries grouped by
+    unknown (None for the part free of them); an instance sums the entries
+    of the nonzero unknowns.
     The keys of a normal form split by `collect` are canonical, distinct
     and in order, and any subset of them is too, so the nonzero sums are
     the terms of the instance as they are."""
@@ -264,7 +264,7 @@ def _instantiate(exprs, column, vectors):
                     acc[i] = acc.get(i, 0) + c * v
             instances.append(Expr(tuple((_num(c), keys[i])
                                         for i, c in sorted(acc.items()) if c)))
-        out.append((values, tuple(instances)))
+        out.append(tuple(instances))
     return out
 
 
@@ -297,7 +297,7 @@ def solve_multipliers(system, ansatz_list):
     det = multiplier_determining_system(system, ansatz_list)
     space = linsolve.nullspace(det)
     out = []
-    for _, v in _instantiate([a.expr for a in ansatz_list],
+    for v in _instantiate([a.expr for a in ansatz_list],
                              _columns(ansatz_list), space.basis):
         L = formal_lagrangian(system, list(v))
         if any(E.terms for E in _euler_residuals(L, system.table)):
@@ -757,7 +757,7 @@ def mixed_method(system, g, psi_ansatz, h_ansatz, *, include_xi_l=False,
 
     n = table.n
     laws, trivia = [], []
-    for _, inst in _instantiate(T + [a.expr for a in ansatz], column,
+    for inst in _instantiate(T + [a.expr for a in ansatz], column,
                                 space.basis):
         comps, psi, h = inst[:n], inst[n:-n], inst[-n:]
         reds = tuple(system.reduce(c) for c in comps)
@@ -799,8 +799,8 @@ def fluxes_from_multipliers(system, multipliers, h_ansatz):
     sol = linsolve.solve(RationalMatrix(rows, ncols=len(column)), rhs)
     if sol is None:
         return None
-    (_, phi), = _instantiate([a.expr for a in h_ansatz], column,
-                             [sol.particular])
+    phi, = _instantiate([a.expr for a in h_ansatz], column,
+                        [sol.particular])
     if not (target - divergence(list(phi), table)).is_zero:
         raise RuntimeError("internal error: reconstructed flux fails the "
                            "divergence identity")

@@ -43,7 +43,8 @@ numbers.  Generator coefficients hold no parameters.
 The [ansatz] section holds default search-space settings: the nonnegative
 integers psi_degree, psi_jets, h_degree, h_jets, theta_degree, theta_jets
 and the comma-separated variable lists psi_vars, h_vars, theta_vars.  Any
-other key, or a negative integer, is an error.
+other key, a negative integer, or a name in a list that is not a declared
+independent or dependent variable, is an error.
 """
 
 from __future__ import annotations
@@ -238,6 +239,11 @@ def _model_from_text(text, name="model"):
     for key, (lineno, value) in ansatz_kv.items():
         if key in _ANSATZ_LIST_KEYS:
             ansatz[key] = _names(value)
+            known = {v.name for v in table.indep} | set(table.dep_names)
+            bad = [n for n in ansatz[key] if n not in known]
+            if bad:
+                raise ModelFormatError(
+                    f"unknown ansatz variable {bad[0]!r}", lineno)
             continue
         try:
             ansatz[key] = int(value)

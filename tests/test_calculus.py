@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -345,6 +346,11 @@ def test_substitute_matches_per_factor_product():
 
 
 def test_pdiff_and_total_derivative_match_sympy():
+    """pdiff by every atom and D_v by every variable against sympy, on
+    jet monomials that may carry one of the RADICALS opaque powers.  A
+    difference that `expand` leaves nonzero (the normal form moves exact
+    multiples of a base into its power) must vanish at two points with
+    positive rational coordinates, where every base is positive."""
     sympy = pytest.importorskip("sympy")
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
@@ -354,19 +360,30 @@ def test_pdiff_and_total_derivative_match_sympy():
     def sym(a):
         return sympy.Symbol(repr(a))
 
+    # a value for every atom that D_v can produce
+    points = [{sym(next(iter(p.atoms()))): sympy.Rational(k % 7 + 1 + j,
+                                                         k % 5 + 2)
+               for k, p in enumerate(jet_pool(tab, 3))} for j in range(2)]
+
     def to_sympy(e):
         return sympy.Add(*[
-            sympy.Rational(c.numerator, c.denominator)
-            * sympy.Mul(*[sym(b) ** int(k) for b, k in f])
+            sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*[
+                (sym(b) if isinstance(b, Atom) else to_sympy(b))
+                ** sympy.Rational(k.numerator, k.denominator)
+                for b, k in f])
             for c, f in e.terms])
 
+    def same(ours, ref):
+        d = sympy.expand(to_sympy(ours) - ref)
+        return d == 0 or all(abs(sympy.N(d.subs(p), 50)) < 1e-40
+                             for p in points)
+
     @hyp.settings(max_examples=40, deadline=None, derandomize=True)
-    @hyp.given(e=_kernel_exprs(st, tab, specials=()))
+    @hyp.given(e=_kernel_exprs(st, tab, specials=RADICALS))
     def check(e):
         E = to_sympy(e)
         for a in atoms:
-            assert sympy.expand(to_sympy(pdiff(e, a))
-                                - sympy.diff(E, sym(a))) == 0
+            assert same(pdiff(e, a), sympy.diff(E, sym(a)))
         jets = [a for a in e.atoms() if isinstance(a, Jet)]
         for v in tab.indep:
             # D_v spelled out: explicit v-dependence plus the chain rule
@@ -374,9 +391,43 @@ def test_pdiff_and_total_derivative_match_sympy():
             D = sympy.diff(E, sym(v)) + sum(
                 (sympy.diff(E, sym(a)) * sym(a.shifted(v)) for a in jets),
                 sympy.Integer(0))
-            assert sympy.expand(to_sympy(total_derivative(e, v)) - D) == 0
+            assert same(total_derivative(e, v), D)
 
     check()
+
+
+def test_function_symbol_chain_rule():
+    """D_v f(g) == f'(g) * D_v g and pdiff(f(g), a) == f'(g) * pdiff(g, a)
+    for jet polynomials g, whose derivatives the sympy test above checks;
+    the same through a product of function symbols and an opaque power of
+    one; and f(u) is itself an atom that pdiff can differentiate by."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    tab = _kernel_table()
+    atoms = [next(iter(p.atoms())) for p in jet_pool(tab, 2)]
+
+    @hyp.settings(max_examples=40, deadline=None, derandomize=True)
+    @hyp.given(g=_kernel_exprs(st, tab, specials=()))
+    def check(g):
+        f = tab.func("f", 0, g).as_expr()
+        f1, f2 = tab.func("f", 1, g).as_expr(), tab.func("f", 2, g).as_expr()
+        for v in tab.indep:
+            dg = total_derivative(g, v)
+            assert total_derivative(f, v) == f1 * dg
+            assert total_derivative(f * f1, v) == (f1 ** 2 + f * f2) * dg
+        for a in atoms:
+            dg = pdiff(g, a)
+            assert pdiff(f, a) == f1 * dg
+            if not g.is_rational():
+                # an opaque base that holds a function symbol
+                r = (1 + f ** 2) ** Fraction(1, 2)
+                assert pdiff(r, a) == f * f1 * dg / r
+
+    check()
+    u = tab.jet("u")
+    fu = tab.func("f", 0, u.as_expr())
+    assert pdiff(fu ** 2, fu) == 2 * fu
+    assert pdiff(fu ** 2, u) == 2 * fu * P(tab, "f'(u)")
 
 
 def test_euler_matches_sympy(models):

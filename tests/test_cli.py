@@ -133,16 +133,67 @@ def test_mixed_generator_combination(capsys):
 def test_mixed_unknown_generator(capsys):
     assert main(["mixed", "kdv", "--generator", "X9"]) == 2
     assert capsys.readouterr().err == (
-        "error: unknown generator 'X9'; have ['X1', 'X2', 'X3', 'X4']\n")
+        "error: bad generator spec 'X9': undeclared identifier 'X9' "
+        "(at position 0); have ['X1', 'X2', 'X3', 'X4']\n")
 
 
 def test_mixed_generator_spec_without_label(capsys):
+    have = "; have ['X1', 'X2', 'X3', 'X4']"
     for spec, message in (
-            ("+", "no generator label in generator spec '+'"),
-            ("-", "no generator label in generator spec '-'"),
-            ("1/0*X1", "bad coefficient '1/0' in generator spec")):
+            ("+", "unexpected token None (at position 1)" + have),
+            ("-", "unexpected token None (at position 1)" + have),
+            ("1/0*X1", "zero raised to a negative power" + have)):
         assert main(["mixed", "kdv", "--generator", spec]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == \
+            f"error: bad generator spec {spec!r}: {message}\n"
+
+
+@pytest.mark.parametrize("spec", ["1.5*X4", "1e1*X4", "1_0*X4", "X4.5"])
+def test_mixed_generator_spec_refuses_decimals(capsys, spec):
+    # the spec is read by the expression grammar, which has no decimals
+    assert main(["mixed", "kdv", "--generator", spec]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: bad generator spec {spec!r}: ")
+
+
+@pytest.mark.parametrize("spec", ["1+X1", "X1*X2", "X1^2", "X1-X1",
+                                  "2^(1/2)*X1", "(X1+X2)^(-1)"])
+def test_mixed_generator_spec_must_be_linear_in_labels(capsys, spec):
+    assert main(["mixed", "kdv", "--generator", spec]) == 2
+    assert capsys.readouterr().err == (
+        f"error: generator spec {spec!r} is not a rational combination "
+        "of the labels ['X1', 'X2', 'X3', 'X4']\n")
+
+
+@pytest.mark.parametrize("spec,same", [("X4/2", "1/2*X4"),
+                                       ("2*(X1+X4)", "2*X1+2*X4")])
+def test_mixed_generator_spec_grammar(capsys, spec, same):
+    def laws(s):
+        assert main(["mixed", "kdv", "--generator", s, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload.pop("generator") == s
+        for law in payload["laws"]:
+            assert law.pop("generator") == s
+        return payload
+
+    got = laws(spec)
+    assert got["laws"] and got == laws(same)
+
+
+def test_mixed_generator_label_is_matched_whole(tmp_path, capsys):
+    # a label that the grammar cannot read still names its generator
+    model = tmp_path / "heat.model"
+    model.write_text("[vars]\nindependent: t, x\ndependent: u\n"
+                     "[equations]\nu[t] = u[x,x]\n"
+                     "[generators]\nX-1: x = 1\nshift t: t = 1\n")
+    for spec in ("X-1", "shift t"):
+        assert main(["mixed", str(model), "--generator", spec,
+                     "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["generator"] == spec
+    assert main(["mixed", str(model), "--generator", "X"]) == 2
+    assert capsys.readouterr().err == (
+        "error: bad generator spec 'X': undeclared identifier 'X' "
+        "(at position 0); have ['X-1', 'shift t']\n")
 
 
 def test_mixed_jet_orders_checked(monkeypatch, capsys):
@@ -472,3 +523,21 @@ def test_user_model_with_bad_law_is_an_input_error(tmp_path, capsys, argv):
     assert captured.out == ""
     assert captured.err == (f"error: {model}: expected ']', found None "
                             "(at position 3) (line 9)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["mixed", "{model}", "--generator", "X1"],
+    ["multipliers", "{model}"],
+], ids=["mixed", "multipliers"])
+def test_user_model_with_unknown_ansatz_variable_is_an_input_error(
+        tmp_path, capsys, argv):
+    model = tmp_path / "kdv.model"
+    model.write_text("[vars]\nindependent: t, x\ndependent: u\n"
+                     "[equations]\nu[t] = u[x,x,x] + u*u[x]\n"
+                     "[generators]\nX1: x = 1\n"
+                     "[ansatz]\npsi_vars: q\n")
+    assert main([a.format(model=model) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {model}: unknown ansatz variable 'q' "
+                            "(line 9)\n")

@@ -171,3 +171,17 @@ def test_generator_lookup_error():
     m = parse_model_text(GOOD)
     with pytest.raises(KeyError):
         m.generator("X9")
+
+
+@pytest.mark.parametrize("key", ["psi_vars", "h_vars", "theta_vars"])
+def test_unknown_ansatz_variable_is_an_error_at_load(key):
+    base = GOOD.replace("h_vars: u\n", "")
+    text = base + f"{key}: u, q, x\n"
+    line = text.splitlines().index(f"{key}: u, q, x") + 1
+    with pytest.raises(ModelFormatError) as info:
+        parse_model_text(text)
+    assert str(info.value) == f"unknown ansatz variable 'q' (line {line})"
+    # a name given as an override is still checked when the space is built
+    m = parse_model_text(base + f"{key}: u, x\n")
+    with pytest.raises(ModelFormatError, match="unknown ansatz variable 'q'"):
+        ansatz_spaces(m, **{key: ["q"]})

@@ -18,7 +18,7 @@ import threading
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import Phase, given, settings, strategies as st  # noqa: E402
 
 from clawforge.calculus import (_gradient, divergence, euler,  # noqa: E402
                                 total_derivative, total_derivative_mi)
@@ -35,6 +35,11 @@ from helpers import (RADICALS, jet_polys, jet_pool,  # noqa: E402
                      perfbench_workloads)
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+
+# the tests over `components` report the first failing example as drawn:
+# shrinking one of those takes minutes and hundreds of MB, and explaining
+# needs a shrunk example
+NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate, Phase.target)
 
 
 def model_polys(entry, max_order, with_funcs=False, max_factors=3, **kw):
@@ -301,7 +306,8 @@ def test_verify_equals_reduced_divergence(models, name, opts, examples):
     entry = models[name]
     comps = components(entry, opts)
 
-    @settings(max_examples=examples, deadline=None, derandomize=True)
+    @settings(max_examples=examples, deadline=None, derandomize=True,
+              phases=NO_SHRINK)
     @given(T=st.tuples(*[comps] * entry.table.n))
     def check(T):
         _check_verify(entry.system, list(T))
@@ -379,7 +385,8 @@ def test_gradient_matches_per_jet_pdiff(models, name, opts, examples):
     entry = models[name]
     table = entry.table
 
-    @settings(max_examples=examples, deadline=None, derandomize=True)
+    @settings(max_examples=examples, deadline=None, derandomize=True,
+              phases=NO_SHRINK)
     @given(e=components(entry, opts))
     def check(e):
         grad = _gradient(e)
@@ -425,7 +432,8 @@ def test_instantiate_matches_substitute(models, name, opts, examples):
     comps = components(models[name], opts)
     values = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
-    @settings(max_examples=examples, deadline=None, derandomize=True)
+    @settings(max_examples=examples, deadline=None, derandomize=True,
+              phases=NO_SHRINK)
     @given(parts=st.lists(comps, min_size=len(UNKNOWNS) + 1,
                           max_size=len(UNKNOWNS) + 1),
            vals=st.lists(st.one_of(st.just(0), values),
@@ -437,10 +445,8 @@ def test_instantiate_matches_substitute(models, name, opts, examples):
         column = {p: i for i, p in enumerate(UNKNOWNS)}
         form = collect(e, column)
         assert all(c for coeffs in form.values() for c in coeffs.values())
-        (values, (got,)), = _instantiate([e], column, [vals])
-        mapping = dict(zip(UNKNOWNS, vals))
-        assert values == {p: v for p, v in mapping.items() if v}
-        assert got == substitute(e, mapping)
+        (got,), = _instantiate([e], column, [vals])
+        assert got == substitute(e, dict(zip(UNKNOWNS, vals)))
         b = parts[1]
         if not b.is_zero:
             c0, c1 = UNKNOWNS[:2]

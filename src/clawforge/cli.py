@@ -97,18 +97,17 @@ def _parse_generator_spec(model, spec):
     labels = sorted(model.generators)
     table = SymbolTable((), (), params=labels)
     try:
-        form = collect(parse(spec, table), table.params.values())
+        form = collect(parse(spec, table), set(table.params.values()))
     except (ParseError, DomainError) as exc:
         raise CliError(f"bad generator spec {spec!r}: {exc}; have {labels}")
     except NonlinearError:
-        form = None
-    coeffs = form.get(()) if form and len(form) == 1 else None
-    if not coeffs or None in coeffs:
+        form = {}
+    if list(form) != [()] or None in form[()]:
         raise CliError(f"generator spec {spec!r} is not a rational "
                        f"combination of the labels {labels}")
     xi = [ZERO] * model.table.n
     eta = [ZERO] * model.table.m
-    for p, c in coeffs.items():
+    for p, c in form[()].items():
         g = model.generators[p.name]
         xi = [a + c * b for a, b in zip(xi, g.xi)]
         eta = [a + c * b for a, b in zip(eta, g.eta)]

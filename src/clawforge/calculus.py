@@ -34,10 +34,10 @@ def total_derivative(e, v):
 
     def rule(a):
         if isinstance(a, Jet):
-            return ((v, a.shifted(v).as_expr().terms),)
-        return ((v, ONE.terms),) if a == v else None
+            return ((0, a.shifted(v).as_expr().terms),)
+        return ((0, ONE.terms),) if a == v else None
 
-    return _build(_derive_all(e, rule).get(v, ()))
+    return _build(_derive_all(e, rule).get(0, ()))
 
 
 def total_derivative_mi(e, mi):
@@ -206,17 +206,17 @@ class PdeSystem:
 
         def rule(a):
             if not isinstance(a, Jet):
-                return ((v, ONE.terms),) if a == v else None
+                return ((0, ONE.terms),) if a == v else None
             terms = self._dterms.get((a, v))
             if terms is None:
                 d = a.shifted(v)
                 img = self._image(d)
                 terms = self._dterms[a, v] = (
                     d.as_expr() if img is None else img).terms
-            return ((v, terms),)
+            return ((0, terms),)
 
         with self._lock:
-            return _derive_all(e, rule).get(v, ())
+            return _derive_all(e, rule).get(0, ())
 
 
 # ---------------------------------------------------------------------------

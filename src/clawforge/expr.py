@@ -711,7 +711,8 @@ def _derive_all(e, rule):
     other atom is constant.  An opaque base goes by its own derivatives.
     A factor b^k of a term adds k * b^(k-1) * db times the other factors
     to each key's raw terms, each distinct base differentiated once.
-    Returns {key: raw terms}, for the caller to normalize."""
+    Returns {key: raw terms}, for the caller to normalize; a single
+    derivation keys its terms by 0, which hashes without a Python call."""
     dbases = {}
     out = {}
     for coeff, factors in e.terms:
@@ -751,9 +752,9 @@ def pdiff(e, a):
     """Partial derivative of e with respect to the atom a, treating all other
     atoms as constants.  Function symbols differentiate through their
     argument by the chain rule; opaque powers by the power rule."""
-    one = ((a, ONE.terms),)
+    one = ((0, ONE.terms),)
     return _build(_derive_all(e, lambda b: one if b == a else None)
-                  .get(a, ()))
+                  .get(0, ()))
 
 
 def _touches(b, keys):

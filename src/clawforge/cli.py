@@ -98,7 +98,7 @@ def _parse_generator_spec(model, spec):
     table = SymbolTable((), (), params=labels)
     try:
         form = collect(parse(spec, table), set(table.params.values()))
-    except (ParseError, DomainError) as exc:
+    except ParseError as exc:
         raise CliError(f"bad generator spec {spec!r}: {exc}; have {labels}")
     except NonlinearError:
         form = {}

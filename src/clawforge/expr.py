@@ -855,6 +855,8 @@ class SymbolTable:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate declaration among {names}")
         self._by_name = {v.name: v for v in self.indep}
+        self._jets = {}         # (name, *sorted indices) -> its one Jet
+        self._atom_terms = {}   # the parser's terms of each bare name
 
     @property
     def n(self):
@@ -871,9 +873,11 @@ class SymbolTable:
         return v
 
     def jet(self, name, mi_names=()):
-        alpha = self.dep_names.index(name)
-        mi = tuple(self.indep_var(v) for v in mi_names)
-        return Jet(alpha, name, mi)
+        key = (name, *sorted(mi_names))
+        if key not in self._jets:
+            self._jets[key] = Jet(self.dep_names.index(name), name,
+                                  [self.indep_var(v) for v in mi_names])
+        return self._jets[key]
 
     def jet_by_alpha(self, alpha, mi=()):
         return Jet(alpha, self.dep_names[alpha], mi)

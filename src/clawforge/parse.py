@@ -10,15 +10,21 @@
 `u[x,x,t]` is a jet coordinate (index order does not matter), `f(expr)` a
 declared function symbol (primes mark derivative order), and bare
 identifiers are declared independent variables, dependent variables, or
-parameters.  Numeric literals are nonnegative integers; rationals are formed
-with '/'.  Printing an expression yields text that parses back to the same
-normal form.
+parameters.  Numeric literals are nonnegative integers of decimal digits;
+rationals are formed with '/'.  Printing an expression yields text that
+parses back to the same normal form.
+
+The rules pass raw terms, (coefficient, factors) pairs not yet merged, and
+normalize only where a normal form is read: both operands of a product of
+two sums (so a sum that cancels is never multiplied out), a power's base, a
+divisor, a function argument, and the result.  A zero divisor, and any other
+power that normalization leaves undefined, is a ParseError at its factor.
 """
 
 from __future__ import annotations
 
-from .expr import (Expr, SymbolTable, _build, _product_terms, _quot,
-                   make_power)
+from .expr import (DomainError, SymbolTable, _build, _normal, _product_terms,
+                   _quot, make_power)
 
 
 class ParseError(ValueError):
@@ -35,29 +41,24 @@ def _tokenize(text):
     i, n = 0, len(text)
     while i < n:
         c = text[i]
-        if c.isspace():
-            i += 1
-        elif c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
+        j = i + 1
+        if c.isdecimal():
+            while j < n and text[j].isdecimal():
                 j += 1
             if j < n and text[j] == ".":
                 raise ParseError("non-rational literal (decimals are not supported)", i)
             tokens.append(("int", int(text[i:j]), i))
-            i = j
         elif c.isalpha() or c == "_":
-            j = i
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             tokens.append(("ident", text[i:j], i))
-            i = j
         elif c in _SYMBOLS:
             tokens.append((c, c, i))
-            i += 1
         elif c == ".":
             raise ParseError("non-rational literal (decimals are not supported)", i)
-        else:
+        elif not c.isspace():
             raise ParseError(f"unexpected character {c!r}", i)
+        i = j
     tokens.append(("end", None, n))
     return tokens
 
@@ -68,13 +69,16 @@ class _Parser:
         self.pos = 0
         self.table = table
 
-    def peek(self):
-        return self.tokens[self.pos]
-
     def next(self):
-        tok = self.tokens[self.pos]
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1]
+
+    def accept(self, *kinds):
+        """The next token's kind, consumed, if it is one of `kinds`."""
+        kind = self.tokens[self.pos][0]
+        if kind in kinds:
+            self.pos += 1
+            return kind
 
     def expect(self, kind):
         tok = self.next()
@@ -83,122 +87,113 @@ class _Parser:
         return tok
 
     def parse(self):
-        e = self.expr()
-        tok = self.peek()
+        raw = self.expr()
+        tok = self.next()
         if tok[0] != "end":
             raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
-        return e
-
-    def expr(self):
-        """The signed terms' raw terms gathered and normalized once."""
-        op = self.next()[0] if self.peek()[0] in ("+", "-") else "+"
-        e = self.term()
-        if op == "+" and self.peek()[0] not in ("+", "-"):
-            return e
-        raw = []
-        while True:
-            raw += e.terms if op == "+" else [(-c, f) for c, f in e.terms]
-            if self.peek()[0] not in ("+", "-"):
-                return _build(raw)
-            op = self.next()[0]
-            e = self.term()
-
-    def term(self):
-        """The factors' raw terms multiplied out and normalized once."""
-        e = self.factor()
-        if self.peek()[0] not in ("*", "/"):
-            return e
-        raw = e.terms
-        while self.peek()[0] in ("*", "/"):
-            op = self.next()[0]
-            f = self.factor()
-            if op == "/" and f.is_rational() and not f.is_zero:
-                q = f.as_rational()
-                raw = [(_quot(c, q), m) for c, m in raw]
-            else:
-                f = f if op == "*" else make_power(f, -1)
-                raw = _product_terms(raw, f.terms)
         return _build(raw)
 
+    def power(self, base, e, pos):
+        """The terms of base ** e; an undefined one is an error at `pos`."""
+        try:
+            return make_power(base, e).terms
+        except DomainError as exc:
+            raise ParseError(str(exc), pos) from None
+
+    def expr(self):
+        """The signed terms' raw terms, gathered."""
+        raw = []
+        op = self.accept("+", "-") or "+"
+        while op:
+            t = self.term()
+            raw += t if op == "+" else [(-c, f) for c, f in t]
+            op = self.accept("+", "-")
+        return raw
+
+    def term(self):
+        """The factors' raw terms multiplied out; the operands of a product
+        of two sums are normalized first, so a sum that cancels is never
+        multiplied out."""
+        raw = self.factor()
+        while op := self.accept("*", "/"):
+            pos = self.tokens[self.pos][2]
+            f = self.factor()
+            if op == "/":
+                d = _build(f)
+                if d.is_zero:
+                    raise ParseError("division by zero", pos)
+                if d.is_rational():
+                    raw = [(_quot(c, d.terms[0][0]), m) for c, m in raw]
+                    continue
+                f = self.power(d, -1, pos)
+            if len(raw) > 1 and len(f) > 1:
+                raw, f = _normal(raw).values(), _normal(f).values()
+            raw = _product_terms(raw, f)
+        return raw
+
     def factor(self):
+        pos = self.tokens[self.pos][2]
         b = self.base()
-        if self.peek()[0] == "^":
-            self.next()
-            return make_power(b, self.exponent())
+        if self.accept("^"):
+            return self.power(_build(b), self.exponent(), pos)
         return b
 
     def exponent(self):
-        if self.peek()[0] == "(":
-            self.next()
-            q = self.signed_rational()
-            self.expect(")")
-            return q
-        return self.signed_rational(allow_fraction=False)
-
-    def signed_rational(self, allow_fraction=True):
-        sign = 1
-        if self.peek()[0] == "-":
-            self.next()
-            sign = -1
-        num = self.expect("int")[1]
-        if allow_fraction and self.peek()[0] == "/":
-            self.next()
-            den = self.expect("int")[1]
+        """['-'] INT, or '(' ['-'] INT ['/' INT] ')'."""
+        paren = self.accept("(")
+        e = -self.expect("int")[1] if self.accept("-") else self.expect("int")[1]
+        if paren and self.accept("/"):
+            _, den, pos = self.expect("int")
             if den == 0:
-                raise ParseError("zero denominator", self.tokens[self.pos - 1][2])
-            return _quot(sign * num, den)
-        return sign * num
+                raise ParseError("zero denominator", pos)
+            e = _quot(e, den)
+        if paren:
+            self.expect(")")
+        return e
 
     def base(self):
-        tok = self.next()
-        kind, value, pos = tok
+        """The raw terms of one base; those of a bare name are shared."""
+        kind, name, pos = self.next()
         if kind == "int":
-            return Expr.const(value)
+            return ((name, ()),) if name else ()
         if kind == "(":
-            e = self.expr()
+            raw = self.expr()
             self.expect(")")
-            return e
+            return raw
         if kind != "ident":
-            raise ParseError(f"unexpected token {value!r}", pos)
-        name = value
-        nxt = self.peek()
-        if nxt[0] == "[":
-            if name not in self.table.dep_names:
+            raise ParseError(f"unexpected token {name!r}", pos)
+        table = self.table
+        nxt = self.tokens[self.pos][0]
+        if nxt == "[":
+            if name not in table.dep_names:
                 raise ParseError(f"undeclared dependent variable {name!r}", pos)
             self.next()
             indices = [self.expect("ident")]
-            while self.peek()[0] == ",":
-                self.next()
+            while self.accept(","):
                 indices.append(self.expect("ident"))
             self.expect("]")
-            mi = []
             for _ikind, iname, ipos in indices:
-                try:
-                    self.table.indep_var(iname)
-                except KeyError:
+                if iname not in table._by_name:
                     raise ParseError(f"undeclared independent variable {iname!r}", ipos)
-                mi.append(iname)
-            return self.table.jet(name, mi).as_expr()
-        if nxt[0] == "'" or (nxt[0] == "(" and name in self.table.funcs):
+            return ((1, ((table.jet(name, [i[1] for i in indices]), 1),)),)
+        if nxt == "'" or (nxt == "(" and name in table.funcs):
             order = 0
-            while self.peek()[0] == "'":
-                self.next()
+            while self.accept("'"):
                 order += 1
-            if name not in self.table.funcs:
+            if name not in table.funcs:
                 raise ParseError(f"undeclared function symbol {name!r}", pos)
             self.expect("(")
-            arg = self.expr()
+            arg = _build(self.expr())
             self.expect(")")
-            return self.table.func(name, order, arg).as_expr()
-        if name in self.table.dep_names:
-            return self.table.jet(name).as_expr()
-        try:
-            return self.table.indep_var(name).as_expr()
-        except KeyError:
-            pass
-        if name in self.table.params:
-            return self.table.params[name].as_expr()
-        raise ParseError(f"undeclared identifier {name!r}", pos)
+            return ((1, ((table.func(name, order, arg), 1),)),)
+        terms = table._atom_terms.get(name)
+        if terms is None:
+            atom = (table.jet(name) if name in table.dep_names else
+                    table._by_name.get(name) or table.params.get(name))
+            if atom is None:
+                raise ParseError(f"undeclared identifier {name!r}", pos)
+            terms = table._atom_terms[name] = ((1, ((atom, 1),)),)
+        return terms
 
 
 def parse(text, table):

@@ -142,7 +142,7 @@ def test_mixed_generator_spec_without_label(capsys):
     for spec, message in (
             ("+", "unexpected token None (at position 1)" + have),
             ("-", "unexpected token None (at position 1)" + have),
-            ("1/0*X1", "zero raised to a negative power" + have)):
+            ("1/0*X1", "division by zero (at position 2)" + have)):
         assert main(["mixed", "kdv", "--generator", spec]) == 2
         assert capsys.readouterr().err == \
             f"error: bad generator spec {spec!r}: {message}\n"
@@ -334,6 +334,19 @@ def test_help_lists_exit_codes(capsys):
 
 def test_parse_error_exit_code(capsys):
     assert main(["euler", "kdv", "u[x"]) == 2
+
+
+@pytest.mark.parametrize("expr,message", [
+    ("²*u", "unexpected character '²' (at position 0)"),
+    ("u + 1/0", "division by zero (at position 6)"),
+    ("u/(x - x)", "division by zero (at position 2)"),
+    ("(x - x)^(-1)", "zero raised to a negative power (at position 0)"),
+])
+def test_undefined_input_is_a_positioned_input_error(capsys, expr, message):
+    # a digit that int() refuses, and a zero divisor, are grammar errors
+    # with a position, not internal errors
+    assert main(["euler", "kdv", expr]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_verify_missing_laws_file(capsys):

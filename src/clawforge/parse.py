@@ -16,8 +16,8 @@ parses back to the same normal form.
 
 The rules pass raw terms, (coefficient, factors) pairs not yet merged, and
 normalize only where a normal form is read: both operands of a product of
-two sums (so a sum that cancels is never multiplied out), a power's base, a
-divisor, a function argument, and the result.  A zero divisor, and any other
+two sums (no sum multiplies a sum before it cancels), a power's base, a
+divisor, a function argument, and the result.  A zero divisor, or any other
 power that normalization leaves undefined, is a ParseError at its factor.
 """
 
@@ -112,8 +112,8 @@ class _Parser:
 
     def term(self):
         """The factors' raw terms multiplied out; the operands of a product
-        of two sums are normalized first, so a sum that cancels is never
-        multiplied out."""
+        of two sums are normalized first, so their terms that cancel are
+        never multiplied out."""
         raw = self.factor()
         while op := self.accept("*", "/"):
             pos = self.tokens[self.pos][2]

@@ -97,11 +97,13 @@ def _parse_generator_spec(model, spec):
     labels = sorted(model.generators)
     table = SymbolTable((), (), params=labels)
     try:
-        form = collect(parse(spec, table), set(table.params.values()))
+        form = collect(e := parse(spec, table), set(table.params.values()))
     except ParseError as exc:
         raise CliError(f"bad generator spec {spec!r}: {exc}; have {labels}")
     except NonlinearError:
         form = {}
+    if e.is_zero:
+        raise CliError(f"generator spec {spec!r} is zero")
     if list(form) != [()] or None in form[()]:
         raise CliError(f"generator spec {spec!r} is not a rational "
                        f"combination of the labels {labels}")

@@ -8,7 +8,6 @@ from stable monomial ordering throughout."""
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import threading
 from collections import Counter
@@ -370,19 +369,23 @@ class WitnessSpace:
     theta entry is not weighted-homogeneous.
 
     A block's key rows are sorted by `priority` and fed once through an
-    `IncrementalSystem`, recording each row's eliminations and pivot;
-    `fit` replays them on a law's right-hand side, a sparse triangular
-    solve.  Pivots are the smallest live column of each row, so the pivot
-    columns are the first independent curl columns, and a law's witness is
-    its unique representation on them, as `linsolve.ColumnSpace` finds.
+    `IncrementalSystem`, recording each row's eliminations and the echelon
+    row it opened, if any.  `fit` runs forward over the key rows from the
+    first one a law reaches, subtracting each row's eliminations from the
+    law's value there: that leaves each echelon row's right-hand side, and
+    a dependent row left nonzero makes the fit inexact.  It then
+    back-substitutes, last echelon row first.  Pivots are the smallest live
+    column of each row, so the pivot columns are the first independent curl
+    columns, and a law's witness is its unique representation on them, as
+    `linsolve.ColumnSpace` finds.
 
     The split changes no result: one echelon over all key rows in priority
     order is, block by block, the echelon of that block's rows, so the
     verdict and the witness decouple by block, and a block that no key of
     a law reaches gives zero coefficients.  So each block is built on first
     use, under a lock, by `fit`, `strip` or `complete`; reading `columns`
-    (key -> {basis index: value}), `factors` (key -> factors) or `curls`
-    (basis index -> {key: value}) builds them all."""
+    (key -> {basis index: value}) or `factors` (key -> factors) builds them
+    all."""
 
     def __init__(self, system, theta_ansatz):
         theta_ansatz.require_polynomial("triviality witness")
@@ -391,7 +394,6 @@ class WitnessSpace:
         self._system = system
         self._lock = threading.Lock()
         self._factors = {}                  # (comp, monokey) -> factors
-        self._curls = [None] * self.ncols   # filled block by block
         table = system.table
         n, dim = table.n, table.n + table.m
         unit = [[int(i == j) for j in range(dim)] for i in range(dim)]
@@ -412,7 +414,7 @@ class WitnessSpace:
         self._blocks = {}       # weight -> block
         for m, label in enumerate(self._col_label):
             self._blocks.setdefault(label, SimpleNamespace(
-                members=[], rows=None)).members.append(m)
+                members=[], echelon=None)).members.append(m)
 
     def _label(self, key):
         """The weight of the block that can hold a curl key, or None."""
@@ -423,7 +425,7 @@ class WitnessSpace:
         """The block of a weight, built on first use; None if none."""
         blk = self._blocks.get(label)
         with self._lock:
-            if blk is not None and blk.rows is None:
+            if blk is not None and blk.echelon is None:
                 self._build(blk)
         return blk
 
@@ -432,55 +434,33 @@ class WitnessSpace:
         blk.columns = {}    # (comp, monokey) -> {basis index: nonzero value}
         for m in blk.members:
             # the curl (D_x theta, -D_t theta), reduced, keyed once
-            rb, col = self._system.reduce(self.theta.basis[m]), {}
+            rb = self._system.reduce(self.theta.basis[m])
             for comp, v, sign in ((0, x, 1), (1, t, -1)):
                 terms = self._system.reduced_derivative_terms(rb, v)
                 for mk, (c, f) in _normal(terms).items():
                     key = comp, mk
-                    col[key], self._factors[key] = sign * c, f
-            for key, val in col.items():
-                blk.columns.setdefault(key, {})[m] = val
-            self._curls[m] = col
+                    blk.columns.setdefault(key, {})[m] = sign * c
+                    self._factors[key] = f
         keys = sorted(blk.columns, key=self.priority)
         blk.row_of = {key: r for r, key in enumerate(keys)}
         echelon = linsolve.IncrementalSystem(self.ncols)
-        blk.pivot_of = []   # key row -> echelon row, None if dependent
-        blk.users = []      # echelon row -> [(key row, factor)]
-        for r, key in enumerate(keys):
-            steps = []
+        blk.steps = []  # key row -> (echelon row it opened or None, steps)
+        for key in keys:
+            steps, k = [], len(echelon.rows)
             echelon.try_add(blk.columns[key], 0, steps)
-            new = len(echelon.rows) > len(blk.users)
-            blk.pivot_of.append(len(blk.users) if new else None)
-            blk.users += [[]] if new else []
-            for i, f in steps:
-                blk.users[i].append((r, f))
-        blk.scales = echelon.scales
-        blk.pivot_cols = list(echelon.pivots)
-        blk.above = [[] for _ in echelon.rows]  # rows holding each pivot
-        for i, row in enumerate(echelon.rows):
-            for c in row:
-                k = echelon.pivots.get(c, i)
-                if k != i:
-                    blk.above[k].append(i)
-        blk.rows = echelon.rows
-
-    def _all_blocks(self):
-        return [self._block(label) for label in self._blocks]
+            blk.steps.append((k if len(echelon.rows) > k else None, steps))
+        blk.echelon = echelon
 
     @cached_property
     def columns(self):
-        return {k: col for blk in self._all_blocks()
+        return {k: col for blk in map(self._block, self._blocks)
                 for k, col in blk.columns.items()}
 
     @property
     def factors(self):
-        self._all_blocks()
+        for label in self._blocks:
+            self._block(label)
         return self._factors
-
-    @property
-    def curls(self):
-        self._all_blocks()
-        return self._curls
 
     def priority(self, key):
         """Sort key of a built block's curl key for stripping: by component,
@@ -500,8 +480,8 @@ class WitnessSpace:
         consistent, with the free coordinates zero, and `exact` says that
         they solve them all and that no key of the law lies outside the
         witness columns, i.e. that the law is a curl of the witness.  Only
-        the blocks, and in them the rows, that the law's keys reach are
-        visited; a key whose weight has no block is outside every column."""
+        the blocks that the law's keys reach are visited; a key whose
+        weight has no block is outside every column."""
         parts = {}
         for key, val in rhs_map.items():
             parts.setdefault(self._label(key), {})[key] = val
@@ -511,40 +491,26 @@ class WitnessSpace:
             rows = {} if blk is None else blk.row_of
             acc = {rows[key]: val for key, val in part.items() if key in rows}
             exact = exact and len(acc) == len(part)
-            # forward: replay the recorded eliminations in key-row order
-            todo = sorted(acc)     # a sorted list is a heap
-            rhs = {}
-            while todo:
-                r = heapq.heappop(todo)
-                b = _num(acc.pop(r))
-                if not b:
-                    continue
-                k = blk.pivot_of[r]
-                if k is None:
+            if not acc:
+                continue
+            echelon = blk.echelon
+            # forward: each key row's eliminations, on the law's values
+            rhs = [0] * len(echelon.rows)
+            for r in range(min(acc), len(blk.steps)):
+                k, steps = blk.steps[r]
+                b = acc.get(r, 0)
+                for i, f in steps:
+                    if rhs[i]:
+                        b = _num(b - f * rhs[i])
+                if k is not None:
+                    rhs[k] = _quot(b, echelon.scales[k])
+                elif b:
                     exact = False
-                    continue
-                b = rhs[k] = _quot(b, blk.scales[k])
-                for r2, f in blk.users[k]:
-                    cur = acc.get(r2)
-                    if cur is None:
-                        acc[r2] = -f * b
-                        heapq.heappush(todo, r2)
-                    else:
-                        acc[r2] = cur - f * b
-            # backward: substitute into the echelon rows, last row first
-            todo = sorted(-k for k in rhs)
-            queued = set(rhs)
-            while todo:
-                k = -heapq.heappop(todo)
-                p = blk.pivot_cols[k]
-                val = _num(rhs.get(k, 0) - sum(
-                    x * coeffs[c] for c, x in blk.rows[k].items() if c != p))
-                if val:
-                    coeffs[p] = val
-                    for i in blk.above[k]:
-                        if i not in queued:
-                            queued.add(i)
-                            heapq.heappush(todo, -i)
+            # back: substitute into the echelon rows, last row first
+            for p, k in reversed(echelon.pivots.items()):
+                coeffs[p] = _num(rhs[k] - sum(
+                    x * coeffs[c] for c, x in echelon.rows[k].items()
+                    if c != p))
         return exact, coeffs
 
     def complete(self, rhs_map, components=(0, 1), extra_cols=()):
@@ -573,13 +539,14 @@ class WitnessSpace:
 
     def strip(self, reds, coeffs):
         """The reduced law components `reds` minus the reduced curl of the
-        witness `coeffs`, from the stored curl columns."""
+        witness `coeffs`, from the curl columns of the blocks it holds."""
         out = [list(r.terms) for r in reds]
-        for m, val in enumerate(coeffs):
-            if val:
-                self._block(self._col_label[m])
-                for key, x in self._curls[m].items():
-                    out[key[0]].append((-val * x, self._factors[key]))
+        held = {m for m, val in enumerate(coeffs) if val}
+        for label in {self._col_label[m] for m in held}:
+            for key, col in self._block(label).columns.items():
+                if ms := col.keys() & held:
+                    val = sum(coeffs[m] * col[m] for m in ms)
+                    out[key[0]].append((-val, self._factors[key]))
         return tuple(_build(terms) for terms in out)
 
 

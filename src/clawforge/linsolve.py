@@ -4,7 +4,8 @@ Matrices store their rows sparse (determining systems are mostly zeros).
 One eliminator serves every routine: `IncrementalSystem` grows a sparse
 echelon one row at a time, pivots on the smallest column of each new row
 and normalizes that pivot to 1; it can record each row's eliminations,
-which `lawgen.WitnessSpace` replays.  `rank` counts the echelon's rows;
+which `lawgen.WitnessSpace` subtracts in a forward pass before its back
+pass over the echelon rows, last row first.  `rank` counts its rows;
 `rref`, `nullspace` and `solve` back-substitute it, last row first, into
 the reduced row-echelon form.  That form is unique, so a basis or a
 particular solution depends only on the column order.  Values are exact

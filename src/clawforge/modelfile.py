@@ -95,12 +95,6 @@ class ModelFile:
     def laws(self):
         return parse_laws(self.law_lines, self.table)
 
-    def generator(self, label):
-        if label not in self.generators:
-            raise KeyError(f"unknown generator {label!r}; "
-                           f"have {sorted(self.generators)}")
-        return self.generators[label]
-
 
 def _split_sections(text):
     sections = {}

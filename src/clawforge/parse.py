@@ -63,6 +63,10 @@ def _tokenize(text):
     return tokens
 
 
+def _shown(tok):
+    return "end of input" if tok[0] == "end" else repr(tok[1])
+
+
 class _Parser:
     def __init__(self, text, table):
         self.tokens = _tokenize(text)
@@ -83,7 +87,7 @@ class _Parser:
     def expect(self, kind):
         tok = self.next()
         if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
+            raise ParseError(f"expected {kind!r}, found {_shown(tok)}", tok[2])
         return tok
 
     def parse(self):
@@ -161,7 +165,7 @@ class _Parser:
             self.expect(")")
             return raw
         if kind != "ident":
-            raise ParseError(f"unexpected token {name!r}", pos)
+            raise ParseError(f"unexpected token {_shown((kind, name))}", pos)
         table = self.table
         nxt = self.tokens[self.pos][0]
         if nxt == "[":

@@ -130,7 +130,7 @@ def test_criterion_5_mixed_method():
     fw = get_model("fw")
     tabf = fw.table
     spaces = ansatz_spaces(fw)  # psi degree 1, H degree 2
-    result_fw = mixed_method(fw.system, fw.generator("X1"),
+    result_fw = mixed_method(fw.system, fw.generators["X1"],
                              spaces["psi"], spaces["h"],
                              theta_ansatz=spaces["theta"])
     assert len(result_fw.laws) >= 2
@@ -152,7 +152,7 @@ def test_criterion_5_mixed_method():
     psi = [make_ansatz([parse(s, tabk) for s in ("1", "u", "x", "t*u")], "p")]
     hb = monomial_basis(tabk, 2)
     h = [make_ansatz(hb, "h1_"), make_ansatz(hb, "h2_")]
-    result_kdv = mixed_method(kdv.system, kdv.generator("X4"), psi, h)
+    result_kdv = mixed_method(kdv.system, kdv.generators["X4"], psi, h)
     ref = [parse("-u", tabk), parse("u^2/2 + u[x,x]", tabk)]
     assert any(vectors_equivalent_mod_trivial(kdv.system, law.components, ref)
                for law in result_kdv.laws)

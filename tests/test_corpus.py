@@ -27,7 +27,7 @@ def test_lookup_kdv(kdv):
 def test_lookup_sp(sp):
     assert sp.system.equations[0].lead == sp.table.jet("u", ["t", "x"])
     assert len(sp.generators) == 3
-    g = sp.generator("X3")
+    g = sp.generators["X3"]
     assert str(g.xi[0]) == "t" and str(g.xi[1]) == "-x" and str(g.eta[0]) == "-u"
 
 

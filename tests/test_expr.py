@@ -109,6 +109,19 @@ def test_radicals_of_perfect_powers_collapse():
     check()
 
 
+@pytest.mark.xfail(strict=True, reason="2^(3/2) and 2*2^(1/2) are kept as "
+                   "different normal forms of one number")
+def test_radicals_of_a_rational_are_canonical(tab):
+    assert P(tab, "2^(3/2) - 2*2^(1/2)").is_zero
+
+
+@pytest.mark.xfail(strict=True, reason="the radical reduction of two opaque "
+                   "bases depends on the order of multiplication")
+def test_power_of_a_product_of_opaque_bases_is_canonical(tab):
+    assert P(tab, "((t+u)^(1/3)*(1+u)^(1/2))^5"
+                  " - (t+u)^(5/3)*(1+u)^(5/2)").is_zero
+
+
 def test_zero_to_negative_power_raises(tab):
     with pytest.raises(DomainError):
         P(tab, "0") ** -1

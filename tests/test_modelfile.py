@@ -167,12 +167,6 @@ def test_ansatz_spaces_overrides():
     assert len(spaces["psi"][0].basis) == 1
 
 
-def test_generator_lookup_error():
-    m = parse_model_text(GOOD)
-    with pytest.raises(KeyError):
-        m.generator("X9")
-
-
 @pytest.mark.parametrize("key", ["psi_vars", "h_vars", "theta_vars"])
 def test_unknown_ansatz_variable_is_an_error_at_load(key):
     base = GOOD.replace("h_vars: u\n", "")

@@ -134,7 +134,7 @@ class PdeSystem:
 
     def _validate(self):
         leads = [eq.lead for eq in self.equations]
-        if len({l.sort_key() for l in leads}) != len(leads):
+        if len(set(leads)) != len(leads):
             raise SolvedFormError(f"{self.name}: duplicate leading coordinate")
         for i, a in enumerate(leads):
             for j, b in enumerate(leads):

@@ -21,6 +21,13 @@ printing read, so the choice never changes a normal form or its text.
 One chain rule serves every derivative: `_derive_all` carries a rule for
 single atoms through products, powers, function symbols and opaque bases.
 
+Atoms are interned for the life of the process (`Atom`): equality is
+identity, and a key includes the name.  So like terms are merged by their
+factor tuples, which hash and compare in C, and the sort key of a
+monomial (`_monokey`) is read from a cache of (base, exponent) parts.
+The atom table and that cache keep every distinct atom and factor part
+the process has built, with no eviction and no setting.
+
 Values are immutable after construction and all operations are pure.
 """
 
@@ -67,32 +74,34 @@ def _exact(x):
 # Atoms
 # ---------------------------------------------------------------------------
 
+_ATOMS = {}     # key -> the one atom with that key
+
+
 class Atom:
-    """Base class for the leaves of the expression tree.
+    """Base class for the leaves of the expression tree.  Constructing an
+    atom returns the one already built with the same key, if any.  The key
+    is the kind, then the defining data (index, multi-index, the normal
+    form of a function argument) and the name; its order is total and
+    stable across runs."""
 
-    Every atom carries a precomputed sort key; the key order is total and
-    stable across runs (kind, then index/name, then multi-index, then the
-    normal form of a function argument).
-    """
+    __slots__ = ("_key", "_bkey")
 
-    __slots__ = ("_key", "_bkey", "_hash")
-
-    def _set_key(self, key):
-        self._key = key
-        self._bkey = (0,) + key     # the key as a factor base, see Expr._bkey
-        self._hash = hash(key)
-
-    def sort_key(self):
-        return self._key
-
-    def __eq__(self, other):
-        return self is other or (isinstance(other, Atom) and self._key == other._key)
+    @classmethod
+    def _intern(cls, key, **fields):
+        """The atom of this class with `key`; a new one is fully built
+        before it is published, so threads never get two for one key."""
+        atom = _ATOMS.get(key)
+        if atom is None:
+            atom = object.__new__(cls)
+            for name, value in fields.items():
+                setattr(atom, name, value)
+            atom._key = key
+            atom._bkey = (0,) + key     # the key as a factor base, see Expr._bkey
+            atom = _ATOMS.setdefault(key, atom)
+        return atom
 
     def __lt__(self, other):
         return self._key < other._key
-
-    def __hash__(self):
-        return self._hash
 
     def as_expr(self):
         return Expr(((1, ((self, 1),)),))
@@ -132,10 +141,8 @@ class IndepVar(Atom):
 
     __slots__ = ("index", "name")
 
-    def __init__(self, index, name):
-        self.index = index
-        self.name = name
-        self._set_key((0, index))
+    def __new__(cls, index, name):
+        return cls._intern((0, index, name), index=index, name=name)
 
     def __repr__(self):
         return self.name
@@ -145,15 +152,17 @@ class Jet(Atom):
     """Jet coordinate u^a_J: dependent variable `alpha` differentiated by the
     multi-index `mi`, a tuple of IndepVar atoms sorted by index (so u[x,t]
     and u[t,x] are the same atom).  An empty multi-index is the dependent
-    variable itself."""
+    variable itself.  The key ends with the names of the variable and of
+    the multi-index, so jets of models that number their variables alike
+    stay distinct."""
 
     __slots__ = ("alpha", "name", "mi")
 
-    def __init__(self, alpha, name, mi=()):
-        self.alpha = alpha
-        self.name = name
-        self.mi = tuple(sorted(mi, key=lambda v: v.index))
-        self._set_key((1, alpha, len(self.mi), tuple(v.index for v in self.mi)))
+    def __new__(cls, alpha, name, mi=()):
+        mi = tuple(sorted(mi, key=lambda v: v.index))
+        key = (1, alpha, len(mi), tuple(v.index for v in mi), name,
+               tuple(v.name for v in mi))
+        return cls._intern(key, alpha=alpha, name=name, mi=mi)
 
     @property
     def order(self):
@@ -195,9 +204,8 @@ class Param(Atom):
 
     __slots__ = ("name",)
 
-    def __init__(self, name):
-        self.name = name
-        self._set_key((2, name))
+    def __new__(cls, name):
+        return cls._intern((2, name), name=name)
 
     def __repr__(self):
         return self.name
@@ -210,9 +218,8 @@ class Unknown(Param):
 
     __slots__ = ()
 
-    def __init__(self, name):
-        self.name = name
-        self._set_key((4, name))
+    def __new__(cls, name):
+        return cls._intern((4, name), name=name)
 
 
 class FuncSym(Atom):
@@ -221,11 +228,9 @@ class FuncSym(Atom):
 
     __slots__ = ("name", "order", "arg")
 
-    def __init__(self, name, order, arg):
-        self.name = name
-        self.order = order
-        self.arg = arg
-        self._set_key((3, name, order, arg.sort_key()))
+    def __new__(cls, name, order, arg):
+        return cls._intern((3, name, order, arg.sort_key()),
+                           name=name, order=order, arg=arg)
 
     def raised(self):
         return FuncSym(self.name, self.order + 1, self.arg)
@@ -238,8 +243,22 @@ class FuncSym(Atom):
 # Expr
 # ---------------------------------------------------------------------------
 
+class _PartKeys(dict):
+    """(base, exponent) factor part -> its part of a monomial key, made
+    once per distinct part and kept for the life of the process."""
+
+    def __missing__(self, part):
+        b, e = part
+        key = self[part] = (b._bkey, e.numerator, e.denominator)
+        return key
+
+
+_part_key = _PartKeys().__getitem__
+
+
 def _monokey(factors):
-    return tuple((b._bkey, e.numerator, e.denominator) for b, e in factors)
+    """The sort key of a monomial's factor tuple."""
+    return tuple(map(_part_key, factors))
 
 
 class Expr:
@@ -500,15 +519,15 @@ def _normal(raw_terms):
     merged, then opaque-base reduction run to a fixpoint.  Factors sort by
     `_bkey`, atoms first, so only a term's last factor need be tested."""
     acc = _accumulate(raw_terms)
-    if any(f and not isinstance(f[-1][0], Atom) for _, f in acc.values()):
-        acc = _radical_reduce(acc.values())
+    if any(f and not isinstance(f[-1][0], Atom) for f in acc):
+        acc = _radical_reduce(acc)
     return acc
 
 
 def _build(raw_terms):
-    """The Expr of `_normal(raw_terms)`, its terms ordered by the keys."""
+    """The Expr of `_normal(raw_terms)`, its terms ordered by `_monokey`."""
     acc = _normal(raw_terms)
-    return Expr(tuple(tuple(acc[key]) for key in sorted(acc)))
+    return Expr(tuple((acc[f], f) for f in sorted(acc, key=_monokey)))
 
 
 def _split_radical(factors):
@@ -540,15 +559,15 @@ def _mono_quot(mono, lm):
     return tuple(sorted(out.items(), key=lambda fe: fe[0]._bkey))
 
 
-def _radical_reduce(terms):
+def _radical_reduce(acc):
     """Keep opaque-base powers canonical: for each group of terms sharing a
     radical signature, divide the polynomial part by each (non-constant)
     base and move exact multiples up one power.  The resulting base-adic
     form is unique, which is what makes syntactic zero-testing sound.
-    Returns the accumulated terms, keyed like `_accumulate`."""
+    Takes and returns accumulated terms, keyed like `_accumulate`."""
     while True:
         groups = {}
-        for c, f in terms:
+        for f, c in acc.items():
             plain, rad = _split_radical(f)
             groups.setdefault(rad, []).append((c, plain))
         changed = False
@@ -569,7 +588,6 @@ def _radical_reduce(terms):
         acc = _accumulate(out)
         if not changed:
             return acc
-        terms = acc.values()
 
 
 def _reduce_group(rad, polyterms):
@@ -580,7 +598,7 @@ def _reduce_group(rad, polyterms):
             continue  # opaque constants like 2^(1/2) are inert
         lm_c, lm_f = max(b.terms, key=lambda t: _lm_key(t[1]))
         # polynomial division of the group content by b
-        poly = {f: c for c, f in _accumulate(polyterms).values()}
+        poly = _accumulate(polyterms)
         quot = {}
         progress = True
         while progress:
@@ -615,22 +633,15 @@ def _reduce_group(rad, polyterms):
 
 
 def _accumulate(terms):
-    """Like terms merged: monomial key -> [coefficient, factors], without
-    the keys whose coefficients cancel; integral coefficients become ints."""
+    """Like terms merged: factors -> coefficient, without the factors
+    whose coefficients cancel; integral coefficients become ints.  Atoms
+    are interned, so equal factor tuples are the same monomial."""
     acc = {}
+    get = acc.get
     for c, f in terms:
-        key = _monokey(f)
-        cur = acc.get(key)
-        if cur is None:
-            acc[key] = [c, f]
-        else:
-            cur[0] += c
-    out = {}
-    for key, cf in acc.items():
-        if cf[0]:
-            cf[0] = _num(cf[0])
-            out[key] = cf
-    return out
+        cur = get(f)
+        acc[f] = c if cur is None else cur + c
+    return {f: _num(c) for f, c in acc.items() if c}
 
 
 def _nth_root(n, k):
@@ -695,7 +706,8 @@ def make_power(base, e):
         return _build(_expand_term(scalar, fdict))
     if not base.is_polynomial():
         raise DomainError(
-            f"cannot raise a non-polynomial sum to the power {e}: {base!r}")
+            f"cannot raise a non-polynomial sum to the power {_rat_str(e)}: "
+            f"{base!r}")
     return Expr(((1, ((base, e),)),))
 
 
@@ -844,7 +856,9 @@ def collect(e, unknowns):
 class SymbolTable:
     """Declared names for one model: ordered independent and dependent
     variables, unknown constants, and formal function symbols.  Tables are
-    passed explicitly; there is no global state."""
+    passed explicitly, but the atoms they hand out are interned process-wide
+    (see `Atom`): two tables that declare a name alike share its atom, and
+    a jet's key holds its names, so kdv's `u` and gas1d's `rho` differ."""
 
     def __init__(self, indep, dep, params=(), funcs=()):
         self.indep = tuple(IndepVar(i, n) for i, n in enumerate(indep))
@@ -855,7 +869,6 @@ class SymbolTable:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate declaration among {names}")
         self._by_name = {v.name: v for v in self.indep}
-        self._jets = {}         # (name, *sorted indices) -> its one Jet
         self._atom_terms = {}   # the parser's terms of each bare name
 
     @property
@@ -873,11 +886,8 @@ class SymbolTable:
         return v
 
     def jet(self, name, mi_names=()):
-        key = (name, *sorted(mi_names))
-        if key not in self._jets:
-            self._jets[key] = Jet(self.dep_names.index(name), name,
-                                  [self.indep_var(v) for v in mi_names])
-        return self._jets[key]
+        return Jet(self.dep_names.index(name), name,
+                   [self.indep_var(v) for v in mi_names])
 
     def jet_by_alpha(self, alpha, mi=()):
         return Jet(alpha, self.dep_names[alpha], mi)
@@ -892,10 +902,29 @@ class SymbolTable:
 # Printing (the output re-parses under the input grammar)
 # ---------------------------------------------------------------------------
 
+_DIGITS = 4000   # decimal digits per conversion, under the interpreter's cap
+_CHUNK = 10 ** _DIGITS
+
+
+def _int_str(n):
+    """str(n) for an int of any size, converted 4,000 digits at a time:
+    the interpreter refuses more than 4,300 in one conversion."""
+    sign, n = "-" if n < 0 else "", abs(n)
+    chunks = []
+    while n >= _CHUNK:
+        n, r = divmod(n, _CHUNK)
+        chunks.append(str(r).zfill(_DIGITS))
+    return sign + str(n) + "".join(reversed(chunks))
+
+
+def _rat_str(x):
+    """str(x) for an exact rational of any size."""
+    s = _int_str(x.numerator)
+    return s if x.denominator == 1 else f"{s}/{_int_str(x.denominator)}"
+
+
 def _exp_str(e):
-    if e.denominator == 1:
-        return str(e.numerator) if e > 0 else f"({e.numerator})"
-    return f"({e.numerator}/{e.denominator})"
+    return _rat_str(e) if e.denominator == 1 and e > 0 else f"({_rat_str(e)})"
 
 
 def _base_str(b):
@@ -910,15 +939,9 @@ def _term_str(coeff, factors):
             s += f"^{_exp_str(e)}"
         pieces.append(s)
     mag = abs(coeff)
-    if not pieces:
-        num = str(mag)
-    elif mag == 1:
-        num = "*".join(pieces)
-    elif mag.denominator == 1:
-        num = "*".join([str(mag.numerator)] + pieces)
-    else:
-        num = "*".join([f"{mag.numerator}/{mag.denominator}"] + pieces)
-    return num
+    if pieces and mag == 1:
+        return "*".join(pieces)
+    return "*".join([_rat_str(mag)] + pieces)
 
 
 def to_string(e):

@@ -437,8 +437,8 @@ class WitnessSpace:
             rb = self._system.reduce(self.theta.basis[m])
             for comp, v, sign in ((0, x, 1), (1, t, -1)):
                 terms = self._system.reduced_derivative_terms(rb, v)
-                for mk, (c, f) in _normal(terms).items():
-                    key = comp, mk
+                for f, c in _normal(terms).items():
+                    key = comp, _monokey(f)
                     blk.columns.setdefault(key, {})[m] = sign * c
                     self._factors[key] = f
         keys = sorted(blk.columns, key=self.priority)
@@ -798,13 +798,3 @@ def self_adjointness_check(system, psi):
     L = formal_lagrangian(system, list(psi))
     residuals = tuple(system.reduce(E) for E in _euler_residuals(L, table))
     return SelfAdjointnessReport(psi=tuple(psi), residuals=residuals)
-
-
-def expr_span_equal(exprs_a, exprs_b):
-    """Span equality of two lists of expressions, decided by exact
-    elimination over their joint monomial coefficient vectors."""
-    exprs_a, exprs_b = list(exprs_a), list(exprs_b)
-    maps = [_coeff_map(e, 0) for e in exprs_a + exprs_b]
-    keys = sorted(set().union(*maps))
-    vecs = [[m.get(k, 0) for k in keys] for m in maps]
-    return linsolve.span_equal(vecs[:len(exprs_a)], vecs[len(exprs_a):])

@@ -5,13 +5,12 @@ One eliminator serves every routine: `IncrementalSystem` grows a sparse
 echelon one row at a time, pivots on the smallest column of each new row
 and normalizes that pivot to 1; it can record each row's eliminations,
 which `lawgen.WitnessSpace` subtracts in a forward pass before its back
-pass over the echelon rows, last row first.  `rank` counts its rows;
-`rref`, `nullspace` and `solve` back-substitute it, last row first, into
-the reduced row-echelon form.  That form is unique, so a basis or a
-particular solution depends only on the column order.  Values are exact
-rationals in the engine's representation: an `int` when integral, else a
-reduced `Fraction`, never a float; every division goes through
-`expr._quot`.
+pass over the echelon rows, last row first.  `nullspace` and `solve`
+back-substitute it, last row first, into the reduced row-echelon form.
+That form is unique, so a basis or a particular solution depends only on
+the column order.  Values are exact rationals in the engine's
+representation: an `int` when integral, else a reduced `Fraction`, never a
+float; every division goes through `expr._quot`.
 
 `ColumnSpace` is not used by the library; it is kept as the test oracle
 for `WitnessSpace.fit` and for the benchmark tracer
@@ -67,12 +66,6 @@ class RationalMatrix:
                 dense[c] = x
             out.append(dense)
         return out
-
-    def mul_vector(self, v):
-        if len(v) != self.ncols:
-            raise ValueError("dimension mismatch")
-        return [_num(sum(x * v[c] for c, x in r.items()))
-                for r in self.sparse_rows]
 
     def __repr__(self):
         return f"RationalMatrix({self.nrows}x{self.ncols})"
@@ -260,17 +253,6 @@ def _reduced(inc):
     return sorted(zip(piv, rows, rhs), key=lambda t: t[0])
 
 
-def rref(matrix):
-    """Reduced row-echelon form (exact), padded with zero rows."""
-    rows = [row for _, row, _ in _reduced(_echelon(matrix))]
-    return RationalMatrix(rows + [{}] * (matrix.nrows - len(rows)),
-                          ncols=matrix.ncols)
-
-
-def rank(matrix):
-    return len(_echelon(matrix).rows)
-
-
 def nullspace(matrix):
     """Exact basis of {v : Mv = 0}; dimension = cols - rank."""
     return solve(matrix, [0] * matrix.nrows)
@@ -297,17 +279,3 @@ def solve(matrix, rhs):
             if c != p:
                 free[c][p] = -x
     return SolutionSpace(free.values(), particular)
-
-
-def span_equal(vectors_a, vectors_b):
-    """True when the two lists of rational vectors span the same subspace
-    (mutual membership via exact elimination)."""
-    if not vectors_a and not vectors_b:
-        return True
-    ncols = len(vectors_a[0]) if vectors_a else len(vectors_b[0])
-    if any(len(v) != ncols for v in list(vectors_a) + list(vectors_b)):
-        return False
-    ra = rank(RationalMatrix(list(vectors_a))) if vectors_a else 0
-    rb = rank(RationalMatrix(list(vectors_b))) if vectors_b else 0
-    rc = rank(RationalMatrix(list(vectors_a) + list(vectors_b)))
-    return ra == rb == rc

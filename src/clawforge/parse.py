@@ -23,8 +23,8 @@ power that normalization leaves undefined, is a ParseError at its factor.
 
 from __future__ import annotations
 
-from .expr import (DomainError, SymbolTable, _build, _normal, _product_terms,
-                   _quot, make_power)
+from .expr import (_DIGITS, DomainError, SymbolTable, _build, _int_str,
+                   _normal, _product_terms, _quot, make_power)
 
 
 class ParseError(ValueError):
@@ -34,6 +34,16 @@ class ParseError(ValueError):
 
 
 _SYMBOLS = set("+-*/^()[],'")
+
+
+def _read_int(digits):
+    """int(digits) for a decimal literal of any length, read 4,000 digits
+    at a time: the interpreter refuses more than 4,300 in one conversion."""
+    n = int(digits[:_DIGITS])
+    for i in range(_DIGITS, len(digits), _DIGITS):
+        chunk = digits[i:i + _DIGITS]
+        n = n * 10 ** len(chunk) + int(chunk)
+    return n
 
 
 def _tokenize(text):
@@ -47,7 +57,7 @@ def _tokenize(text):
                 j += 1
             if j < n and text[j] == ".":
                 raise ParseError("non-rational literal (decimals are not supported)", i)
-            tokens.append(("int", int(text[i:j]), i))
+            tokens.append(("int", _read_int(text[i:j]), i))
         elif c.isalpha() or c == "_":
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
@@ -64,6 +74,8 @@ def _tokenize(text):
 
 
 def _shown(tok):
+    if tok[0] == "int":
+        return _int_str(tok[1])
     return "end of input" if tok[0] == "end" else repr(tok[1])
 
 
@@ -94,7 +106,7 @@ class _Parser:
         raw = self.expr()
         tok = self.next()
         if tok[0] != "end":
-            raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
+            raise ParseError(f"unexpected trailing input {_shown(tok)}", tok[2])
         return _build(raw)
 
     def power(self, base, e, pos):
@@ -131,7 +143,8 @@ class _Parser:
                     continue
                 f = self.power(d, -1, pos)
             if len(raw) > 1 and len(f) > 1:
-                raw, f = _normal(raw).values(), _normal(f).values()
+                raw, f = ([(c, m) for m, c in _normal(t).items()]
+                          for t in (raw, f))
             raw = _product_terms(raw, f)
         return raw
 

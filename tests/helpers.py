@@ -1,12 +1,19 @@
 """Shared test utilities: the jet pools, the hypothesis strategies for
-jet polynomials and jet terms, and a reference prolongation."""
+jet polynomials and jet terms, a reference prolongation, the exact
+linear-algebra checks that only tests use (reduced row-echelon form, rank,
+matrix-vector product, span equality), and an oracle in sympy that reads
+printed laws and model equations without clawforge's parser."""
 
 import importlib.util
 import itertools
 import os
+import re
 
+from clawforge import corpus
 from clawforge.calculus import total_derivative
-from clawforge.expr import Expr, SymbolTable
+from clawforge.expr import Atom, Expr, SymbolTable, _num
+from clawforge.lawgen import _coeff_map
+from clawforge.linsolve import RationalMatrix, _echelon, _reduced
 from clawforge.parse import parse
 
 # rational powers of polynomial bases, for the normal-form properties
@@ -98,3 +105,184 @@ def reference_zeta(g, table, alpha, mi):
         jet = table.jet_by_alpha(alpha, rest + (xk,)).as_expr()
         out = out - jet * total_derivative(xi, v)
     return out
+
+
+def rref(matrix):
+    """Reduced row-echelon form (exact), padded with zero rows."""
+    rows = [row for _, row, _ in _reduced(_echelon(matrix))]
+    return RationalMatrix(rows + [{}] * (matrix.nrows - len(rows)),
+                          ncols=matrix.ncols)
+
+
+def rank(matrix):
+    return len(_echelon(matrix).rows)
+
+
+def mul_vector(matrix, v):
+    """The product of a RationalMatrix and a dense vector."""
+    if len(v) != matrix.ncols:
+        raise ValueError("dimension mismatch")
+    return [_num(sum(x * v[c] for c, x in r.items()))
+            for r in matrix.sparse_rows]
+
+
+def span_equal(vectors_a, vectors_b):
+    """True when the two lists of rational vectors span the same subspace
+    (mutual membership via exact elimination)."""
+    if not vectors_a and not vectors_b:
+        return True
+    ncols = len(vectors_a[0]) if vectors_a else len(vectors_b[0])
+    if any(len(v) != ncols for v in list(vectors_a) + list(vectors_b)):
+        return False
+    ra = rank(RationalMatrix(list(vectors_a))) if vectors_a else 0
+    rb = rank(RationalMatrix(list(vectors_b))) if vectors_b else 0
+    rc = rank(RationalMatrix(list(vectors_a) + list(vectors_b)))
+    return ra == rb == rc
+
+
+def expr_span_equal(exprs_a, exprs_b):
+    """Span equality of two lists of expressions, decided by exact
+    elimination over their joint monomial coefficient vectors."""
+    exprs_a, exprs_b = list(exprs_a), list(exprs_b)
+    maps = [_coeff_map(e, 0) for e in exprs_a + exprs_b]
+    keys = sorted(set().union(*maps))
+    vecs = [[m.get(k, 0) for k in keys] for m in maps]
+    return span_equal(vecs[:len(exprs_a)], vecs[len(exprs_a):])
+
+
+# -- the sympy oracle ----------------------------------------------------------
+# sympy is imported inside these functions, so this module imports without
+# it; callers guard with `pytest.importorskip("sympy")`.
+
+def sym(a):
+    """The sympy symbol of an atom, named by its printed form."""
+    import sympy
+    return sympy.Symbol(repr(a))
+
+
+def to_sympy(e):
+    """An Expr as a sympy expression: each atom is `sym(atom)` and each
+    opaque base is converted in turn."""
+    import sympy
+    return sympy.Add(*[
+        sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*[
+            (sym(b) if isinstance(b, Atom) else to_sympy(b))
+            ** sympy.Rational(k.numerator, k.denominator)
+            for b, k in f])
+        for c, f in e.terms])
+
+
+_JET_TEXT = re.compile(r"([A-Za-z_]\w*)\[([\w,\s]*)\]")
+
+
+class SympyModel:
+    """A built-in model's equations read from its model text by
+    `sympy.parse_expr` alone, with clawforge's declarations for the names.
+    A jet u[J] is the positive symbol `u__J`, J in the model's variable
+    order; every other name is a positive symbol too."""
+
+    def __init__(self, model):
+        table = model.table
+        self.indep = [v.name for v in table.indep]
+        self.dep = list(table.dep_names)
+        self.jets = {}          # jet symbol -> (dependent name, indices)
+        self._images = {}       # jet symbol -> its reduced image or None
+        text = corpus.TEXTS[model.name]
+        lines = text.split("[equations]")[1].split("\n[")[0].strip()
+        self.equations = []
+        for line in lines.splitlines():
+            lead, rhs = (self.read(s) for s in line.split("="))
+            self.equations.append((self.jets[lead], rhs))
+
+    def jet(self, name, indices):
+        indices = tuple(sorted(indices, key=self.indep.index))
+        import sympy
+        s = sympy.Symbol("__".join((name,) + indices), positive=True)
+        self.jets[s] = (name, indices)
+        return s
+
+    def read(self, text):
+        """Printed expression text as a sympy expression."""
+        import sympy
+        names = {}
+
+        def jet(m):
+            s = self.jet(m.group(1), [i.strip() for i in m.group(2).split(",")])
+            names[s.name] = s
+            return s.name
+
+        text = _JET_TEXT.sub(jet, text).replace("^", "**")
+        for name in set(re.findall(r"[A-Za-z_]\w*", text)) - set(names):
+            names[name] = (self.jet(name, ()) if name in self.dep else
+                           sympy.Symbol(name, positive=True))
+        return sympy.parse_expr(text, local_dict=names)
+
+    def D(self, E, v):
+        """The total derivative of E by the independent variable named v."""
+        import sympy
+        out = sympy.diff(E, sympy.Symbol(v, positive=True))
+        for s in E.free_symbols & self.jets.keys():
+            name, indices = self.jets[s]
+            out += sympy.diff(E, s) * self.jet(name, indices + (v,))
+        return out
+
+    def image(self, s):
+        """D_K of the right-hand side for a jet that is the K-th derivative
+        of a leading jet, else None."""
+        if s not in self._images:
+            name, indices = self.jets[s]
+            self._images[s] = None
+            for (lead, lead_idx), rhs in self.equations:
+                rest = list(indices)
+                if lead != name or any(rest.count(i) < lead_idx.count(i)
+                                       for i in lead_idx):
+                    continue
+                for i in lead_idx:
+                    rest.remove(i)
+                for v in rest:
+                    rhs = self.D(rhs, v)
+                self._images[s] = rhs
+                break
+        return self._images[s]
+
+    def euler(self, L, name):
+        """The Euler operator of L for the dependent variable `name`."""
+        import sympy
+        out = sympy.Integer(0)
+        for s in L.free_symbols & self.jets.keys():
+            dep, indices = self.jets[s]
+            if dep == name:
+                d = sympy.diff(L, s)
+                for v in indices:
+                    d = -self.D(d, v)
+                out += d
+        return out
+
+
+def sympy_reduce(model, E):
+    """E with every derivative of a leading jet replaced by its image under
+    the equations, repeated until none is left; `model` is a SympyModel."""
+    for _ in range(100):
+        subs = {s: model.image(s) for s in E.free_symbols & model.jets.keys()}
+        subs = {s: r for s, r in subs.items() if r is not None}
+        if not subs:
+            return E
+        E = E.xreplace(subs)
+    raise AssertionError("reduction did not reach a fixed point")
+
+
+def sympy_is_zero(E):
+    """True when E is zero: `expand`, then `together`; failing that, E
+    must vanish to 40 digits at two points with positive rational
+    coordinates."""
+    import sympy
+    E = sympy.expand(E)
+    if E == 0 or sympy.expand(sympy.numer(sympy.together(E))) == 0:
+        return True
+    symbols = sorted(E.free_symbols, key=lambda s: s.name)
+    for j in range(2):
+        point = {s: sympy.Rational(k % 7 + 1 + j, k % 5 + 2)
+                 for k, s in enumerate(symbols)}
+        if abs(sympy.N(E.subs(point), 50)) > 1e-40:
+            return False
+    return True

@@ -11,16 +11,16 @@ from clawforge.calculus import divergence, euler, total_derivative
 from clawforge.cli import main
 from clawforge.corpus import get_model
 from clawforge.lawgen import (default_theta_ansatz, density_equivalent_mod_trivial,
-                              expr_span_equal, formal_lagrangian, is_trivial,
+                              formal_lagrangian, is_trivial,
                               make_ansatz, mixed_method, monomial_basis,
                               flux_identity_residual, self_adjointness_check,
                               solve_multipliers, vectors_equivalent_mod_trivial,
                               verify)
-from clawforge.linsolve import RationalMatrix, rank
+from clawforge.linsolve import RationalMatrix
 from clawforge.modelfile import ansatz_spaces
 from clawforge.parse import parse
 
-from helpers import jet_polys, two_var_table
+from helpers import expr_span_equal, jet_polys, rank, two_var_table
 
 
 def _report(criterion, detail=""):

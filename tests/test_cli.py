@@ -563,3 +563,83 @@ def test_user_model_with_unknown_ansatz_variable_is_an_input_error(
     assert captured.out == ""
     assert captured.err == (f"error: {model}: unknown ansatz variable 'q' "
                             "(line 9)\n")
+
+
+# -- integers past the interpreter's 4,300-digit conversion limit --------------
+
+BIG = 2 ** 20000    # 6,021 decimal digits
+
+
+def _digits_ok(text, n):
+    """`text` is the decimal form of n, checked by its length and by its
+    first and last 20 digits, without converting n whole."""
+    size = len(text)
+    return (n // 10 ** (size - 1) in range(1, 10)
+            and text[-20:] == str(n % 10 ** 20).zfill(20)
+            and text[:20] == str(n // 10 ** (size - 20)))
+
+
+def test_euler_prints_a_coefficient_beyond_the_digit_limit(capsys):
+    assert main(["euler", "kdv", "2^20000*u"]) == 0
+    out = capsys.readouterr().out.strip()
+    assert len(out) == 6021 and _digits_ok(out, BIG)
+
+
+def test_literal_beyond_the_digit_limit(capsys):
+    literal = "123456789" * 555 + "12345"       # 5,000 digits
+    assert main(["euler", "kdv", literal + "*u"]) == 0
+    assert capsys.readouterr().out.strip() == literal
+    assert main(["euler", "kdv", "u " + literal]) == 2
+    err = capsys.readouterr().err
+    assert "unexpected trailing input " + literal in err
+
+
+def test_verify_law_with_a_coefficient_beyond_the_digit_limit(tmp_path,
+                                                              capsys):
+    laws = tmp_path / "big.laws"
+    laws.write_text("[laws]\nbig: 2^20000*u | -2^20000*(u^2/2 + u[x,x])\n")
+    assert main(["verify", "kdv", str(laws)]) == 0
+    assert "all laws verify" in capsys.readouterr().out
+    assert main(["verify", "kdv", str(laws), "--json"]) == 0
+    law, = json.loads(capsys.readouterr().out)["laws"]
+    assert law["residual"] == "0" and law["fluxes"][0].endswith("*u")
+
+
+def test_big_numbers_print_and_parse_back():
+    table = get_model("kdv").table
+    den = "7" * 4400
+    e = parse(f"2^20000*u/3^9000 - u[x]^2*{'9' * 4500} + (1 + u)^(1/{den})"
+              f" + u^(-{den})", table)
+    assert parse(str(e), table) == e
+    assert f"^(1/{den})" in str(e) and f"u^(-{den})" in str(e)
+
+
+# -- one process, several models ------------------------------------------------
+
+MIXED_KDV = ["mixed", "kdv", "--generator", "X4", "--json"]
+MIXED_GAS1D = ["mixed", "gas1d", "--generator", "X0", "--psi-degree", "1",
+               "--json"]
+
+
+@pytest.mark.parametrize("first, second", [(MIXED_KDV, MIXED_GAS1D),
+                                           (MIXED_GAS1D, MIXED_KDV)])
+def test_models_run_in_one_process_print_what_separate_processes_do(first,
+                                                                    second):
+    """Atoms are interned for the whole process, and kdv's u and gas1d's
+    rho are both dependent variable 0 of a (t, x) model: two mixed runs in
+    one process, in either order, print byte for byte what each prints in
+    a process of its own, as benchmark sweeps run them."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ,
+               PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+
+    def run(*argvs):
+        code = ("import sys; from clawforge.cli import main\n"
+                f"for argv in {list(argvs)!r}:\n"
+                "    assert main(argv) == 0\n"
+                "    print('\\x00')\n")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        return out.stdout
+
+    assert run(first, second) == run(first) + run(second)

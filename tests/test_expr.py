@@ -1,10 +1,14 @@
+import itertools
 import random
+import sys
+import threading
+import time
 from fractions import Fraction
 
 import pytest
 
-from clawforge.expr import (ZERO, Atom, DomainError, Expr, FuncSym,
-                            NonlinearError, Param, SymbolTable, Unknown,
+from clawforge.expr import (ZERO, Atom, DomainError, Expr, FuncSym, IndepVar,
+                            Jet, NonlinearError, Param, SymbolTable, Unknown,
                             _build, _expand_term, _num, _term_product,
                             collect, make_power, pdiff, substitute)
 from clawforge.lawgen import make_ansatz
@@ -532,3 +536,144 @@ def test_normal_forms_keep_opaque_bases_last():
             check_terms(e)
 
     check()
+
+
+# -- interned atoms ----------------------------------------------------------
+
+# two numberings of the independent variables that agree on t
+_INDEP = (("t", "x"), ("t", "y"))
+
+
+def _old_key(a):
+    """The sort key an atom had before keys held names: the order between
+    atoms whose old keys differ must not move."""
+    if isinstance(a, IndepVar):
+        return (0, a.index)
+    if isinstance(a, Jet):
+        return (1, a.alpha, len(a.mi), tuple(v.index for v in a.mi))
+    if isinstance(a, Unknown):
+        return (4, a.name)
+    if isinstance(a, Param):
+        return (2, a.name)
+    return (3, a.name, a.order, a.arg.sort_key())
+
+
+def _build_atom(spec):
+    """A new construction of the atom that `spec` describes."""
+    kind, *data = spec
+    if kind == "indep":
+        names, i = _INDEP[data[0]], data[1]
+        return IndepVar(i, names[i])
+    if kind == "jet":
+        names, alpha, name, mi = _INDEP[data[0]], data[1], data[2], data[3]
+        return Jet(alpha, name, [IndepVar(i, names[i]) for i in mi])
+    if kind == "func":
+        tab = SymbolTable(["t", "x"], ["u"], funcs=["f", "g"])
+        return FuncSym(data[0], data[1], parse(data[2], tab))
+    return (Param if kind == "param" else Unknown)(data[0])
+
+
+def _defining_data(spec):
+    """What makes an atom: kind, defining data and names; the multi-index
+    of a jet as a multiset of (index, name) pairs."""
+    kind, *data = spec
+    if kind == "indep":
+        return kind, data[1], _INDEP[data[0]][data[1]]
+    if kind == "jet":
+        names = _INDEP[data[0]]
+        return (kind, data[1], data[2],
+                tuple(sorted((i, names[i]) for i in data[3])))
+    return (kind, *data)
+
+
+def test_atoms_are_interned_by_key():
+    """Two constructions with the same kind, defining data and name give
+    the one atom, and any other two give distinct atoms; `==` is identity;
+    and atoms whose keys differed before names joined them sort as they
+    did."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    names = st.sampled_from(("u", "rho", "c0", "th0"))
+    spec = st.one_of(
+        st.tuples(st.just("indep"), st.integers(0, 1), st.integers(0, 1)),
+        st.tuples(st.just("jet"), st.integers(0, 1), st.integers(0, 1),
+                  names, st.lists(st.integers(0, 1), max_size=3)),
+        st.tuples(st.sampled_from(("param", "unknown")), names),
+        st.tuples(st.just("func"), st.sampled_from(("f", "g")),
+                  st.integers(0, 2), st.sampled_from(("u", "u[x]+t", "2"))))
+
+    @hyp.settings(max_examples=150, deadline=None, derandomize=True,
+                  phases=[hyp.Phase.generate])
+    @hyp.given(specs=st.lists(spec, min_size=2, max_size=6))
+    def check(specs):
+        # each jet and variable also under the other numbering
+        specs += [(s[0], 1 - s[1], *s[2:]) for s in specs
+                  if s[0] in ("indep", "jet")]
+        atoms = [_build_atom(s) for s in specs]
+        assert all(a is _build_atom(s) for a, s in zip(atoms, specs))
+        for (a, sa), (b, sb) in itertools.product(zip(atoms, specs), repeat=2):
+            same = _defining_data(sa) == _defining_data(sb)
+            assert (a is b) == same == (a == b)
+            assert (a._key == b._key) == same
+            if _old_key(a) != _old_key(b):
+                assert (a < b) == (_old_key(a) < _old_key(b))
+
+    check()
+
+
+def test_models_numbered_alike_keep_their_own_atoms(kdv, gas1d):
+    """kdv's u and gas1d's rho are both dependent variable 0 of a (t, x)
+    model: they are distinct atoms, each printing its own name, and so are
+    u[x] of kdv and u[y] of a model that names its space variable y."""
+    u, rho = kdv.table.jet("u"), gas1d.table.jet("rho")
+    assert u is not rho and u != rho
+    assert (repr(u), repr(rho)) == ("u", "rho")
+    assert len((u + rho).terms) == 2
+    uy = SymbolTable(["t", "y"], ["u"]).jet("u", ["y"])
+    assert uy is not kdv.table.jet("u", ["x"])
+    assert (repr(uy), repr(kdv.table.jet("u", ["x"]))) == ("u[y]", "u[x]")
+    # tables that declare a name alike share its atom
+    assert SymbolTable(["t", "x"], ["u"]).jet("u", ["x", "t"]) is \
+        kdv.table.jet("u", ["t", "x"])
+
+
+@pytest.mark.parametrize("round_", range(3))
+def test_concurrent_atom_construction_gives_one_atom(round_):
+    """Four threads build the same new jets and unknowns, switching as
+    often as possible, and all get the very atoms a serial build gets
+    afterwards.  The names are new in each round, so every atom is built
+    under contention."""
+    tag = f"conc{round_}"
+    tab = SymbolTable(["t", "x"], [f"{tag}u", f"{tag}v"])
+
+    def work():
+        out = [tab.jet_by_alpha(alpha, combo) for alpha in range(tab.m)
+               for k in range(4)
+               for combo in itertools.combinations_with_replacement(
+                   tab.indep, k)]
+        return out + [Unknown(f"{tag}c{i}") for i in range(40)]
+
+    barrier = threading.Barrier(4)
+    results = [None] * 4
+
+    def run(k):
+        barrier.wait()
+        results[k] = work()
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)     # switch threads as often as possible
+    try:
+        threads = [threading.Thread(target=run, args=(k,), daemon=True)
+                   for k in range(4)]
+        for th in threads:
+            th.start()
+        deadline = time.monotonic() + 60
+        for th in threads:
+            th.join(timeout=max(0, deadline - time.monotonic()))
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    serial = work()
+    for got in results:
+        assert len(got) == len(serial)
+        assert all(a is b for a, b in zip(got, serial))

@@ -8,7 +8,7 @@ from clawforge.calculus import (Equation, Generator, PdeSystem,
 from clawforge.expr import Expr, SymbolTable
 from clawforge.lawgen import (Ansatz, AnsatzError, WitnessSpace,
                               characteristic, default_theta_ansatz,
-                              density_equivalent_mod_trivial, expr_span_equal,
+                              density_equivalent_mod_trivial,
                               fluxes_from_multipliers, formal_lagrangian,
                               symmetry_flux, is_trivial, make_ansatz,
                               mixed_method, monomial_basis,
@@ -19,7 +19,7 @@ from clawforge.lawgen import (Ansatz, AnsatzError, WitnessSpace,
                               verify)
 from clawforge.parse import parse
 
-from helpers import jet_polys, two_var_table
+from helpers import expr_span_equal, jet_polys, two_var_table
 
 
 @pytest.fixture()

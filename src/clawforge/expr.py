@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import attrgetter
 
 
 class DomainError(ArithmeticError):
@@ -75,6 +76,7 @@ def _exact(x):
 # ---------------------------------------------------------------------------
 
 _ATOMS = {}     # key -> the one atom with that key
+_index, _name = attrgetter("index"), attrgetter("name")
 
 
 class Atom:
@@ -88,17 +90,14 @@ class Atom:
 
     @classmethod
     def _intern(cls, key, **fields):
-        """The atom of this class with `key`; a new one is fully built
-        before it is published, so threads never get two for one key."""
-        atom = _ATOMS.get(key)
-        if atom is None:
-            atom = object.__new__(cls)
-            for name, value in fields.items():
-                setattr(atom, name, value)
-            atom._key = key
-            atom._bkey = (0,) + key     # the key as a factor base, see Expr._bkey
-            atom = _ATOMS.setdefault(key, atom)
-        return atom
+        """A new atom with `key`, fully built before it is published; or the
+        one a racing thread published first, so no key has two atoms."""
+        atom = object.__new__(cls)
+        for name, value in fields.items():
+            setattr(atom, name, value)
+        atom._key = key
+        atom._bkey = (0,) + key     # the key as a factor base, see Expr._bkey
+        return _ATOMS.setdefault(key, atom)
 
     def __lt__(self, other):
         return self._key < other._key
@@ -142,7 +141,8 @@ class IndepVar(Atom):
     __slots__ = ("index", "name")
 
     def __new__(cls, index, name):
-        return cls._intern((0, index, name), index=index, name=name)
+        key = (0, index, name)
+        return _ATOMS.get(key) or cls._intern(key, index=index, name=name)
 
     def __repr__(self):
         return self.name
@@ -152,17 +152,17 @@ class Jet(Atom):
     """Jet coordinate u^a_J: dependent variable `alpha` differentiated by the
     multi-index `mi`, a tuple of IndepVar atoms sorted by index (so u[x,t]
     and u[t,x] are the same atom).  An empty multi-index is the dependent
-    variable itself.  The key ends with the names of the variable and of
-    the multi-index, so jets of models that number their variables alike
-    stay distinct."""
+    variable itself.  Its key ends with its names and those of `mi`, so
+    models that number their variables alike keep distinct jets."""
 
     __slots__ = ("alpha", "name", "mi")
 
     def __new__(cls, alpha, name, mi=()):
-        mi = tuple(sorted(mi, key=lambda v: v.index))
-        key = (1, alpha, len(mi), tuple(v.index for v in mi), name,
-               tuple(v.name for v in mi))
-        return cls._intern(key, alpha=alpha, name=name, mi=mi)
+        mi = tuple(sorted(mi, key=_index))
+        key = (1, alpha, len(mi), tuple(map(_index, mi)), name,
+               tuple(map(_name, mi)))
+        return _ATOMS.get(key) or cls._intern(key, alpha=alpha, name=name,
+                                              mi=mi)
 
     @property
     def order(self):
@@ -205,7 +205,7 @@ class Param(Atom):
     __slots__ = ("name",)
 
     def __new__(cls, name):
-        return cls._intern((2, name), name=name)
+        return _ATOMS.get((2, name)) or cls._intern((2, name), name=name)
 
     def __repr__(self):
         return self.name
@@ -219,7 +219,7 @@ class Unknown(Param):
     __slots__ = ()
 
     def __new__(cls, name):
-        return cls._intern((4, name), name=name)
+        return _ATOMS.get((4, name)) or cls._intern((4, name), name=name)
 
 
 class FuncSym(Atom):
@@ -229,8 +229,9 @@ class FuncSym(Atom):
     __slots__ = ("name", "order", "arg")
 
     def __new__(cls, name, order, arg):
-        return cls._intern((3, name, order, arg.sort_key()),
-                           name=name, order=order, arg=arg)
+        key = (3, name, order, arg.sort_key())
+        return _ATOMS.get(key) or cls._intern(key, name=name, order=order,
+                                              arg=arg)
 
     def raised(self):
         return FuncSym(self.name, self.order + 1, self.arg)
@@ -869,7 +870,7 @@ class SymbolTable:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate declaration among {names}")
         self._by_name = {v.name: v for v in self.indep}
-        self._atom_terms = {}   # the parser's terms of each bare name
+        self._atom_terms = {}   # the parser's terms of each name and jet
 
     @property
     def n(self):

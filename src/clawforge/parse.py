@@ -37,8 +37,7 @@ _SYMBOLS = set("+-*/^()[],'")
 
 
 def _read_int(digits):
-    """int(digits) for a decimal literal of any length, read 4,000 digits
-    at a time: the interpreter refuses more than 4,300 in one conversion."""
+    """int(digits) for a literal of any length (see `expr._int_str`)."""
     n = int(digits[:_DIGITS])
     for i in range(_DIGITS, len(digits), _DIGITS):
         chunk = digits[i:i + _DIGITS]
@@ -169,7 +168,7 @@ class _Parser:
         return e
 
     def base(self):
-        """The raw terms of one base; those of a bare name are shared."""
+        """The raw terms of one base; those of a name or a jet are shared."""
         kind, name, pos = self.next()
         if kind == "int":
             return ((name, ()),) if name else ()
@@ -189,10 +188,15 @@ class _Parser:
             while self.accept(","):
                 indices.append(self.expect("ident"))
             self.expect("]")
-            for _ikind, iname, ipos in indices:
-                if iname not in table._by_name:
-                    raise ParseError(f"undeclared independent variable {iname!r}", ipos)
-            return ((1, ((table.jet(name, [i[1] for i in indices]), 1),)),)
+            key = (name, *(i[1] for i in indices))
+            terms = table._atom_terms.get(key)
+            if terms is None:
+                for _ikind, iname, ipos in indices:
+                    if iname not in table._by_name:
+                        raise ParseError(f"undeclared independent variable {iname!r}", ipos)
+                terms = table._atom_terms[key] = (
+                    (1, ((table.jet(name, key[1:]), 1),)),)
+            return terms
         if nxt == "'" or (nxt == "(" and name in table.funcs):
             order = 0
             while self.accept("'"):

@@ -12,7 +12,7 @@ from clawforge.lawgen import formal_lagrangian
 from clawforge.parse import parse
 
 from helpers import (RADICALS, jet_polys, jet_pool, jet_terms, reference_zeta,
-                     two_var_table)
+                     sym, to_sympy, two_var_table)
 
 
 @pytest.fixture()
@@ -357,21 +357,10 @@ def test_pdiff_and_total_derivative_match_sympy():
     tab = two_var_table()
     atoms = [next(iter(p.atoms())) for p in jet_pool(tab, 2)]
 
-    def sym(a):
-        return sympy.Symbol(repr(a))
-
     # a value for every atom that D_v can produce
     points = [{sym(next(iter(p.atoms()))): sympy.Rational(k % 7 + 1 + j,
                                                          k % 5 + 2)
                for k, p in enumerate(jet_pool(tab, 3))} for j in range(2)]
-
-    def to_sympy(e):
-        return sympy.Add(*[
-            sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*[
-                (sym(b) if isinstance(b, Atom) else to_sympy(b))
-                ** sympy.Rational(k.numerator, k.denominator)
-                for b, k in f])
-            for c, f in e.terms])
 
     def same(ours, ref):
         d = sympy.expand(to_sympy(ours) - ref)
@@ -438,16 +427,6 @@ def test_euler_matches_sympy(models):
     sympy = pytest.importorskip("sympy")
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
-
-    def sym(a):
-        return sympy.Symbol(repr(a))
-
-    def to_sympy(e):
-        return sympy.Add(*[
-            sympy.Rational(c.numerator, c.denominator)
-            * sympy.Mul(*[sym(b) ** sympy.Rational(k.numerator, k.denominator)
-                          for b, k in f])
-            for c, f in e.terms])
 
     def D(E, v, jets):
         # jets maps each jet symbol met so far to its Jet

@@ -651,7 +651,7 @@ def test_concurrent_atom_construction_gives_one_atom(round_):
                for k in range(4)
                for combo in itertools.combinations_with_replacement(
                    tab.indep, k)]
-        return out + [Unknown(f"{tag}c{i}") for i in range(40)]
+        return out + [Unknown(f"{tag}c{i}") for i in range(400)]
 
     barrier = threading.Barrier(4)
     results = [None] * 4

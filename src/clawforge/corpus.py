@@ -238,14 +238,14 @@ TEXTS = {"kdv": KDV_TEXT, "fw": FW_TEXT, "sp": SP_TEXT, "gas1d": GAS1D_TEXT,
 
 
 @functools.cache
+def get_model(name):
+    """The named built-in model, built on first use; builds no other."""
+    if name not in TEXTS:
+        raise KeyError(f"unknown model {name!r}; available: {sorted(TEXTS)}")
+    return _model_from_text(TEXTS[name])
+
+
 def builtin_models():
     """The built-in models, keyed by name, in the order listed; each parses
     its [laws] when they are first read."""
-    return {name: _model_from_text(text) for name, text in TEXTS.items()}
-
-
-def get_model(name):
-    models = builtin_models()
-    if name not in models:
-        raise KeyError(f"unknown model {name!r}; available: {sorted(models)}")
-    return models[name]
+    return {name: get_model(name) for name in TEXTS}

@@ -12,11 +12,12 @@ import itertools
 import threading
 from collections import Counter
 from functools import cached_property
-from math import factorial
+from math import factorial, gcd, lcm
+from operator import mul
 from types import SimpleNamespace
 
-from .expr import (Expr, FuncSym, Jet, Param, Unknown, ZERO, _build,
-                   _monokey, _normal, _num, _product_terms, _quot,
+from .expr import (Expr, IndepVar, Jet, Param, Unknown, ZERO,
+                   _build, _monokey, _normal, _num, _product_terms, _quot,
                    _term_product, collect)
 from .calculus import (Prolongation, _euler, _gradient, apply_generator,
                        divergence, total_derivative)
@@ -42,7 +43,7 @@ class Ansatz:
         self.unknowns, self.basis = unknowns, basis
         if len(unknowns) != len(basis):
             raise AnsatzError("unknowns and basis differ in length")
-        if len({b.sort_key() for b in basis}) != len(basis):
+        if len({b.terms for b in basis}) != len(basis):
             raise AnsatzError("ansatz basis entries must be distinct")
         mine = set(unknowns)
         for b in basis:
@@ -57,7 +58,8 @@ class Ansatz:
 
     def require_polynomial(self, what):
         for b in self.basis:
-            if not b.is_polynomial() or any(isinstance(a, FuncSym) for a in b.atoms()):
+            if not all(isinstance(a, (IndepVar, Jet, Param)) and type(e) is int
+                       and e > 0 for _, f in b.terms for a, e in f):
                 raise AnsatzError(
                     f"{what} ansatz must be polynomial in jets and variables; "
                     f"got {b!r}")
@@ -108,23 +110,23 @@ def default_theta_ansatz(table, degree=3, jet_order=2, gens=None):
     monomials (single jets up to jet_order, and products of two first-order
     jets) with polynomial cofactors.  A low-degree block over the plain
     variables is always included so coordinate curls stay reachable when
-    `gens` is restricted."""
-    basis = list(monomial_basis(table, degree, gens=gens))
+    `gens` is restricted.  Each entry is one monomial."""
+    def monos(d, gens=gens):
+        return [b.terms[0][1] for b in monomial_basis(table, d, gens=gens)]
+
+    def times(ms, fs):
+        return [_term_product(1, m, 1, f)[0][1] for m in ms for f in fs]
+
+    basis = monos(degree)
     if gens is not None:
-        basis += monomial_basis(table, min(degree, 3))
-    polys = monomial_basis(table, max(degree - 1, 0), gens=gens)
-    jets = [j.as_expr() for j in _jets(table, 1, jet_order)]
-    for m in polys:
-        for j in jets:
-            basis.append(_build(_product_terms(m.terms, j.terms)))
-    firsts = [table.jet_by_alpha(alpha, (v,)).as_expr()
-              for alpha in range(table.m) for v in table.indep]
-    lows = monomial_basis(table, max(degree - 2, 0), gens=gens)
-    for m in lows:
-        for j1, j2 in itertools.combinations_with_replacement(firsts, 2):
-            basis.append(_build(_product_terms(
-                m.terms, _product_terms(j1.terms, j2.terms))))
-    return make_ansatz(dict.fromkeys(basis), "th")
+        basis += monos(min(degree, 3), None)
+    basis += times(monos(max(degree - 1, 0)),
+                   [((j, 1),) for j in _jets(table, 1, jet_order)])
+    firsts = [((j, 1),) for j in _jets(table, 1, 1)]
+    basis += times(monos(max(degree - 2, 0)),
+                   [_term_product(1, a, 1, b)[0][1] for a, b in
+                    itertools.combinations_with_replacement(firsts, 2)])
+    return make_ansatz([Expr(((1, f),)) for f in dict.fromkeys(basis)], "th")
 
 
 # ---------------------------------------------------------------------------
@@ -336,37 +338,45 @@ class TrivialityReport:
         return self.trivial
 
 
-def _coeff_map(e, comp):
-    """Reduced-expression coefficients keyed by (component, monomial key)."""
-    return {(comp, _monokey(f)): c for c, f in e.terms}
-
-
-def _weights(mk, n, basis):
-    """The weight of monomial key `mk` under each scaling w in `basis`: x^i
-    weighs w[i], a jet u^a_J w[n + a] less the weights of J; None when a
-    factor is neither an independent variable nor a jet."""
-    form = {}
-    for bkey, num, den in mk:
-        if bkey[:2] not in ((0, 0), (0, 1)):
+def _exponents(factors, n, dim):
+    """The exponent vector of a monomial over (independent variables,
+    dependent variables), a jet u^a_J counting -1 per index in J; None
+    when a factor is neither an independent variable nor a jet."""
+    vec = [0] * dim
+    for b, e in factors:
+        if isinstance(b, Jet):
+            vec[n + b.alpha] += e
+            for v in b.mi:
+                vec[v.index] -= e
+        elif isinstance(b, IndepVar):
+            vec[b.index] += e
+        else:
             return None
-        e = _quot(num, den)
-        for i, s in ([(bkey[2], 1)] if bkey[1] == 0 else
-                     [(n + bkey[2], 1)] + [(j, -1) for j in bkey[4]]):
-            form[i] = form.get(i, 0) + s * e
-    return tuple(sum(w[i] * e for i, e in form.items()) for w in basis)
+    return vec
+
+
+def _primitive(v):
+    """The primitive integer vector on the line of a rational vector."""
+    den = lcm(*(x.denominator for x in v))
+    ints = [int(x * den) for x in v]
+    return tuple(x // gcd(*ints) for x in ints)
 
 
 class WitnessSpace:
-    """The reduced curl images of a theta ansatz, indexed by monomial key,
-    in blocks of one scaling weight, each with one echelon.
+    """The reduced curl images of a theta ansatz, keyed by (component,
+    factors), in blocks of one grade, each with one echelon.
 
-    The weights are the nullspace of the weight differences of each
-    equation's terms.  Reduction keeps a weight and D_v lowers it by that
-    of v, so a key of the D_v component belongs to the block of its
-    monomial times v, and blocks share no key and no column.  There is one
-    block when an equation holds a factor other than an independent
-    variable or a jet, when there is no nontrivial scaling, or when a
-    theta entry is not weighted-homogeneous.
+    A grade is the dot products of a monomial's exponent vector with the
+    primitive integer scalings, and mod 2 with the sign symmetries, that
+    make every equation homogeneous: the rational and, if every exponent
+    in them is an integer, the GF(2) nullspace of the exponent differences
+    of each equation's terms.  sp has the scaling (-1, 1, 1) and the sign
+    u -> -u, fw only the sign (t, x) -> (-t, -x).  Reduction keeps a grade
+    and D_v shifts it by that of v, so a key of the D_v component belongs
+    to the block of its monomial times v, and blocks share no key and no
+    column: kdv has 20 blocks, fw 2, sp 34 and gas1d 109.  A key with no
+    grade is in no block; the space is one block when an equation or a
+    theta entry has no single grade, or when there is no grading.
 
     A block's key rows are sorted by `priority` and fed once through an
     `IncrementalSystem`, recording each row's eliminations and the echelon
@@ -384,8 +394,7 @@ class WitnessSpace:
     verdict and the witness decouple by block, and a block that no key of
     a law reaches gives zero coefficients.  So each block is built on first
     use, under a lock, by `fit`, `strip` or `complete`; reading `columns`
-    (key -> {basis index: value}) or `factors` (key -> factors) builds them
-    all."""
+    (key -> {basis index: value}) builds them all."""
 
     def __init__(self, system, theta_ansatz):
         theta_ansatz.require_polynomial("triviality witness")
@@ -393,36 +402,44 @@ class WitnessSpace:
         self.ncols = len(theta_ansatz.basis)
         self._system = system
         self._lock = threading.Lock()
-        self._factors = {}                  # (comp, monokey) -> factors
         table = system.table
-        n, dim = table.n, table.n + table.m
-        unit = [[int(i == j) for j in range(dim)] for i in range(dim)]
-        forms = [[_weights(_monokey(f), n, unit) for _, f in eq.expr.terms]
+        self._dims = n, dim = table.n, table.n + table.m
+        forms = [[_exponents(f, n, dim) for _, f in eq.expr.terms]
                  for eq in system.equations]
-        basis = []
-        if all(None not in ws for ws in forms):
-            rows = [[a - b for a, b in zip(w, ws[0])] for ws in forms
-                    for w in ws]
-            basis = linsolve.nullspace(RationalMatrix(rows, ncols=dim)).basis
-        weights = [{_weights(_monokey(f), n, basis) for _, f in b.terms}
-                   for b in theta_ansatz.basis]
-        homogeneous = all(len(ws) == 1 and None not in ws for ws in weights)
-        self._n, self._basis = n, basis if basis and homogeneous else None
-        # the factor v of a key of the D_x (0) or D_t (1) component
-        self._shift = [((v._bkey, 1, 1),) for v in reversed(table.indep)]
-        self._col_label = [ws.pop() if self._basis else () for ws in weights]
-        self._blocks = {}       # weight -> block
+        self._scales = self._signs = ()
+        if all(None not in vs for vs in forms):
+            rows = [[a - b for a, b in zip(v, vs[0])] for vs in forms
+                    for v in vs]
+            self._scales = [_primitive(v) for v in linsolve.nullspace(
+                RationalMatrix(rows, ncols=dim)).basis]
+            if all(type(a) is int for r in rows for a in r):
+                self._signs = linsolve.nullspace_gf2(rows, dim)
+        grades = [{self._grade(f) for _, f in b.terms}
+                  for b in theta_ansatz.basis]
+        if not all(len(gs) == 1 and None not in gs for gs in grades):
+            self._scales = self._signs = ()
+        self._graded = bool(self._scales or self._signs)
+        self._var = [((v, 1),) for v in reversed(table.indep)]  # D_x, D_t
+        self._col_label = [gs.pop() if self._graded else () for gs in grades]
+        self._blocks = {}       # grade -> block
         for m, label in enumerate(self._col_label):
             self._blocks.setdefault(label, SimpleNamespace(
                 members=[], echelon=None)).members.append(m)
 
+    def _grade(self, factors):
+        """The grade of a monomial, or None when it has none."""
+        vec = _exponents(factors, *self._dims)
+        if vec is None or self._signs and not all(type(e) is int for e in vec):
+            return None
+        return (tuple([sum(map(mul, w, vec)) for w in self._scales])
+                + tuple([sum(map(mul, s, vec)) & 1 for s in self._signs]))
+
     def _label(self, key):
-        """The weight of the block that can hold a curl key, or None."""
-        return () if self._basis is None else _weights(
-            key[1] + self._shift[key[0]], self._n, self._basis)
+        """The grade of the block that can hold a curl key, or None."""
+        return self._grade(key[1] + self._var[key[0]]) if self._graded else ()
 
     def _block(self, label):
-        """The block of a weight, built on first use; None if none."""
+        """The block of a grade, built on first use; None if none."""
         blk = self._blocks.get(label)
         with self._lock:
             if blk is not None and blk.echelon is None:
@@ -431,16 +448,14 @@ class WitnessSpace:
 
     def _build(self, blk):
         t, x = self._system.table.indep
-        blk.columns = {}    # (comp, monokey) -> {basis index: nonzero value}
+        blk.columns = {}    # (comp, factors) -> {basis index: nonzero value}
         for m in blk.members:
             # the curl (D_x theta, -D_t theta), reduced, keyed once
             rb = self._system.reduce(self.theta.basis[m])
             for comp, v, sign in ((0, x, 1), (1, t, -1)):
                 terms = self._system.reduced_derivative_terms(rb, v)
                 for f, c in _normal(terms).items():
-                    key = comp, _monokey(f)
-                    blk.columns.setdefault(key, {})[m] = sign * c
-                    self._factors[key] = f
+                    blk.columns.setdefault((comp, f), {})[m] = sign * c
         keys = sorted(blk.columns, key=self.priority)
         blk.row_of = {key: r for r, key in enumerate(keys)}
         echelon = linsolve.IncrementalSystem(self.ncols)
@@ -456,32 +471,28 @@ class WitnessSpace:
         return {k: col for blk in map(self._block, self._blocks)
                 for k, col in blk.columns.items()}
 
-    @property
-    def factors(self):
-        for label in self._blocks:
-            self._block(label)
-        return self._factors
-
-    def priority(self, key):
-        """Sort key of a built block's curl key for stripping: by component,
-        then the monomials of highest jet order, jet degree and factor
-        count first, so that their coefficients are the first forced to zero."""
-        comp, mk = key
-        factors = self._factors[key]
-        jets = [(b, e) for b, e in factors if isinstance(b, Jet) and b.order > 0]
-        order = max((b.order for b, _ in jets), default=0)
-        weight = sum(e for _, e in jets)
-        return (comp, -order, -weight, -len(factors), mk)
+    @staticmethod
+    def priority(key):
+        """Sort key of a curl key for stripping: by component, then the
+        monomials of highest jet order, jet degree and factor count first,
+        so that their coefficients are the first forced to zero."""
+        comp, factors = key
+        order = weight = 0
+        for b, e in factors:
+            if isinstance(b, Jet) and b.mi:
+                order = max(order, len(b.mi))
+                weight += e
+        return (comp, -order, -weight, -len(factors), _monokey(factors))
 
     def fit(self, rhs_map):
         """Fit the curl columns to a law's reduced coefficients `rhs_map`
-        ((comp, monokey) -> value).  Returns (exact, coeffs): `coeffs` solve
+        ((comp, factors) -> value).  Returns (exact, coeffs): `coeffs` solve
         every key row that the rows before it in priority order leave
         consistent, with the free coordinates zero, and `exact` says that
         they solve them all and that no key of the law lies outside the
         witness columns, i.e. that the law is a curl of the witness.  Only
         the blocks that the law's keys reach are visited; a key whose
-        weight has no block is outside every column."""
+        grade has no block is outside every column."""
         parts = {}
         for key, val in rhs_map.items():
             parts.setdefault(self._label(key), {})[key] = val
@@ -523,7 +534,7 @@ class WitnessSpace:
         keys = {k for k in columns if k[0] in components} | reached
         shift = len(extra_cols)
         rows, rhs = [], []
-        for key in sorted(keys):
+        for key in sorted(keys, key=lambda k: (k[0], _monokey(k[1]))):
             row = {i: col[key] for i, col in enumerate(extra_cols)
                    if key in col}
             for m, val in columns.get(key, {}).items():
@@ -546,17 +557,14 @@ class WitnessSpace:
             for key, col in self._block(label).columns.items():
                 if ms := col.keys() & held:
                     val = sum(coeffs[m] * col[m] for m in ms)
-                    out[key[0]].append((-val, self._factors[key]))
+                    out[key[0]].append((-val, key[1]))
         return tuple(_build(terms) for terms in out)
 
 
 def _law_rhs_map(reds):
     """Coefficients of reduced law components keyed like the witness
-    columns."""
-    out = {}
-    for comp, r in enumerate(reds):
-        out.update(_coeff_map(r, comp))
-    return out
+    columns, by (component, factors)."""
+    return {(comp, f): c for comp, r in enumerate(reds) for c, f in r.terms}
 
 
 def _witness_space(system, witness_space, theta_ansatz):
@@ -630,8 +638,8 @@ def density_equivalent_mod_trivial(system, a, b, theta_ansatz=None,
         raise ValueError("density test implemented for two independent "
                          "variables")
     ws = _witness_space(system, witness_space, theta_ansatz)
-    return _equivalent(ws, _coeff_map(system.reduce(a), 0),
-                       _coeff_map(system.reduce(b), 0), (0,), allow_scale)
+    return _equivalent(ws, _law_rhs_map([system.reduce(a)]),
+                       _law_rhs_map([system.reduce(b)]), (0,), allow_scale)
 
 
 # ---------------------------------------------------------------------------

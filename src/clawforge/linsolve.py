@@ -10,7 +10,8 @@ back-substitute it, last row first, into the reduced row-echelon form.
 That form is unique, so a basis or a particular solution depends only on
 the column order.  Values are exact rationals in the engine's
 representation: an `int` when integral, else a reduced `Fraction`, never a
-float; every division goes through `expr._quot`.
+float; every division goes through `expr._quot`.  `nullspace_gf2` works
+over GF(2).
 
 `ColumnSpace` is not used by the library; it is kept as the test oracle
 for `WitnessSpace.fit` and for the benchmark tracer
@@ -256,6 +257,27 @@ def _reduced(inc):
 def nullspace(matrix):
     """Exact basis of {v : Mv = 0}; dimension = cols - rank."""
     return solve(matrix, [0] * matrix.nrows)
+
+
+def nullspace_gf2(rows, ncols):
+    """A basis of {v in GF(2)^ncols : r . v = 0 mod 2 for each integer row
+    r}: one 0/1 tuple per free column, 1 there and at the pivots it forces.
+    Rows are bit masks, each pivot row free of the other pivots."""
+    pivots = {}     # pivot column -> row as a bit mask
+    for r in rows:
+        bits = sum(1 << c for c, x in enumerate(r) if x % 2)
+        for c, prow in pivots.items():
+            if bits >> c & 1:
+                bits ^= prow
+        if bits:
+            p = (bits & -bits).bit_length() - 1
+            for c, prow in pivots.items():
+                if prow >> p & 1:
+                    pivots[c] = prow ^ bits
+            pivots[p] = bits
+    return [tuple(int(c == f or (c in pivots and pivots[c] >> f & 1))
+                  for c in range(ncols))
+            for f in range(ncols) if f not in pivots]
 
 
 def solve(matrix, rhs):

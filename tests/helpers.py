@@ -1,8 +1,9 @@
 """Shared test utilities: the jet pools, the hypothesis strategies for
 jet polynomials and jet terms, a reference prolongation, the exact
 linear-algebra checks that only tests use (reduced row-echelon form, rank,
-matrix-vector product, span equality), and an oracle in sympy that reads
-printed laws and model equations without clawforge's parser."""
+matrix-vector product, span equality), three user models that grade their
+witness spaces differently, and an oracle in sympy that reads printed laws
+and model equations without clawforge's parser."""
 
 import importlib.util
 import itertools
@@ -12,7 +13,7 @@ import re
 from clawforge import corpus
 from clawforge.calculus import total_derivative
 from clawforge.expr import Atom, Expr, SymbolTable, _num
-from clawforge.lawgen import _coeff_map
+from clawforge.lawgen import _law_rhs_map
 from clawforge.linsolve import RationalMatrix, _echelon, _reduced
 from clawforge.parse import parse
 
@@ -31,6 +32,56 @@ def perfbench_workloads():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+# user models whose witness spaces grade differently: a parameter in the
+# equation (no grading, one block), a fractional exponent (scalings only)
+# and the heat equation (scalings and signs)
+GRADING_MODELS = {
+    "kdv-c0": """
+[model]
+name: kdv-c0
+
+[vars]
+independent: t, x
+dependent: u
+parameters: c0
+
+[equations]
+u[t] = u[x,x,x] + c0*u*u[x]
+
+[generators]
+X1: x = 1
+""",
+    "fractional": """
+[model]
+name: sqrt-advection
+
+[vars]
+independent: t, x
+dependent: u
+
+[equations]
+u[t] = u^(1/2)*u[x]
+
+[generators]
+X1: x = 1
+""",
+    "heat": """
+[model]
+name: heat
+
+[vars]
+independent: t, x
+dependent: u
+
+[equations]
+u[t] = u[x,x]
+
+[generators]
+X1: x = 1
+""",
+}
 
 
 def two_var_table():
@@ -144,8 +195,8 @@ def expr_span_equal(exprs_a, exprs_b):
     """Span equality of two lists of expressions, decided by exact
     elimination over their joint monomial coefficient vectors."""
     exprs_a, exprs_b = list(exprs_a), list(exprs_b)
-    maps = [_coeff_map(e, 0) for e in exprs_a + exprs_b]
-    keys = sorted(set().union(*maps))
+    maps = [_law_rhs_map([e]) for e in exprs_a + exprs_b]
+    keys = list(dict.fromkeys(k for m in maps for k in m))
     vecs = [[m.get(k, 0) for k in keys] for m in maps]
     return span_equal(vecs[:len(exprs_a)], vecs[len(exprs_a):])
 

@@ -8,7 +8,7 @@ import pytest
 
 import clawforge
 from clawforge.calculus import Equation, PdeSystem, symmetry_residual
-from clawforge.corpus import TEXTS, get_model
+from clawforge.corpus import TEXTS, builtin_models, get_model
 from clawforge.expr import IndepVar, Jet, SymbolTable, ZERO, substitute
 from clawforge.lawgen import verify
 from clawforge.modelfile import laws_from_text
@@ -34,6 +34,24 @@ def test_lookup_sp(sp):
 def test_lookup_unknown():
     with pytest.raises(KeyError):
         get_model("nope")
+
+
+def test_get_model_builds_only_the_named_model():
+    """`builtin_models` reads the same per-name cache, and a run on kdv in
+    a fresh process builds no other model, so interns no gas1d atom."""
+    assert all(builtin_models()[name] is get_model(name) for name in TEXTS)
+    src = Path(clawforge.__file__).resolve().parents[1]
+    code = ("import contextlib, io, json\n"
+            "from clawforge import cli, expr\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['mixed', 'kdv', '--generator', 'X4']) == 0\n"
+            "print(json.dumps(sorted({a.name for a in expr._ATOMS.values()"
+            " if hasattr(a, 'name')})))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    names = json.loads(proc.stdout)
+    assert "u" in names and "rho" not in names
 
 
 def test_all_generators_admitted(models):

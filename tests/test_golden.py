@@ -6,9 +6,10 @@ and print the recorded bytes, and so must `mixed gas3d --generator X1`,
 `verify gas3d gas3d` and ten `--verbose` mixed jobs, which print the
 stripped laws and the trivial witnesses.  The `euler` command on radical
 inputs, the one order-1 multiplier of sp, the self-adjointness
-residuals, three more mixed runs, the fluxes of kdv's multipliers and a
-model whose parameters are named like ansatz unknowns are pinned too.  This is the gate for refactors that promise
-unchanged results."""
+residuals, three more mixed runs, the fluxes of kdv's multipliers, a
+model whose parameters are named like ansatz unknowns and three user
+models whose witness spaces grade differently are pinned too.  This is
+the gate for refactors that promise unchanged results."""
 
 import contextlib
 import hashlib
@@ -27,7 +28,7 @@ from clawforge.lawgen import (fluxes_from_multipliers, formal_lagrangian,
                               self_adjointness_check, symmetry_flux)
 from clawforge.parse import parse
 
-from helpers import perfbench_workloads
+from helpers import GRADING_MODELS, perfbench_workloads
 
 workloads = perfbench_workloads()
 
@@ -406,6 +407,28 @@ def test_parameters_named_like_unknowns(tmp_path, name, coef, job):
     path.write_text(COLLISION_MODEL.format(name=name, coef=coef),
                     encoding="utf-8")
     assert _digest(job.format(path).split()) == COLLISION_PINS[name, coef, job]
+
+
+# sha256 of `mixed FILE --generator X1 --verbose --json` on user models
+# whose witness spaces are one block (a parameter in the equation), are
+# graded by scalings alone (a fractional exponent), and are graded by
+# scalings and signs (heat)
+GRADING_PINS = {
+    "kdv-c0":
+        "84cf77a1fb11beaa67e5eae3f86a35228fe2054b2a463446321434a5b9d675e2",
+    "fractional":
+        "dd240923a5ef599ca99fd802d6728f5beb05deb418194d47ac25ded7994127aa",
+    "heat":
+        "859c45fe3add02d7129a33e5e61595c4fc589bcf6a7a3758a781587a9542409e",
+}
+
+
+@pytest.mark.parametrize("name", list(GRADING_PINS))
+def test_graded_witness_spaces_unchanged(tmp_path, name):
+    path = tmp_path / f"{name}.model"
+    path.write_text(GRADING_MODELS[name], encoding="utf-8")
+    argv = ["mixed", str(path), "--generator", "X1", "--verbose", "--json"]
+    assert _digest(argv) == GRADING_PINS[name]
 
 
 # the fluxes of kdv's three multipliers over a degree-4 flux ansatz

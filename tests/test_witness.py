@@ -7,11 +7,14 @@ that stripping uses.  `strip` is checked against the reduced law minus the
 curl of the witness expression.  The columns themselves, built from
 reduced theta entries, are checked against the curls reduced after
 differentiating.  The
-scaling weights that split the space into blocks are checked against a
-sympy nullspace and against the weight of every key, blocks are built only
+scaling weights and sign gradings that split the space into blocks are
+checked against a sympy nullspace, against a brute-force enumeration of
+sign changes and against the grade of every key, blocks are built only
 when a fit reaches them, `complete` solves a gas1d space that is one
 block, and concurrent fits on one fresh space match a serial run."""
 
+import itertools
+import math
 import sys
 import threading
 import time
@@ -20,8 +23,8 @@ import pytest
 
 from clawforge.calculus import total_derivative
 from clawforge.corpus import GAS1D_TEXT
-from clawforge.expr import IndepVar, _monokey, _num
-from clawforge.lawgen import (WitnessSpace, _coeff_map, _law_rhs_map,
+from clawforge.expr import IndepVar, _num
+from clawforge.lawgen import (WitnessSpace, _law_rhs_map,
                               default_theta_ansatz,
                               density_equivalent_mod_trivial, make_ansatz,
                               mixed_method)
@@ -30,7 +33,7 @@ from clawforge.linsolve import (ColumnSpace, IncrementalSystem,
 from clawforge.modelfile import ansatz_spaces, parse_model_text
 from clawforge.parse import parse
 
-from helpers import jet_polys
+from helpers import GRADING_MODELS, jet_polys
 
 hyp = pytest.importorskip("hypothesis")
 st = hyp.strategies
@@ -69,7 +72,7 @@ def _space(entry, name):
     for col in _curls(ws):
         cs.add_column(col)
     # a key no curl of the ansatz reaches: degree 9 is past its degree 3
-    outside, = _coeff_map(entry.system.reduce(parse("u^9", entry.table)), 0)
+    outside, = _law_rhs_map([entry.system.reduce(parse("u^9", entry.table))])
     assert outside not in ws.columns
     return ws, cs, outside
 
@@ -101,7 +104,7 @@ def _same(x, y):
 @pytest.mark.parametrize("name", FIT_CASES)
 def test_fit_matches_member_and_per_law_elimination(spaces, name):
     ws, cs, outside = spaces(name)
-    blocks = {"kdv": 20, "fw": 1, "sp": 19, "gas1d": 109,
+    blocks = {"kdv": 20, "fw": 2, "sp": 34, "gas1d": 109,
               "kdv-inhomogeneous": 1}
     assert len(ws._blocks) == blocks[name]
     curls = _curls(ws)
@@ -185,20 +188,18 @@ def test_columns_match_curls_reduced_per_entry(models, name):
     theta = ansatz_spaces(entry)["theta"]
     ws = WitnessSpace(entry.system, theta)
     t, x = entry.table.indep
-    columns, factors, curls = {}, {}, []
+    columns, curls = {}, []
     for m, b in enumerate(theta.basis):
         col = {}
         for comp, e in enumerate((total_derivative(b, x),
                                   -total_derivative(b, t))):
             for c, f in entry.system.reduce(e).terms:
-                key = (comp, _monokey(f))
+                key = (comp, f)
                 col[key] = columns.setdefault(key, {})[m] = c
-                factors[key] = f
         curls.append(col)
     assert ws.columns == columns
     assert all(_same(ws.columns[k][m], c)
                for k, col in columns.items() for m, c in col.items())
-    assert ws.factors == factors
     assert _curls(ws) == curls
 
 
@@ -310,46 +311,119 @@ def _sympy_scalings(system):
 
 
 @pytest.mark.parametrize("name,expected", [
-    ("kdv", [(3, 1, -2)]), ("sp", [(-1, 1, 1)]), ("gas1d", 3), ("fw", 0)])
+    ("kdv", [(-3, -1, 2)]), ("sp", [(-1, 1, 1)]), ("gas1d", 3), ("fw", 0)])
 def test_scaling_weights(models, name, expected):
-    """The scalings the space splits by span the sympy nullspace: kdv and
-    sp have one each (t, x, u), gas1d three, fw none, so fw is one block."""
+    """The scalings the space splits by are primitive integer vectors and
+    span the sympy nullspace: kdv and sp have one each (t, x, u), gas1d
+    three, and fw none, so fw splits by its sign grading alone."""
     sympy = pytest.importorskip("sympy")
     entry = models[name]
     ws = WitnessSpace(entry.system, default_theta_ansatz(entry.table))
     oracle = _sympy_scalings(entry.system)
     dim = expected if isinstance(expected, int) else len(expected)
     assert len(oracle) == dim
+    assert all(type(x) is int for w in ws._scales for x in w)
+    assert all(math.gcd(*w) == 1 for w in ws._scales)
+    if not isinstance(expected, int):
+        assert ws._scales == expected
     if not dim:
-        # the default theta entries are monomials, homogeneous under any
-        # scaling, so one block means there is no scaling
-        assert ws._basis is None and list(ws._blocks) == [()]
+        assert ws._scales == [] and sorted(ws._blocks) == [(0,), (1,)]
         return
-    got = sympy.Matrix([list(v) for v in ws._basis])
+    got = sympy.Matrix([list(v) for v in ws._scales])
     assert got.rank() == dim
     assert got.col_join(sympy.Matrix.hstack(*oracle).T).rank() == dim
-    if not isinstance(expected, int):
-        assert sympy.Matrix(expected).col_join(got).rank() == 1
 
 
-@pytest.mark.parametrize("name", ["kdv", "sp", "gas1d"])
+def _sign_oracle(system):
+    """Every s in GF(2)^(n+m) under which each equation's terms have one
+    parity, by enumeration."""
+    n, dim = system.table.n, system.table.n + system.table.m
+    out = set()
+    for s in itertools.product((0, 1), repeat=dim):
+        if all(len({_weight(f, n, s) % 2 for f in
+                    [((eq.lead, 1),)] + [f for _, f in eq.expr.terms]}) == 1
+               for eq in system.equations):
+            out.add(s)
+    return out
+
+
+def _span_gf2(vectors, dim):
+    return {tuple(sum(c * v[i] for c, v in zip(cs, vectors)) % 2
+                  for i in range(dim))
+            for cs in itertools.product((0, 1), repeat=len(vectors))}
+
+
+SIGN_CASES = ["kdv", "fw", "sp", "gas1d", "heat", "fractional"]
+
+
+@pytest.mark.parametrize("name", SIGN_CASES)
+def test_sign_gradings(models, name):
+    """The sign gradings span the sign changes of the variables that leave
+    every equation homogeneous: fw has the t+x parity, sp the u parity
+    besides its scaling, kdv nothing beyond its scaling taken mod 2, and a
+    model with u^(1/2) in its equation has no sign grading."""
+    entry = (models[name] if name in models
+             else parse_model_text(GRADING_MODELS[name]))
+    ws = WitnessSpace(entry.system, default_theta_ansatz(entry.table))
+    dim = entry.table.n + entry.table.m
+    if name == "fractional":
+        assert ws._signs == () and len(ws._scales) == 2
+        return
+    assert len(_span_gf2(ws._signs, dim)) == 2 ** len(ws._signs)
+    oracle = _sign_oracle(entry.system)
+    assert _span_gf2(ws._signs, dim) == oracle
+    by_scaling = _span_gf2([[x % 2 for x in w] for w in ws._scales], dim)
+    assert by_scaling <= oracle
+    if name == "kdv":
+        assert oracle == by_scaling == {(0, 0, 0), (1, 1, 0)}
+    if name == "fw":
+        assert oracle == {(0, 0, 0), (1, 1, 0)} and not ws._scales
+    if name == "sp":
+        assert (0, 0, 1) in oracle - by_scaling
+
+
+@pytest.mark.parametrize("name", ["kdv", "fw", "sp", "gas1d"])
 def test_every_key_carries_its_block_weight(models, name):
-    """Each theta entry of a block has the block's weight under every
-    scaling, and each key of its curl has it once the monomial is
-    multiplied by the variable of its component (x for D_x, t for D_t)."""
+    """Each theta entry of a block has the block's grade: its weight under
+    every scaling and its parity under every sign grading.  Each key of
+    its curl has it once the monomial is multiplied by the variable of its
+    component (x for D_x, t for D_t)."""
     entry = models[name]
     ws = WitnessSpace(entry.system, _theta(entry, name))
     n = entry.table.n
     t, x = entry.table.indep
     var = {0: ((x, 1),), 1: ((t, 1),)}
-    curls, factors = _curls(ws), ws.factors
+
+    def grade(f):
+        return (tuple(_weight(f, n, w) for w in ws._scales)
+                + tuple(_weight(f, n, s) % 2 for s in ws._signs))
+
+    curls = _curls(ws)
     for label, blk in ws._blocks.items():
         for m in blk.members:
             for _, f in ws.theta.basis[m].terms:
-                assert tuple(_weight(f, n, w) for w in ws._basis) == label
-            for key in curls[m]:
-                f = factors[key] + var[key[0]]
-                assert tuple(_weight(f, n, w) for w in ws._basis) == label
+                assert grade(f) == label
+            for comp, f in curls[m]:
+                assert grade(f + var[comp]) == label
+
+
+def test_sp_x3_builds_152_curl_columns(sp, monkeypatch):
+    """`mixed sp --generator X3` reaches blocks holding 152 of the 388
+    theta entries, where the blocks of the scaling alone held 235: the
+    sign grading u -> -u splits them."""
+    built = []
+    build = WitnessSpace._build
+
+    def counting(self, blk):
+        built.extend(blk.members)
+        return build(self, blk)
+
+    monkeypatch.setattr(WitnessSpace, "_build", counting)
+    spaces = ansatz_spaces(sp)
+    mixed_method(sp.system, sp.generators["X3"], spaces["psi"], spaces["h"],
+                 theta_ansatz=spaces["theta"])
+    assert len(built) == len(set(built)) == 152
+    assert len(spaces["theta"].basis) == 388
 
 
 def _built(ws):

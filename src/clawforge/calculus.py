@@ -7,15 +7,19 @@ prolongation of a point symmetry and the symmetry flux.
 
 Each derivative below only says what it does to a single atom (a jet, an
 independent variable); `expr._derive_all` carries it through products,
-powers, function symbols and opaque bases."""
+powers, function symbols and opaque bases.
+
+The gradient's partials, each step of a D_J chain and the Euler operator's
+sum pass on as accumulated terms (`expr._normal`), unsorted; the public
+operators sort what they return (`expr._sorted_expr`)."""
 
 from __future__ import annotations
 
 import threading
 from functools import cached_property
 
-from .expr import (Jet, ONE, Param, _build, _derive_all, _product_terms, pdiff,
-                   substitute)
+from .expr import (Jet, ONE, Param, _build, _derive_all, _normal,
+                   _product_terms, _sorted_expr, _terms, pdiff, substitute)
 
 
 class SolvedFormError(ValueError):
@@ -27,9 +31,10 @@ class SolvedFormError(ValueError):
 # Total derivatives, Euler operator, divergence
 # ---------------------------------------------------------------------------
 
-def total_derivative(e, v):
-    """D_v e: differentiate explicit dependence on the independent variable v
-    and advance every jet coordinate by one v-derivative, in one pass over
+def _dv_terms(terms, v):
+    """The raw terms of D_v of `terms`, (coefficient, factors) pairs:
+    explicit dependence on the independent variable v differentiated and
+    every jet coordinate advanced by one v-derivative, in one pass over
     the terms (`_derive_all`)."""
 
     def rule(a):
@@ -37,37 +42,40 @@ def total_derivative(e, v):
             return ((0, a.shifted(v).as_expr().terms),)
         return ((0, ONE.terms),) if a == v else None
 
-    return _build(_derive_all(e, rule).get(0, ()))
+    return _derive_all(terms, rule).get(0, ())
 
 
-def total_derivative_mi(e, mi):
-    for v in mi:
-        e = total_derivative(e, v)
-    return e
+def total_derivative(e, v):
+    """D_v e (see `_dv_terms`)."""
+    return _build(_dv_terms(e.terms, v))
 
 
-def _gradient(e):
-    """{jet: de/djet} for every jet e holds, including those inside
-    function arguments and opaque bases, from one pass over the terms
-    (`_derive_all`).  Each partial is normalized once, at the end of the
-    pass, so the raw terms are gone before a caller works on the
-    partials."""
+def _gradient(terms):
+    """{jet: d/djet} of the expression with terms `terms`, for every jet
+    it holds, including those inside function arguments and opaque bases,
+    from one pass over the terms (`_derive_all`).  Each partial is
+    normalized once, at the end of the pass, so the raw terms are gone
+    before a caller works on the partials; a partial is accumulated terms
+    (`_normal`), left unsorted."""
     one = ONE.terms
-    return {a: _build(t) for a, t in _derive_all(
-        e, lambda a: ((a, one),) if isinstance(a, Jet) else None).items()}
+    return {a: _normal(t) for a, t in _derive_all(
+        terms, lambda a: ((a, one),) if isinstance(a, Jet) else None).items()}
 
 
 def _euler(grad, alpha):
     """The variational derivative with respect to `alpha` of the expression
-    whose gradient is `grad`, normalized once.  The partials by the jets of
-    `alpha` are taken out of `grad` as they are used, so each is freed as
-    soon as its total derivative is taken."""
+    whose gradient is `grad`, as accumulated terms.  The partials by the
+    jets of `alpha` are taken out of `grad` as they are used, so each is
+    freed as soon as its total derivative is taken; each step of D_J is
+    normalized and none is sorted."""
     out = []
     for a in [a for a in grad if a.alpha == alpha]:
+        acc = grad.pop(a)
+        for v in a.mi:
+            acc = _normal(_dv_terms(_terms(acc), v))
         sign = -1 if a.order % 2 else 1
-        dj = total_derivative_mi(grad.pop(a), a.mi)
-        out.extend((sign * c, f) for c, f in dj.terms)
-    return _build(out)
+        out.extend((sign * c, f) for f, c in acc.items())
+    return _normal(out)
 
 
 def euler(e, alpha, table):
@@ -75,7 +83,7 @@ def euler(e, alpha, table):
     `alpha`: sum over the unordered multi-indices J of the jets e holds of
     (-1)^|J| D_J (de/du_J), every partial read from one gradient of e.
     Annihilates total divergences."""
-    return _euler(_gradient(e), alpha)
+    return _sorted_expr(_euler(_gradient(e.terms), alpha))
 
 
 def divergence(T, table):
@@ -216,7 +224,7 @@ class PdeSystem:
             return ((0, terms),)
 
         with self._lock:
-            return _derive_all(e, rule).get(0, ())
+            return _derive_all(e.terms, rule).get(0, ())
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +307,10 @@ def apply_generator(generator, e, table, prolongation=None):
     for v, xi in zip(table.indep, generator.xi):
         if not xi.is_zero:
             out.extend(_product_terms(xi.terms, pdiff(e, v).terms))
-    for a, d in _gradient(e).items():
-        if not d.is_zero:
-            out.extend(_product_terms(pro.zeta(a.alpha, a.mi).terms, d.terms))
+    for a, d in _gradient(e.terms).items():
+        if d:
+            zeta = pro.zeta(a.alpha, a.mi)
+            out.extend(_product_terms(_terms(d), zeta.terms))
     return _build(out)
 
 

@@ -21,6 +21,12 @@ printing read, so the choice never changes a normal form or its text.
 One chain rule serves every derivative: `_derive_all` carries a rule for
 single atoms through products, powers, function symbols and opaque bases.
 
+An `Expr` holds its terms sorted by `_monokey`.  Inside a computation the
+stages pass accumulated terms instead (`_normal`: factors -> coefficient,
+like terms merged, in no order), and a normal form is sorted only where its
+order is read: printing, `Expr` equality and hashing, and `collect`'s keys.
+`_sorted_expr` is where accumulated terms are sorted into an `Expr`.
+
 Atoms are interned for the life of the process (`Atom`): equality is
 identity, and a key includes the name.  So like terms are merged by their
 factor tuples, which hash and compare in C, and the sort key of a
@@ -517,18 +523,33 @@ def _int_power(e, k):
 
 def _normal(raw_terms):
     """Raw terms normalized and keyed like `_accumulate`: like terms
-    merged, then opaque-base reduction run to a fixpoint.  Factors sort by
-    `_bkey`, atoms first, so only a term's last factor need be tested."""
+    merged, then opaque-base reduction run to a fixpoint.  Intermediates
+    pass on in this form, sorted only where their order is read
+    (`_sorted_expr`).  Factors sort by `_bkey`, atoms first, so only a
+    term's last factor need be tested, and an opaque base is an `Expr`
+    (`type(b) is Expr` is the cheapest test; a chain of `map`, `filter`
+    and `itemgetter` is no faster)."""
     acc = _accumulate(raw_terms)
-    if any(f and not isinstance(f[-1][0], Atom) for f in acc):
+    if any(f and type(f[-1][0]) is Expr for f in acc):
         acc = _radical_reduce(acc)
     return acc
 
 
-def _build(raw_terms):
-    """The Expr of `_normal(raw_terms)`, its terms ordered by `_monokey`."""
-    acc = _normal(raw_terms)
+def _terms(acc):
+    """The (coefficient, factors) pairs of accumulated terms, in no
+    order; an iterator, read once."""
+    return zip(acc.values(), acc)
+
+
+def _sorted_expr(acc):
+    """The Expr of accumulated terms, ordered by `_monokey`, for what reads
+    the order of a normal form: printing, `Expr` equality and hashing."""
     return Expr(tuple((acc[f], f) for f in sorted(acc, key=_monokey)))
+
+
+def _build(raw_terms):
+    """The Expr of `_normal(raw_terms)`, sorted by `_sorted_expr`."""
+    return _sorted_expr(_normal(raw_terms))
 
 
 def _split_radical(factors):
@@ -716,19 +737,19 @@ def make_power(base, e):
 # Calculus on atoms
 # ---------------------------------------------------------------------------
 
-def _derive_all(e, rule):
-    """Derivations of e, all in one pass, by the product, power and chain
-    rules.  `rule(a)` gives for an atom a the pairs (key, raw terms of the
-    derivative of a along key), or None: then a function symbol f(arg)
-    goes by the chain rule, f'(arg) times the derivatives of arg, and any
-    other atom is constant.  An opaque base goes by its own derivatives.
+def _derive_all(terms, rule):
+    """Derivations of `terms`, (coefficient, factors) pairs read once, all
+    in one pass, by the product, power and chain rules.  `rule(a)` gives
+    for an atom a the pairs (key, raw terms of the derivative of a along
+    key), or None: then a function symbol f(arg) goes by the chain rule,
+    f'(arg) times the derivatives of arg, and any other atom is constant.  An opaque base goes by its own derivatives.
     A factor b^k of a term adds k * b^(k-1) * db times the other factors
     to each key's raw terms, each distinct base differentiated once.
     Returns {key: raw terms}, for the caller to normalize; a single
     derivation keys its terms by 0, which hashes without a Python call."""
     dbases = {}
     out = {}
-    for coeff, factors in e.terms:
+    for coeff, factors in terms:
         for i, (b, k) in enumerate(factors):
             db = dbases.get(b)
             if db is None:
@@ -757,8 +778,9 @@ def _derive_base(b, rule):
             return db or ()
         df = b.raised().as_expr().terms
         return [(key, _product_terms(_build(t).terms, df))
-                for key, t in _derive_all(b.arg, rule).items()]
-    return [(key, _build(t).terms) for key, t in _derive_all(b, rule).items()]
+                for key, t in _derive_all(b.arg.terms, rule).items()]
+    return [(key, _build(t).terms)
+            for key, t in _derive_all(b.terms, rule).items()]
 
 
 def pdiff(e, a):
@@ -766,7 +788,7 @@ def pdiff(e, a):
     atoms as constants.  Function symbols differentiate through their
     argument by the chain rule; opaque powers by the power rule."""
     one = ((0, ONE.terms),)
-    return _build(_derive_all(e, lambda b: one if b == a else None)
+    return _build(_derive_all(e.terms, lambda b: one if b == a else None)
                   .get(0, ()))
 
 
@@ -830,8 +852,15 @@ def collect(e, unknowns):
     without its unknown, so it is canonical; keys come in `_monokey` order.
     Each (key, unknown) pair is one term of e, so no coefficient is zero.
     Raises NonlinearError on a term with a product or a power of unknowns."""
+    return _collect(e.terms, unknowns)
+
+
+def _collect(terms, unknowns):
+    """`collect` on the (coefficient, factors) pairs of a normal form in
+    any order, such as `_terms` of accumulated terms: the keys are sorted
+    once, here."""
     found = {}
-    for coeff, factors in e.terms:
+    for coeff, factors in terms:
         hits = [i for i, (b, _) in enumerate(factors) if b in unknowns]
         if len(hits) > 1 or (hits and factors[hits[0]][1] != 1):
             raise NonlinearError(

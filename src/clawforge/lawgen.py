@@ -17,8 +17,8 @@ from operator import mul
 from types import SimpleNamespace
 
 from .expr import (Expr, IndepVar, Jet, Param, Unknown, ZERO,
-                   _build, _monokey, _normal, _num, _product_terms, _quot,
-                   _term_product, collect)
+                   _build, _collect, _monokey, _normal, _num, _product_terms,
+                   _quot, _sorted_expr, _term_product, _terms, collect)
 from .calculus import (Prolongation, _euler, _gradient, apply_generator,
                        divergence, total_derivative)
 from .calculus import characteristic  # re-exported
@@ -135,16 +135,22 @@ def default_theta_ansatz(table, degree=3, jet_order=2, gens=None):
 
 def formal_lagrangian(system, psi):
     """sum(psi^a * F_a) over the system's equations."""
+    return _sorted_expr(_lagrangian(system, psi))
+
+
+def _lagrangian(system, psi):
+    """`formal_lagrangian` as accumulated terms, unsorted."""
     if len(psi) != len(system.equations):
         raise ValueError(f"expected {len(system.equations)} multipliers, "
                          f"got {len(psi)}")
-    return _build([t for p, eq in zip(psi, system.equations)
-                   for t in _product_terms(p.terms, eq.expr.terms)])
+    return _normal([t for p, eq in zip(psi, system.equations)
+                    for t in _product_terms(p.terms, eq.expr.terms)])
 
 
-def _euler_residuals(L, table):
-    """euler(L, alpha, table) for every alpha, from one gradient of L."""
-    grad = _gradient(L)
+def _euler_residuals(terms, table):
+    """euler(L, alpha, table) for every alpha, as accumulated terms, from
+    one gradient of the L with terms `terms`."""
+    grad = _gradient(terms)
     return [_euler(grad, alpha) for alpha in range(table.m)]
 
 
@@ -175,7 +181,7 @@ def symmetry_flux(L, g, system, include_xi_l=False, prolongation=None):
     table = system.table
     order = L.max_order()
     pro = prolongation or Prolongation(g, table)
-    grad = _gradient(L)
+    grad = _gradient(L.terms)
     B = {}
 
     def bracket(jet):
@@ -183,7 +189,8 @@ def symmetry_flux(L, g, system, include_xi_l=False, prolongation=None):
         if jet not in B:
             out = []
             if jet in grad:
-                out += (grad[jet] / _orderings(jet.mi)).terms
+                k = _orderings(jet.mi)
+                out += [(_quot(c, k), f) for f, c in grad[jet].items()]
             if jet.order < order:
                 for v in table.indep:
                     out += (-total_derivative(bracket(jet.shifted(v)), v)).terms
@@ -216,8 +223,8 @@ def flux_identity_residual(L, g, system):
     out = list(apply_generator(g, L, table, prolongation=pro).terms)
     for i, v in enumerate(table.indep):
         out += _product_terms(L.terms, total_derivative(g.xi[i], v).terms)
-    for w, E in zip(pro.W, _euler_residuals(L, table)):
-        out += _product_terms((-w).terms, E.terms)
+    for w, E in zip(pro.W, _euler_residuals(L.terms, table)):
+        out += _product_terms(_terms(E), (-w).terms)
     out += (-divergence(C, table)).terms
     return _build(out)
 
@@ -226,13 +233,14 @@ def flux_identity_residual(L, g, system):
 # Linear-system plumbing
 # ---------------------------------------------------------------------------
 
-def _linear_rows(exprs, column):
-    """Collect each expr over the unknowns, the keys of `column` (unknown ->
-    column); returns (rows, rhs), one per key: the sparse row from column
-    to coefficient, and minus the part free of unknowns."""
+def _linear_rows(accs, column):
+    """Collect each normal form, as accumulated terms (`_normal`), over the
+    unknowns, the keys of `column` (unknown -> column); returns (rows,
+    rhs), one per key in `_monokey` order: the sparse row from column to
+    coefficient, and minus the part free of unknowns."""
     rows, rhs = [], []
-    for e in exprs:
-        for form in collect(e, column).values():
+    for acc in accs:
+        for form in _collect(_terms(acc), column).values():
             rhs.append(-form.pop(None, 0))
             rows.append({column[p]: c for p, c in form.items()})
     return rows, rhs
@@ -284,8 +292,8 @@ def multiplier_determining_system(system, ansatz_list):
     for a in ansatz_list:
         a.require_polynomial("multiplier")
     column = _columns(ansatz_list)
-    L = formal_lagrangian(system, [a.expr for a in ansatz_list])
-    rows, rhs = _linear_rows(_euler_residuals(L, table), column)
+    L = _lagrangian(system, [a.expr for a in ansatz_list])
+    rows, rhs = _linear_rows(_euler_residuals(_terms(L), table), column)
     if any(b != 0 for b in rhs):
         raise AnsatzError("multiplier system is not homogeneous")
     return RationalMatrix(rows, ncols=len(column))
@@ -300,8 +308,8 @@ def solve_multipliers(system, ansatz_list):
     out = []
     for v in _instantiate([a.expr for a in ansatz_list],
                              _columns(ansatz_list), space.basis):
-        L = formal_lagrangian(system, list(v))
-        if any(E.terms for E in _euler_residuals(L, system.table)):
+        L = _lagrangian(system, list(v))
+        if any(_euler_residuals(_terms(L), system.table)):
             raise RuntimeError("internal error: multiplier fails the "
                                "defining identity after instantiation")
         out.append(v)
@@ -319,13 +327,15 @@ def verify(system, T):
     with total derivatives."""
     if len(T) != system.table.n:
         raise ValueError(f"expected {system.table.n} components, got {len(T)}")
-    return _reduced_divergence(system, [system.reduce(c) for c in T])
+    return _sorted_expr(_reduced_divergence(
+        system, [system.reduce(c) for c in T]))
 
 
 def _reduced_divergence(system, reds):
-    """reduce(D_i R^i) for already reduced components R."""
-    return _build([t for r, v in zip(reds, system.table.indep)
-                   for t in system.reduced_derivative_terms(r, v)])
+    """reduce(D_i R^i) for already reduced components R, as accumulated
+    terms."""
+    return _normal([t for r, v in zip(reds, system.table.indep)
+                    for t in system.reduced_derivative_terms(r, v)])
 
 
 class TrivialityReport:
@@ -362,6 +372,22 @@ def _primitive(v):
     return tuple(x // gcd(*ints) for x in ints)
 
 
+def _new_parities(scales, signs):
+    """The signs outside the GF(2) span of the scalings mod 2 and of the
+    signs kept before them: a parity under any other is a sum of grades
+    mod 2, so it splits no block."""
+    span, kept = [], []     # bit masks with distinct leading bits, descending
+    for i, v in enumerate(scales + signs):
+        bits = sum(1 << c for c, x in enumerate(v) if x % 2)
+        for m in span:
+            bits = min(bits, bits ^ m)      # clears m's leading bit
+        if bits:
+            span = sorted(span + [bits], reverse=True)
+            if i >= len(scales):
+                kept.append(v)
+    return kept
+
+
 class WitnessSpace:
     """The reduced curl images of a theta ansatz, keyed by (component,
     factors), in blocks of one grade, each with one echelon.
@@ -370,13 +396,16 @@ class WitnessSpace:
     primitive integer scalings, and mod 2 with the sign symmetries, that
     make every equation homogeneous: the rational and, if every exponent
     in them is an integer, the GF(2) nullspace of the exponent differences
-    of each equation's terms.  sp has the scaling (-1, 1, 1) and the sign
-    u -> -u, fw only the sign (t, x) -> (-t, -x).  Reduction keeps a grade
-    and D_v shifts it by that of v, so a key of the D_v component belongs
-    to the block of its monomial times v, and blocks share no key and no
-    column: kdv has 20 blocks, fw 2, sp 34 and gas1d 109.  A key with no
-    grade is in no block; the space is one block when an equation or a
-    theta entry has no single grade, or when there is no grading.
+    of each equation's terms, less the signs that the scalings mod 2 and
+    the other signs already fix (`_new_parities`).  sp has the scaling
+    (-1, 1, 1) and the sign u -> -u, fw only the sign (t, x) -> (-t, -x),
+    and kdv and gas1d no sign beyond their scalings mod 2.  Reduction
+    keeps a grade and D_v shifts it by that of v, so a key of the D_v
+    component belongs to the block of its monomial times v, and blocks
+    share no key and no column: kdv has 20 blocks, fw 2, sp 34 and gas1d
+    109.  A key with no grade is in no block; the space is one block when
+    an equation or a theta entry has no single grade, or when there is no
+    grading.
 
     A block's key rows are sorted by `priority` and fed once through an
     `IncrementalSystem`, recording each row's eliminations and the echelon
@@ -407,13 +436,18 @@ class WitnessSpace:
         forms = [[_exponents(f, n, dim) for _, f in eq.expr.terms]
                  for eq in system.equations]
         self._scales = self._signs = ()
+        signs = []
         if all(None not in vs for vs in forms):
             rows = [[a - b for a, b in zip(v, vs[0])] for vs in forms
                     for v in vs]
             self._scales = [_primitive(v) for v in linsolve.nullspace(
                 RationalMatrix(rows, ncols=dim)).basis]
             if all(type(a) is int for r in rows for a in r):
-                self._signs = linsolve.nullspace_gf2(rows, dim)
+                signs = linsolve.nullspace_gf2(rows, dim)
+                self._signs = _new_parities(self._scales, signs)
+        # a fractional exponent has no parity, so no grade under a sign
+        # symmetry, redundant or not
+        self._integral = bool(signs)
         grades = [{self._grade(f) for _, f in b.terms}
                   for b in theta_ansatz.basis]
         if not all(len(gs) == 1 and None not in gs for gs in grades):
@@ -429,7 +463,8 @@ class WitnessSpace:
     def _grade(self, factors):
         """The grade of a monomial, or None when it has none."""
         vec = _exponents(factors, *self._dims)
-        if vec is None or self._signs and not all(type(e) is int for e in vec):
+        if vec is None or self._integral and not all(
+                type(e) is int for e in vec):
             return None
         return (tuple([sum(map(mul, w, vec)) for w in self._scales])
                 + tuple([sum(map(mul, s, vec)) & 1 for s in self._signs]))
@@ -721,7 +756,8 @@ def mixed_method(system, g, psi_ansatz, h_ansatz, *, include_xi_l=False,
     C = symmetry_flux(L, g, system, include_xi_l=include_xi_l)
     T = [c + a.expr for c, a in zip(C, h_ansatz)]
 
-    rows, rhs = _linear_rows([verify(system, T)], column)
+    rows, rhs = _linear_rows(
+        [_reduced_divergence(system, [system.reduce(c) for c in T])], column)
     if any(b != 0 for b in rhs):
         raise RuntimeError("internal error: mixed determining system is "
                            "not homogeneous")
@@ -736,19 +772,16 @@ def mixed_method(system, g, psi_ansatz, h_ansatz, *, include_xi_l=False,
                                 space.basis):
         comps, psi, h = inst[:n], inst[n:-n], inst[-n:]
         reds = tuple(system.reduce(c) for c in comps)
-        residual = _reduced_divergence(system, reds)
-        if not residual.is_zero:
+        if _reduced_divergence(system, reds):
             raise RuntimeError("internal error: mixed-method law failed "
                                "re-verification")
-        law = ConservedVector(comps, psi, h, generator=g.label,
-                              residual=residual)
+        law = ConservedVector(comps, psi, h, generator=g.label)
         law.triviality, coeffs = _triviality(reds, ws)
         if law.triviality.trivial:
             trivia.append(law)
         else:
             law.stripped = reds if ws is None else ws.strip(reds, coeffs)
-            check = _reduced_divergence(system, law.stripped)
-            if not check.is_zero:
+            if _reduced_divergence(system, law.stripped):
                 raise RuntimeError("internal error: stripped law failed "
                                    "re-verification")
             laws.append(law)
@@ -769,7 +802,8 @@ def fluxes_from_multipliers(system, multipliers, h_ansatz):
         a.require_polynomial("flux")
     column = _columns(h_ansatz)
     target = formal_lagrangian(system, list(multipliers))
-    residual = target - divergence([a.expr for a in h_ansatz], table)
+    div = divergence([a.expr for a in h_ansatz], table)
+    residual = _normal(list(target.terms) + [(-c, f) for c, f in div.terms])
     rows, rhs = _linear_rows([residual], column)
     sol = linsolve.solve(RationalMatrix(rows, ncols=len(column)), rhs)
     if sol is None:
@@ -803,6 +837,7 @@ def self_adjointness_check(system, psi):
     for p in psi:
         if any(isinstance(a, Param) for a in p.atoms()):
             raise ValueError("psi must be free of unknown parameters")
-    L = formal_lagrangian(system, list(psi))
-    residuals = tuple(system.reduce(E) for E in _euler_residuals(L, table))
+    L = _lagrangian(system, list(psi))
+    residuals = tuple(system.reduce(_sorted_expr(E))
+                      for E in _euler_residuals(_terms(L), table))
     return SelfAdjointnessReport(psi=tuple(psi), residuals=residuals)

@@ -2,7 +2,7 @@
 jet polynomials and jet terms, a reference prolongation, the exact
 linear-algebra checks that only tests use (reduced row-echelon form, rank,
 matrix-vector product, span equality), three user models that grade their
-witness spaces differently, and an oracle in sympy that reads printed laws
+witness spaces differently, two whose equations hold opaque bases, and an oracle in sympy that reads printed laws
 and model equations without clawforge's parser."""
 
 import importlib.util
@@ -84,8 +84,50 @@ X1: x = 1
 }
 
 
+# user models whose equations hold opaque bases, for the differential
+# tests of the normal forms that intermediates pass from stage to stage
+OPAQUE_MODELS = {
+    "radical-heat": """
+[model]
+name: radical-heat
+
+[vars]
+independent: t, x
+dependent: u
+
+[equations]
+u[t] = (1 + u[x]^2)^(-1/2)*u[x,x]
+
+[generators]
+X1: x = 1
+X2: t = 1
+""",
+    "radical-advection": """
+[model]
+name: radical-advection
+
+[vars]
+independent: t, x
+dependent: u
+
+[equations]
+u[t] = (1 + u^2)^(1/2)*u[x] + (u + x)^(-1)*u[x,x]
+
+[generators]
+X1: t = 1
+""",
+}
+
+
 def two_var_table():
     return SymbolTable(["t", "x"], ["u"])
+
+
+def total_derivative_mi(e, mi):
+    """D_J e for the multi-index J = mi, one total derivative at a time."""
+    for v in mi:
+        e = total_derivative(e, v)
+    return e
 
 
 def jet_pool(table, max_order):

@@ -513,8 +513,9 @@ def test_normal_forms_keep_opaque_bases_last():
     """`_normal` looks only at a term's last factor to decide whether the
     opaque-base reduction runs; that is sound because every normalized term
     keeps its factors sorted by `_bkey`, atoms (function symbols too)
-    before opaque bases.  Checked on built terms, their products and their
-    partial derivatives."""
+    before opaque bases, and every base that is not an atom is an `Expr`,
+    which is what it tests.  Checked on built terms, their products and
+    their partial derivatives."""
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
     tab = SymbolTable(["t", "x"], ["u"], funcs=["f"])
@@ -527,6 +528,7 @@ def test_normal_forms_keep_opaque_bases_last():
             assert keys == sorted(keys)
             opaque = [not isinstance(b, Atom) for b, _ in f]
             assert opaque == sorted(opaque)
+            assert opaque == [type(b) is Expr for b, _ in f]
 
     @hyp.settings(max_examples=80, deadline=None, derandomize=True)
     @hyp.given(left=terms, right=terms, a=st.sampled_from(atoms))

@@ -5,7 +5,7 @@ import pytest
 
 from clawforge.calculus import (Equation, Generator, PdeSystem,
                                 total_derivative)
-from clawforge.expr import Expr, SymbolTable
+from clawforge.expr import Expr, Jet, SymbolTable, _build, collect, pdiff
 from clawforge.lawgen import (Ansatz, AnsatzError, WitnessSpace,
                               characteristic, default_theta_ansatz,
                               density_equivalent_mod_trivial,
@@ -17,9 +17,12 @@ from clawforge.lawgen import (Ansatz, AnsatzError, WitnessSpace,
                               self_adjointness_check, solve_multipliers,
                               strip_trivial, vectors_equivalent_mod_trivial,
                               verify)
+from clawforge.linsolve import RationalMatrix
+from clawforge.modelfile import parse_model_text
 from clawforge.parse import parse
 
-from helpers import expr_span_equal, jet_polys, two_var_table
+from helpers import (OPAQUE_MODELS, expr_span_equal, jet_polys,
+                     total_derivative_mi, two_var_table)
 
 
 @pytest.fixture()
@@ -223,6 +226,56 @@ def test_multiplier_ansatz_class_checked(tab):
     with pytest.raises(AnsatzError):
         multiplier_determining_system(
             kdv, [make_ansatz([P(tab, "(1+u[x]^2)^(1/2)")], "v")])
+
+
+def _reference_determining(system, ansatz_list):
+    """The multiplier determining matrix composed from sorted `Expr`s at
+    every stage: the formal Lagrangian, one `pdiff` per jet, one total
+    derivative at a time, the Euler operator's sum built once and split by
+    `collect`."""
+    column = {p: i for i, p in enumerate(
+        p for a in ansatz_list for p in a.unknowns)}
+    L = formal_lagrangian(system, [a.expr for a in ansatz_list])
+    jets = [a for a in L.atoms() if isinstance(a, Jet)]
+    rows = []
+    for alpha in range(system.table.m):
+        terms = []
+        for a in jets:
+            if a.alpha == alpha:
+                d = total_derivative_mi(pdiff(L, a), a.mi)
+                terms += (d if a.order % 2 == 0 else -d).terms
+        for form in collect(_build(terms), column).values():
+            assert form.pop(None, 0) == 0
+            rows.append({column[p]: c for p, c in form.items()})
+    return RationalMatrix(rows, ncols=len(column))
+
+
+# (model, degree, jet order): the multipliers-direct jobs of the benchmark,
+# sp at order 1 and two models whose equations hold opaque bases
+DETERMINING_CASES = [("kdv", 4, 1), ("gas1d", 2, 1), ("fw", 3, 1),
+                     ("gas3d", 1, 0), ("sp", 3, 1),
+                     ("radical-heat", 2, 1), ("radical-heat", 3, 0),
+                     ("radical-advection", 2, 1)]
+
+
+@pytest.mark.parametrize("name,degree,order", DETERMINING_CASES,
+                         ids=[f"{n}-{d}-{o}" for n, d, o in DETERMINING_CASES])
+def test_determining_system_matches_sorted_composition(models, name, degree,
+                                                       order):
+    """The determining matrix, built from accumulated terms sorted once per
+    row set, equals the one composed from sorted expressions: the same
+    rows in the same order, and the same columns."""
+    entry = (models[name] if name in models
+             else parse_model_text(OPAQUE_MODELS[name]))
+    system = entry.system
+    basis = monomial_basis(entry.table, degree, jet_order=order)
+    ansatz = [make_ansatz(basis, f"v{i}_")
+              for i in range(len(system.equations))]
+    got = multiplier_determining_system(system, ansatz)
+    want = _reference_determining(system, ansatz)
+    assert got.ncols == want.ncols
+    assert got.sparse_rows == want.sparse_rows
+    assert got.nrows > 0
 
 
 # -- verification and triviality -------------------------------------------------------

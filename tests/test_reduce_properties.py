@@ -21,10 +21,11 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import Phase, given, settings, strategies as st  # noqa: E402
 
 from clawforge.calculus import (_gradient, divergence, euler,  # noqa: E402
-                                total_derivative, total_derivative_mi)
+                                total_derivative)
 from clawforge.corpus import GAS1D_TEXT  # noqa: E402
 from clawforge.expr import (ZERO, Jet, NonlinearError, Param,  # noqa: E402
-                            Unknown, collect, pdiff, substitute)
+                            Unknown, _sorted_expr, collect, pdiff,
+                            substitute)
 from clawforge.lawgen import (_euler_residuals, _instantiate,  # noqa: E402
                               formal_lagrangian, symmetry_flux, verify)
 from clawforge.modelfile import (ansatz_spaces, laws_from_text,  # noqa: E402
@@ -32,7 +33,7 @@ from clawforge.modelfile import (ansatz_spaces, laws_from_text,  # noqa: E402
 from clawforge.parse import parse  # noqa: E402
 
 from helpers import (RADICALS, jet_polys, jet_pool,  # noqa: E402
-                     perfbench_workloads)
+                     perfbench_workloads, total_derivative_mi)
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -389,14 +390,15 @@ def test_gradient_matches_per_jet_pdiff(models, name, opts, examples):
               phases=NO_SHRINK)
     @given(e=components(entry, opts))
     def check(e):
-        grad = _gradient(e)
+        grad = _gradient(e.terms)
         partials = per_jet_partials(e)
         assert set(grad) == set(partials)
         for a, d in partials.items():
-            assert grad[a] == d
+            assert _sorted_expr(grad[a]) == d
         expected = [per_jet_euler(e, alpha) for alpha in range(table.m)]
         assert [euler(e, alpha, table) for alpha in range(table.m)] == expected
-        assert _euler_residuals(e, table) == expected
+        assert [_sorted_expr(E) for E in _euler_residuals(e.terms, table)] \
+            == expected
 
     check()
 
@@ -412,11 +414,11 @@ def test_gradient_serves_every_formal_lagrangian_partial(models):
         else:
             psi = [a.expr for a in ansatz_spaces(entry)["psi"]]
         L = formal_lagrangian(system, psi)
-        grad = _gradient(L)
+        grad = _gradient(L.terms)
         for a, d in per_jet_partials(L).items():
-            assert grad[a] == d
-        assert _euler_residuals(L, table) == \
-            [per_jet_euler(L, alpha) for alpha in range(table.m)]
+            assert _sorted_expr(grad[a]) == d
+        assert [_sorted_expr(E) for E in _euler_residuals(L.terms, table)] \
+            == [per_jet_euler(L, alpha) for alpha in range(table.m)]
 
 
 # -- instantiation: a combination of the collected form -----------------------

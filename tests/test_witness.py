@@ -358,10 +358,12 @@ SIGN_CASES = ["kdv", "fw", "sp", "gas1d", "heat", "fractional"]
 
 @pytest.mark.parametrize("name", SIGN_CASES)
 def test_sign_gradings(models, name):
-    """The sign gradings span the sign changes of the variables that leave
-    every equation homogeneous: fw has the t+x parity, sp the u parity
-    besides its scaling, kdv nothing beyond its scaling taken mod 2, and a
-    model with u^(1/2) in its equation has no sign grading."""
+    """The sign gradings, with the scalings taken mod 2, span the sign
+    changes of the variables that leave every equation homogeneous, and
+    none of them is in the span of the scalings mod 2 and the others: fw
+    has the t+x parity, sp one parity besides its scaling, kdv, gas1d and
+    the heat equation nothing beyond their scalings mod 2, and a model
+    with u^(1/2) in its equation has no sign grading."""
     entry = (models[name] if name in models
              else parse_model_text(GRADING_MODELS[name]))
     ws = WitnessSpace(entry.system, default_theta_ansatz(entry.table))
@@ -369,17 +371,46 @@ def test_sign_gradings(models, name):
     if name == "fractional":
         assert ws._signs == () and len(ws._scales) == 2
         return
-    assert len(_span_gf2(ws._signs, dim)) == 2 ** len(ws._signs)
     oracle = _sign_oracle(entry.system)
-    assert _span_gf2(ws._signs, dim) == oracle
-    by_scaling = _span_gf2([[x % 2 for x in w] for w in ws._scales], dim)
+    scales_mod2 = [[x % 2 for x in w] for w in ws._scales]
+    by_scaling = _span_gf2(scales_mod2, dim)
+    both = _span_gf2(list(ws._signs) + scales_mod2, dim)
+    assert len(both) == 2 ** len(ws._signs) * len(by_scaling)
+    assert both == oracle
     assert by_scaling <= oracle
+    if name in ("kdv", "gas1d", "heat"):
+        assert ws._signs == []
+    if name == "sp":
+        assert len(ws._signs) == 1
     if name == "kdv":
         assert oracle == by_scaling == {(0, 0, 0), (1, 1, 0)}
     if name == "fw":
         assert oracle == {(0, 0, 0), (1, 1, 0)} and not ws._scales
     if name == "sp":
         assert (0, 0, 1) in oracle - by_scaling
+
+
+@pytest.mark.parametrize("name", SIGN_CASES + ["kdv-c0"])
+def test_redundant_signs_split_no_block(models, name):
+    """Grading by every sign change of the sign oracle as well partitions
+    the theta entries into the same blocks as the kept signs and the
+    scalings do."""
+    entry = (models[name] if name in models
+             else parse_model_text(GRADING_MODELS[name]))
+    ws = WitnessSpace(entry.system, default_theta_ansatz(entry.table))
+    n = entry.table.n
+    signs = sorted(_sign_oracle(entry.system)) if ws._integral else []
+    if not ws._graded:
+        assert len(ws._blocks) == 1
+        return
+    by_grade = {}
+    for m, b in enumerate(ws.theta.basis):
+        _, f = b.terms[0]
+        grade = (tuple(_weight(f, n, w) for w in ws._scales)
+                 + tuple(_weight(f, n, s) % 2 for s in signs))
+        by_grade.setdefault(grade, []).append(m)
+    assert sorted(by_grade.values()) == \
+        sorted(blk.members for blk in ws._blocks.values())
 
 
 @pytest.mark.parametrize("name", ["kdv", "fw", "sp", "gas1d"])

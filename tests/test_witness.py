@@ -13,6 +13,7 @@ sign changes and against the grade of every key, blocks are built only
 when a fit reaches them, `complete` solves a gas1d space that is one
 block, and concurrent fits on one fresh space match a serial run."""
 
+import hashlib
 import itertools
 import math
 import sys
@@ -23,7 +24,7 @@ import pytest
 
 from clawforge.calculus import total_derivative
 from clawforge.corpus import GAS1D_TEXT
-from clawforge.expr import IndepVar, _num
+from clawforge.expr import Expr, IndepVar, _num
 from clawforge.lawgen import (WitnessSpace, _law_rhs_map,
                               default_theta_ansatz,
                               density_equivalent_mod_trivial, make_ansatz,
@@ -33,7 +34,7 @@ from clawforge.linsolve import (ColumnSpace, IncrementalSystem,
 from clawforge.modelfile import ansatz_spaces, parse_model_text
 from clawforge.parse import parse
 
-from helpers import GRADING_MODELS, jet_polys
+from helpers import GRADING_MODELS, OPAQUE_MODELS, jet_polys
 
 hyp = pytest.importorskip("hypothesis")
 st = hyp.strategies
@@ -531,3 +532,94 @@ def test_concurrent_fits_match_serial(gas1d_laws, round_):
         sys.setswitchinterval(old)
     assert not any(th.is_alive() for th in threads)
     assert results == [serial] * len(orders)
+
+
+# sha256 of every block's members and of the block (by its first member)
+# that `_label` gives each curl key, in priority order, for the four 2-D
+# built-ins and the grading and opaque test models at the `[ansatz]`
+# theta, the default theta and theta degree 5 with jets of order 3;
+# recorded when the blocks were graded by the rational scalings and the
+# GF(2) signs of each model, with the block count
+PARTITION_PINS = {
+    ("kdv", "ansatz"):
+        (20, "17a781d4da592622332d19eeb517bf0861fd42f6e6a4a5fac5ec505912ed8f31"),
+    ("kdv", "default"):
+        (20, "17a781d4da592622332d19eeb517bf0861fd42f6e6a4a5fac5ec505912ed8f31"),
+    ("kdv", "d5j3"):
+        (33, "2bc8c9457e7e51dd87f4d951ba1a779b0ac6c5708e36b7915fb0da3d2b099d87"),
+    ("fw", "ansatz"):
+        (2, "8f253589571b77d3715b780fa9bb07574ec56866e6a26158666edc8ec9cd756b"),
+    ("fw", "default"):
+        (2, "8f253589571b77d3715b780fa9bb07574ec56866e6a26158666edc8ec9cd756b"),
+    ("fw", "d5j3"):
+        (2, "57dae2eedf7333d3a6e15d667911d2a4c05c9710c6b6faaa371f8d84fdaa7f71"),
+    ("sp", "ansatz"):
+        (34, "4ae0935d3fb9e65ce0d7cb6a680e2176cccd199ebec24eb929549826e21d64c2"),
+    ("sp", "default"):
+        (18, "8542d51da888338397b1b129a4e3d352a6dad10fc6cd3b861104160e38deec11"),
+    ("sp", "d5j3"):
+        (29, "650b007666f7153b2ba4760e6d6c7730d94119563532281da43b540a8e96a464"),
+    ("gas1d", "ansatz"):
+        (109, "3c1911b1f464e9f6c350aa5a89baa968a5b9810d48a4b37d03e9f415fbe409cf"),
+    ("gas1d", "default"):
+        (109, "3c1911b1f464e9f6c350aa5a89baa968a5b9810d48a4b37d03e9f415fbe409cf"),
+    ("gas1d", "d5j3"):
+        (380, "8e09e8057a9d37865ce9fcc7267bf7dc56f122c1fa3106ba3bffc58dabcd91a0"),
+    ("kdv-c0", "ansatz"):
+        (1, "61de6b37b7c5ea273f18aa52e6cafadc7ab178e7e3dcbf1d7058ec4374b32ae9"),
+    ("kdv-c0", "default"):
+        (1, "61de6b37b7c5ea273f18aa52e6cafadc7ab178e7e3dcbf1d7058ec4374b32ae9"),
+    ("kdv-c0", "d5j3"):
+        (1, "983b739e1972333a390f2f4a7442321dc1b6e2ae9292ba61877bababc8ec617e"),
+    ("fractional", "ansatz"):
+        (36, "4390be6e570c07efd2703a19f5bda0ef31b935d9162126395a229946d85bdb04"),
+    ("fractional", "default"):
+        (36, "4390be6e570c07efd2703a19f5bda0ef31b935d9162126395a229946d85bdb04"),
+    ("fractional", "d5j3"):
+        (89, "3d90480e0ed08ee9130437ae165ff7c0f0a4fd37fbd31fa8e0865f1e9aaff7e6"),
+    ("heat", "ansatz"):
+        (28, "9b0e6184f93f7adb46a9553ec0db251b1ba45b5120300e8cdbad42d3d4674df2"),
+    ("heat", "default"):
+        (28, "9b0e6184f93f7adb46a9553ec0db251b1ba45b5120300e8cdbad42d3d4674df2"),
+    ("heat", "d5j3"):
+        (66, "548e4aa243bfc98bda9c3c29711c91e22f279edd02403b869961baa5ae6fa344"),
+    ("radical-heat", "ansatz"):
+        (1, "cd4593be82dd29dcc8265973b971f95ecc27a83c9171724dbcbe80a722dfe5a4"),
+    ("radical-heat", "default"):
+        (1, "cd4593be82dd29dcc8265973b971f95ecc27a83c9171724dbcbe80a722dfe5a4"),
+    ("radical-heat", "d5j3"):
+        (1, "be333e1e1b2790a6fd29ce772d4868f14fb9aff40ea27c24e4f60d90e949e235"),
+    ("radical-advection", "ansatz"):
+        (1, "0f2168c5f76cda1abef283f2197d8ed7d392757aa77286b989b3e89053de2466"),
+    ("radical-advection", "default"):
+        (1, "0f2168c5f76cda1abef283f2197d8ed7d392757aa77286b989b3e89053de2466"),
+    ("radical-advection", "d5j3"):
+        (1, "93f10c206e46b41cf6ea81faf0794bc3f58ecf0706fe62fd716851ebbeca8f41"),
+}
+
+
+def _pin_theta(entry, which):
+    if which == "ansatz":
+        return ansatz_spaces(entry)["theta"]
+    if which == "default":
+        return default_theta_ansatz(entry.table)
+    return default_theta_ansatz(entry.table, degree=5, jet_order=3)
+
+
+@pytest.mark.parametrize("name,which", list(PARTITION_PINS),
+                         ids=[f"{n}-{w}" for n, w in PARTITION_PINS])
+def test_block_partition_unchanged(models, name, which):
+    """Every block's members, and the block `_label` places each curl key
+    in, which holds that key's column."""
+    entry = (models[name] if name in models
+             else parse_model_text({**GRADING_MODELS, **OPAQUE_MODELS}[name]))
+    ws = WitnessSpace(entry.system, _pin_theta(entry, which))
+    first = {label: min(blk.members) for label, blk in ws._blocks.items()}
+    lines = ["block " + ",".join(map(str, members)) for members in
+             sorted(blk.members for blk in ws._blocks.values())]
+    for key in sorted(ws.columns, key=ws.priority):
+        label = ws._label(key)
+        assert key in ws._blocks[label].columns
+        lines.append(f"{key[0]} {Expr(((1, key[1]),))} {first[label]}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(ws._blocks), digest) == PARTITION_PINS[name, which]

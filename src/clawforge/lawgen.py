@@ -12,8 +12,7 @@ import itertools
 import threading
 from collections import Counter
 from functools import cached_property
-from math import factorial, gcd, lcm
-from operator import mul
+from math import factorial
 from types import SimpleNamespace
 
 from .expr import (Expr, IndepVar, Jet, Param, Unknown, ZERO,
@@ -365,113 +364,120 @@ def _exponents(factors, n, dim):
     return vec
 
 
-def _primitive(v):
-    """The primitive integer vector on the line of a rational vector."""
-    den = lcm(*(x.denominator for x in v))
-    ints = [int(x * den) for x in v]
-    return tuple(x // gcd(*ints) for x in ints)
+def _lattice(rows, dim):
+    """The Hermite normal form of the lattice that the rational rows span
+    over the integers: (pivot column, row) pairs in echelon order, each
+    pivot positive and each entry above it in [0, pivot).  Euclid's
+    algorithm clears each column below its pivot by floor division, which
+    works on rationals as on integers."""
+    hnf = []
+    for c in range(dim):
+        live = [r for r in rows if r[c]]
+        rows = [r for r in rows if not r[c]]
+        while len(live) > 1:
+            p = min(live, key=lambda r: abs(r[c]))
+            rest = [[a - r[c] // p[c] * b for a, b in zip(r, p)]
+                    for r in live if r is not p]
+            rows += [r for r in rest if not r[c]]
+            live = [p] + [r for r in rest if r[c]]
+        if live:
+            p = live[0] if live[0][c] > 0 else [-a for a in live[0]]
+            hnf = [(q, [a - h[c] // p[c] * b for a, b in zip(h, p)])
+                   for q, h in hnf]
+            hnf.append((c, p))
+    return hnf
 
 
-def _new_parities(scales, signs):
-    """The signs outside the GF(2) span of the scalings mod 2 and of the
-    signs kept before them: a parity under any other is a sum of grades
-    mod 2, so it splits no block."""
-    span, kept = [], []     # bit masks with distinct leading bits, descending
-    for i, v in enumerate(scales + signs):
-        bits = sum(1 << c for c, x in enumerate(v) if x % 2)
-        for m in span:
-            bits = min(bits, bits ^ m)      # clears m's leading bit
-        if bits:
-            span = sorted(span + [bits], reverse=True)
-            if i >= len(scales):
-                kept.append(v)
-    return kept
+def _coset(vec, hnf):
+    """The representative of vec modulo the lattice: each pivot entry
+    reduced into [0, pivot), which is the same for two vectors exactly
+    when their difference is in the lattice."""
+    for c, row in hnf:
+        if q := vec[c] // row[c]:
+            vec = [a - q * b for a, b in zip(vec, row)]
+    return tuple(vec)
 
 
 class WitnessSpace:
-    """The reduced curl images of a theta ansatz, keyed by (component,
-    factors), in blocks of one grade, each with one echelon.
+    """The reduced curl images of a theta ansatz over two independent
+    variables, keyed by (component, factors), in blocks of one grade, each
+    with one echelon.
 
-    A grade is the dot products of a monomial's exponent vector with the
-    primitive integer scalings, and mod 2 with the sign symmetries, that
-    make every equation homogeneous: the rational and, if every exponent
-    in them is an integer, the GF(2) nullspace of the exponent differences
-    of each equation's terms, less the signs that the scalings mod 2 and
-    the other signs already fix (`_new_parities`).  sp has the scaling
-    (-1, 1, 1) and the sign u -> -u, fw only the sign (t, x) -> (-t, -x),
-    and kdv and gas1d no sign beyond their scalings mod 2.  Reduction
-    keeps a grade and D_v shifts it by that of v, so a key of the D_v
-    component belongs to the block of its monomial times v, and blocks
-    share no key and no column: kdv has 20 blocks, fw 2, sp 34 and gas1d
-    109.  A key with no grade is in no block; the space is one block when
-    an equation or a theta entry has no single grade, or when there is no
-    grading.
+    A monomial's grade is its exponent vector (`_exponents`) modulo the
+    lattice that the exponent differences of each equation's terms span
+    over the integers (`_lattice`).  Reduction replaces a term by terms
+    whose vectors differ from it by a lattice vector, and D_v subtracts
+    the unit vector of v, so a key of the D_v component belongs to the
+    block of its monomial times v, and blocks share no key and no column:
+    kdv has 20 blocks, fw 2, sp 34 and gas1d 109.  The grade fixes the
+    weight under every scaling and the parity under every sign change
+    that makes each equation homogeneous.  A key whose grade no theta
+    entry has, as a fractional exponent gives over an integral lattice,
+    is in no block.  The space is one block when an equation holds a
+    factor that is neither a variable nor a jet, or a theta entry has no
+    single grade.
 
     A block's key rows are sorted by `priority` and fed once through an
     `IncrementalSystem`, recording each row's eliminations and the echelon
-    row it opened, if any.  `fit` runs forward over the key rows from the
-    first one a law reaches, subtracting each row's eliminations from the
-    law's value there: that leaves each echelon row's right-hand side, and
-    a dependent row left nonzero makes the fit inexact.  It then
+    row it opened, if any.  The forward pass (`_forward`) runs over the key
+    rows from the first one a law reaches, subtracting each row's
+    eliminations from the law's value there: that leaves each echelon
+    row's right-hand side, and the leftover, the values of the dependent
+    rows left nonzero and of the law's keys outside every column.  The
+    leftover is linear in the law and empty exactly when the law is a curl
+    of the witness, which decides the equivalence tests.  `fit` then
     back-substitutes, last echelon row first.  Pivots are the smallest live
-    column of each row, so the pivot columns are the first independent curl
-    columns, and a law's witness is its unique representation on them, as
-    `linsolve.ColumnSpace` finds.
+    column of each row, so the pivot columns are the first independent
+    curl columns, and a law's witness is its unique representation on
+    them, as `linsolve.ColumnSpace` finds.
 
     The split changes no result: one echelon over all key rows in priority
     order is, block by block, the echelon of that block's rows, so the
     verdict and the witness decouple by block, and a block that no key of
     a law reaches gives zero coefficients.  So each block is built on first
-    use, under a lock, by `fit`, `strip` or `complete`; reading `columns`
-    (key -> {basis index: value}) builds them all."""
+    use, under a lock, by `fit` or `strip`; reading `columns` (key ->
+    {basis index: value}) builds them all."""
 
     def __init__(self, system, theta_ansatz):
+        table = system.table
+        if table.n != 2:
+            raise ValueError("a witness space needs two independent "
+                             f"variables, not {table.n}")
         theta_ansatz.require_polynomial("triviality witness")
         self.theta = theta_ansatz
         self.ncols = len(theta_ansatz.basis)
         self._system = system
         self._lock = threading.Lock()
-        table = system.table
         self._dims = n, dim = table.n, table.n + table.m
         forms = [[_exponents(f, n, dim) for _, f in eq.expr.terms]
                  for eq in system.equations]
-        self._scales = self._signs = ()
-        signs = []
+        self._lattice = None
         if all(None not in vs for vs in forms):
-            rows = [[a - b for a, b in zip(v, vs[0])] for vs in forms
-                    for v in vs]
-            self._scales = [_primitive(v) for v in linsolve.nullspace(
-                RationalMatrix(rows, ncols=dim)).basis]
-            if all(type(a) is int for r in rows for a in r):
-                signs = linsolve.nullspace_gf2(rows, dim)
-                self._signs = _new_parities(self._scales, signs)
-        # a fractional exponent has no parity, so no grade under a sign
-        # symmetry, redundant or not
-        self._integral = bool(signs)
+            self._lattice = _lattice([[a - b for a, b in zip(v, vs[0])]
+                                      for vs in forms for v in vs], dim)
         grades = [{self._grade(f) for _, f in b.terms}
                   for b in theta_ansatz.basis]
-        if not all(len(gs) == 1 and None not in gs for gs in grades):
-            self._scales = self._signs = ()
-        self._graded = bool(self._scales or self._signs)
+        self._col_label = [gs.pop() if len(gs) == 1 else None
+                           for gs in grades]
+        if None in self._col_label:
+            self._lattice, self._col_label = None, [()] * self.ncols
         self._var = [((v, 1),) for v in reversed(table.indep)]  # D_x, D_t
-        self._col_label = [gs.pop() if self._graded else () for gs in grades]
         self._blocks = {}       # grade -> block
         for m, label in enumerate(self._col_label):
             self._blocks.setdefault(label, SimpleNamespace(
                 members=[], echelon=None)).members.append(m)
 
     def _grade(self, factors):
-        """The grade of a monomial, or None when it has none."""
+        """The grade of a monomial: () when the space is one block, None
+        when the monomial has no exponent vector."""
+        if self._lattice is None:
+            return ()
         vec = _exponents(factors, *self._dims)
-        if vec is None or self._integral and not all(
-                type(e) is int for e in vec):
-            return None
-        return (tuple([sum(map(mul, w, vec)) for w in self._scales])
-                + tuple([sum(map(mul, s, vec)) & 1 for s in self._signs]))
+        return None if vec is None else _coset(vec, self._lattice)
 
     def _label(self, key):
-        """The grade of the block that can hold a curl key, or None."""
-        return self._grade(key[1] + self._var[key[0]]) if self._graded else ()
+        """The grade of the block that can hold a curl key."""
+        return self._grade(key[1] + self._var[key[0]])
 
     def _block(self, label):
         """The block of a grade, built on first use; None if none."""
@@ -491,11 +497,13 @@ class WitnessSpace:
                 terms = self._system.reduced_derivative_terms(rb, v)
                 for f, c in _normal(terms).items():
                     blk.columns.setdefault((comp, f), {})[m] = sign * c
-        keys = sorted(blk.columns, key=self.priority)
-        blk.row_of = {key: r for r, key in enumerate(keys)}
+        blk.keys = sorted(blk.columns, key=self.priority)
+        blk.row_of = {key: r for r, key in enumerate(blk.keys)}
+        # the component-0 rows come first: where a density fit stops
+        blk.ends = (sum(comp == 0 for comp, _ in blk.keys), len(blk.keys))
         echelon = linsolve.IncrementalSystem(self.ncols)
         blk.steps = []  # key row -> (echelon row it opened or None, steps)
-        for key in keys:
+        for key in blk.keys:
             steps, k = [], len(echelon.rows)
             echelon.try_add(blk.columns[key], 0, steps)
             blk.steps.append((k if len(echelon.rows) > k else None, steps))
@@ -519,30 +527,33 @@ class WitnessSpace:
                 weight += e
         return (comp, -order, -weight, -len(factors), _monokey(factors))
 
-    def fit(self, rhs_map):
-        """Fit the curl columns to a law's reduced coefficients `rhs_map`
-        ((comp, factors) -> value).  Returns (exact, coeffs): `coeffs` solve
-        every key row that the rows before it in priority order leave
-        consistent, with the free coordinates zero, and `exact` says that
-        they solve them all and that no key of the law lies outside the
-        witness columns, i.e. that the law is a curl of the witness.  Only
-        the blocks that the law's keys reach are visited; a key whose
-        grade has no block is outside every column."""
+    def _forward(self, rhs_map, ncomp=2):
+        """The forward pass of a fit of `rhs_map` ((comp, factors) ->
+        value) over the key rows of the first `ncomp` components: the
+        (echelon, right-hand sides) of each block the law reaches, and the
+        leftover, key -> nonzero value, of the dependent key rows and the
+        keys outside every column.  Only the blocks that the law's keys
+        reach are visited; a key whose grade has no block is outside every
+        column."""
         parts = {}
         for key, val in rhs_map.items():
             parts.setdefault(self._label(key), {})[key] = val
-        exact, coeffs = True, [0] * self.ncols
+        solved, left = [], {}
         for label, part in parts.items():
             blk = self._block(label)
             rows = {} if blk is None else blk.row_of
-            acc = {rows[key]: val for key, val in part.items() if key in rows}
-            exact = exact and len(acc) == len(part)
+            acc = {}
+            for key, val in part.items():
+                if key in rows:
+                    acc[rows[key]] = val
+                elif val:
+                    left[key] = val
             if not acc:
                 continue
             echelon = blk.echelon
-            # forward: each key row's eliminations, on the law's values
+            # each key row's eliminations, on the law's values
             rhs = [0] * len(echelon.rows)
-            for r in range(min(acc), len(blk.steps)):
+            for r in range(min(acc), blk.ends[ncomp - 1]):
                 k, steps = blk.steps[r]
                 b = acc.get(r, 0)
                 for i, f in steps:
@@ -551,33 +562,26 @@ class WitnessSpace:
                 if k is not None:
                     rhs[k] = _quot(b, echelon.scales[k])
                 elif b:
-                    exact = False
-            # back: substitute into the echelon rows, last row first
+                    left[blk.keys[r]] = b
+            solved.append((echelon, rhs))
+        return solved, left
+
+    def fit(self, rhs_map):
+        """Fit the curl columns to a law's reduced coefficients `rhs_map`
+        ((comp, factors) -> value).  Returns (exact, coeffs): `coeffs` solve
+        every key row that the rows before it in priority order leave
+        consistent, with the free coordinates zero, and `exact` says that
+        they solve them all and that no key of the law lies outside the
+        witness columns, i.e. that the law is a curl of the witness."""
+        solved, left = self._forward(rhs_map)
+        coeffs = [0] * self.ncols
+        for echelon, rhs in solved:
+            # substitute into the echelon rows, last row first
             for p, k in reversed(echelon.pivots.items()):
                 coeffs[p] = _num(rhs[k] - sum(
                     x * coeffs[c] for c, x in echelon.rows[k].items()
                     if c != p))
-        return exact, coeffs
-
-    def complete(self, rhs_map, components=(0, 1), extra_cols=()):
-        """Solve extra*s + curl(theta) = rhs; None when infeasible.  Blocks
-        no key of rhs or extra reaches are left out (their theta is free)."""
-        reached = set(rhs_map).union(*extra_cols)
-        columns = {k: col for label in {self._label(k) for k in reached}
-                   if label in self._blocks
-                   for k, col in self._block(label).columns.items()}
-        keys = {k for k in columns if k[0] in components} | reached
-        shift = len(extra_cols)
-        rows, rhs = [], []
-        for key in sorted(keys, key=lambda k: (k[0], _monokey(k[1]))):
-            row = {i: col[key] for i, col in enumerate(extra_cols)
-                   if key in col}
-            for m, val in columns.get(key, {}).items():
-                row[shift + m] = val
-            rows.append(row)
-            rhs.append(rhs_map.get(key, 0))
-        return linsolve.solve(
-            RationalMatrix(rows, ncols=shift + self.ncols), rhs)
+        return not left, coeffs
 
     def witness_expr(self, coeffs):
         return _build([(val * c, f) for val, b in zip(coeffs, self.theta.basis)
@@ -603,8 +607,11 @@ def _law_rhs_map(reds):
 
 
 def _witness_space(system, witness_space, theta_ansatz):
-    """The given witness space, else one over the given theta ansatz, else
-    one over the default theta ansatz."""
+    """None for a system without two independent variables; else the
+    given witness space, else one over the given theta ansatz, else one
+    over the default theta ansatz."""
+    if system.table.n != 2:
+        return None
     if witness_space is not None:
         return witness_space
     if theta_ansatz is None:
@@ -632,35 +639,34 @@ def is_trivial(system, T, theta_ansatz=None, witness_space=None):
     curl (D_x theta, -D_t theta) with theta in the witness ansatz by a
     vector vanishing on solutions (second kind)."""
     reds = [system.reduce(c) for c in T]
-    ws = None
-    if system.table.n == 2 and not all(r.is_zero for r in reds):
-        ws = _witness_space(system, witness_space, theta_ansatz)
+    ws = (None if all(r.is_zero for r in reds)
+          else _witness_space(system, witness_space, theta_ansatz))
     return _triviality(reds, ws)[0]
 
 
-def _equivalent(ws, a_map, b_map, components, allow_scale):
-    """Is a - s*b a reduced curl of the witness ansatz over `components`,
-    for some s != 0 when scaling is allowed, else for s = 1?"""
-    if not allow_scale:
-        shifted = dict(a_map)
-        for key, val in b_map.items():
-            shifted[key] = shifted.get(key, 0) - val
-        return ws.complete(shifted, components) is not None
-    sol = ws.complete(a_map, components, (b_map,))
-    return sol is not None and (sol.particular[0] != 0
-                                or any(v[0] != 0 for v in sol.basis))
+def _equivalent(system, witness_space, theta_ansatz, a, b, allow_scale):
+    """Is a - s*b a reduced curl of the witness ansatz over the components
+    that the laws a and b hold, for some s != 0 when scaling is allowed,
+    else for s = 1?  The leftover of a forward pass is linear in the law
+    and empty exactly on curls, so this asks whether leftover(a) is s
+    times leftover(b)."""
+    ws = _witness_space(system, witness_space, theta_ansatz)
+    if ws is None:
+        raise ValueError("equivalence tests need two independent variables")
+    la, lb = (ws._forward(_law_rhs_map([system.reduce(c) for c in law]),
+                          len(law))[1] for law in (a, b))
+    if not (allow_scale and lb):
+        return la == lb
+    key = next(iter(lb))
+    s = _quot(la.get(key, 0), lb[key])
+    return s != 0 and la == {k: s * v for k, v in lb.items()}
 
 
 def vectors_equivalent_mod_trivial(system, A, B, theta_ansatz=None,
                                    allow_scale=True, witness_space=None):
     """True when A - s*B is a trivial law for some scale s (s != 0 when
     scaling is allowed, s = 1 otherwise)."""
-    if system.table.n != 2:
-        raise ValueError("equivalence test implemented for two independent "
-                         "variables")
-    ws = _witness_space(system, witness_space, theta_ansatz)
-    return _equivalent(ws, _law_rhs_map([system.reduce(c) for c in A]),
-                       _law_rhs_map([system.reduce(c) for c in B]), (0, 1),
+    return _equivalent(system, witness_space, theta_ansatz, A, B,
                        allow_scale)
 
 
@@ -669,12 +675,8 @@ def density_equivalent_mod_trivial(system, a, b, theta_ansatz=None,
     """True when density a matches density b up to scaling, total
     x-derivatives, and terms vanishing on solutions (two independent
     variables): reduce(a - s*b - D_x theta) == 0 is solvable."""
-    if system.table.n != 2:
-        raise ValueError("density test implemented for two independent "
-                         "variables")
-    ws = _witness_space(system, witness_space, theta_ansatz)
-    return _equivalent(ws, _law_rhs_map([system.reduce(a)]),
-                       _law_rhs_map([system.reduce(b)]), (0,), allow_scale)
+    return _equivalent(system, witness_space, theta_ansatz, [a], [b],
+                       allow_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -688,9 +690,9 @@ def strip_trivial(system, T, theta_ansatz=None, witness_space=None):
     using a curl witness from the ansatz (`WitnessSpace.fit`).  The result
     is a conserved vector equivalent to T modulo trivial laws."""
     base = tuple(system.reduce(c) for c in T)
-    if system.table.n != 2:
-        return base
     ws = _witness_space(system, witness_space, theta_ansatz)
+    if ws is None:
+        return base
     _, coeffs = ws.fit(_law_rhs_map(base))
     return ws.strip(base, coeffs)
 
@@ -764,7 +766,7 @@ def mixed_method(system, g, psi_ansatz, h_ansatz, *, include_xi_l=False,
     det = RationalMatrix(rows, ncols=len(column))
     space = linsolve.nullspace(det)
 
-    ws = _witness_space(system, None, theta_ansatz) if table.n == 2 else None
+    ws = _witness_space(system, None, theta_ansatz)
 
     n = table.n
     laws, trivia = [], []

@@ -4,14 +4,15 @@ Matrices store their rows sparse (determining systems are mostly zeros).
 One eliminator serves every routine: `IncrementalSystem` grows a sparse
 echelon one row at a time, pivots on the smallest column of each new row
 and normalizes that pivot to 1; it can record each row's eliminations,
-which `lawgen.WitnessSpace` subtracts in a forward pass before its back
-pass over the echelon rows, last row first.  `nullspace` and `solve`
-back-substitute it, last row first, into the reduced row-echelon form.
+which `lawgen.WitnessSpace` replays on a law in a forward pass, whose
+leftover decides triviality and equivalence, before its back pass over
+the echelon rows, last row first.  `nullspace` and `solve` (the latter
+only for `lawgen.fluxes_from_multipliers`) back-substitute it, last row
+first, into the reduced row-echelon form.
 That form is unique, so a basis or a particular solution depends only on
 the column order.  Values are exact rationals in the engine's
 representation: an `int` when integral, else a reduced `Fraction`, never a
-float; every division goes through `expr._quot`.  `nullspace_gf2` works
-over GF(2).
+float; every division goes through `expr._quot`.
 
 `ColumnSpace` is not used by the library; it is kept as the test oracle
 for `WitnessSpace.fit` and for the benchmark tracer
@@ -40,7 +41,7 @@ class RationalMatrix:
         self.sparse_rows = []
         for r in rows:
             if isinstance(r, dict):
-                if any(not 0 <= c < ncols for c in r):
+                if r and (min(r) < 0 or max(r) >= ncols):
                     raise ValueError("column index out of range")
                 r = _sparse(r)
             else:
@@ -257,27 +258,6 @@ def _reduced(inc):
 def nullspace(matrix):
     """Exact basis of {v : Mv = 0}; dimension = cols - rank."""
     return solve(matrix, [0] * matrix.nrows)
-
-
-def nullspace_gf2(rows, ncols):
-    """A basis of {v in GF(2)^ncols : r . v = 0 mod 2 for each integer row
-    r}: one 0/1 tuple per free column, 1 there and at the pivots it forces.
-    Rows are bit masks, each pivot row free of the other pivots."""
-    pivots = {}     # pivot column -> row as a bit mask
-    for r in rows:
-        bits = sum(1 << c for c, x in enumerate(r) if x % 2)
-        for c, prow in pivots.items():
-            if bits >> c & 1:
-                bits ^= prow
-        if bits:
-            p = (bits & -bits).bit_length() - 1
-            for c, prow in pivots.items():
-                if prow >> p & 1:
-                    pivots[c] = prow ^ bits
-            pivots[p] = bits
-    return [tuple(int(c == f or (c in pivots and pivots[c] >> f & 1))
-                  for c in range(ncols))
-            for f in range(ncols) if f not in pivots]
 
 
 def solve(matrix, rhs):

@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction
 
@@ -6,8 +5,7 @@ import pytest
 
 from clawforge.expr import _num
 from clawforge.linsolve import (ColumnSpace, IncrementalSystem,
-                                RationalMatrix, nullspace, nullspace_gf2,
-                                solve)
+                                RationalMatrix, nullspace, solve)
 
 from helpers import mul_vector, rank, rref, span_equal
 
@@ -17,29 +15,14 @@ def test_nullspace_examples():
     assert nullspace(RationalMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])).basis == []
 
 
-def test_nullspace_gf2_matches_brute_force():
-    """The GF(2) nullspace of random integer rows is spanned by the basis
-    it returns, whose vectors are independent, one per free column."""
-    hyp = pytest.importorskip("hypothesis")
-    st = hyp.strategies
-
-    @hyp.settings(max_examples=200, deadline=None, derandomize=True)
-    @hyp.given(ncols=st.integers(1, 6), data=st.data())
-    def check(ncols, data):
-        rows = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=ncols,
-                                           max_size=ncols), max_size=6))
-        basis = nullspace_gf2(rows, ncols)
-        vectors = list(itertools.product((0, 1), repeat=ncols))
-        want = {v for v in vectors
-                if all(sum(a * b for a, b in zip(r, v)) % 2 == 0
-                       for r in rows)}
-        span = {tuple(sum(c * b[i] for c, b in zip(cs, basis)) % 2
-                      for i in range(ncols))
-                for cs in itertools.product((0, 1), repeat=len(basis))}
-        assert all(set(b) <= {0, 1} and len(b) == ncols for b in basis)
-        assert span == want and len(span) == 2 ** len(basis)
-
-    check()
+def test_sparse_rows_out_of_range():
+    """Each sparse row's columns must lie in range(ncols); an empty row
+    is accepted."""
+    for bad in ({0: 1, 3: 2}, {-1: 1}):
+        with pytest.raises(ValueError, match="column index out of range"):
+            RationalMatrix([{0: 1}, bad], ncols=3)
+    assert RationalMatrix([{}, {2: 5}], ncols=3).rows == [[0, 0, 0],
+                                                          [0, 0, 5]]
 
 
 def test_rref_examples():

@@ -6,29 +6,33 @@ the key rows of one law in global priority order gives the coefficients
 that stripping uses.  `strip` is checked against the reduced law minus the
 curl of the witness expression.  The columns themselves, built from
 reduced theta entries, are checked against the curls reduced after
-differentiating.  The
-scaling weights and sign gradings that split the space into blocks are
-checked against a sympy nullspace, against a brute-force enumeration of
-sign changes and against the grade of every key, blocks are built only
-when a fit reaches them, `complete` solves a gas1d space that is one
-block, and concurrent fits on one fresh space match a serial run."""
+differentiating.  The equivalence tests, which compare the leftovers of
+two forward passes, are checked against a dense solve over every block.
+The exponent lattice that grades the blocks is checked against the sympy
+Hermite normal form, against a sympy nullspace of scalings and a
+brute-force enumeration of sign changes, against the grade of every key
+and against a recorded partition; blocks are built only when a fit
+reaches them, and concurrent fits on one fresh space match a serial
+run."""
 
 import hashlib
 import itertools
-import math
+import operator
 import sys
 import threading
 import time
+from fractions import Fraction
 
 import pytest
 
 from clawforge.calculus import total_derivative
 from clawforge.corpus import GAS1D_TEXT
-from clawforge.expr import Expr, IndepVar, _num
-from clawforge.lawgen import (WitnessSpace, _law_rhs_map,
-                              default_theta_ansatz,
-                              density_equivalent_mod_trivial, make_ansatz,
-                              mixed_method)
+from clawforge.expr import Expr, IndepVar, _build, _num
+from clawforge.lawgen import (WitnessSpace, _coset, _exponents, _lattice,
+                              _law_rhs_map, default_theta_ansatz,
+                              density_equivalent_mod_trivial, is_trivial,
+                              make_ansatz, mixed_method, strip_trivial,
+                              vectors_equivalent_mod_trivial)
 from clawforge.linsolve import (ColumnSpace, IncrementalSystem,
                                 RationalMatrix, solve)
 from clawforge.modelfile import ansatz_spaces, parse_model_text
@@ -218,17 +222,34 @@ def _complete_over_every_block(ws, rhs, components, extra):
     return solve(RationalMatrix(rows, ncols=len(extra) + ws.ncols), b)
 
 
-@pytest.mark.parametrize("name,degree", [("kdv", 3), ("gas1d", 1)])
-def test_complete_and_strip_on_unbuilt_blocks(models, name, degree):
-    """On a fresh space, `complete` builds the blocks that the right-hand
-    side and the extra column reach, and gives the feasibility, the
-    particular solution and the possible extra coordinates of a solve over
-    every block; `strip` builds the blocks of the coefficients it is
-    given and subtracts the same curls as a fully built space.  (Few
-    examples and a gas1d ansatz of degree 1: the dense solve is slow.)"""
+def _equivalent_by_solve(ws, a, b, components, allow_scale):
+    """Is a - s*b a curl over `components`, for some s != 0 when scaling
+    is allowed, else for s = 1, by one dense solve over every block?"""
+    if not allow_scale:
+        diff = dict(a)
+        for key, val in b.items():
+            diff[key] = diff.get(key, 0) - val
+        return _complete_over_every_block(ws, diff, components, ()) is not None
+    sol = _complete_over_every_block(ws, a, components, (b,))
+    return sol is not None and (sol.particular[0] != 0
+                                or any(v[0] != 0 for v in sol.basis))
+
+
+@pytest.mark.parametrize("name,degree",
+                         [("kdv", 3), ("gas1d", 1), ("fw", 3), ("sp", 3)])
+def test_equivalence_and_strip_on_unbuilt_blocks(models, name, degree):
+    """On a fresh space, the vector and the density equivalence tests,
+    each with and without scaling, give the verdict of a dense solve over
+    every curl column of a built space, and both verdicts are drawn; the
+    laws are combinations of curl columns plus a few single keys, and
+    about half the time one law is a multiple of the other plus a curl.
+    `strip` builds the blocks of the coefficients it is given and
+    subtracts the same curls as a fully built space.  (Few examples and a
+    gas1d ansatz of degree 1: the dense solve is slow.)"""
     entry = models[name]
+    system = entry.system
     theta = default_theta_ansatz(entry.table, degree=degree)
-    ws = WitnessSpace(entry.system, theta)
+    ws = WitnessSpace(system, theta)
     curls = _curls(ws)
     weight = st.fractions(min_value=-3, max_value=3,
                           max_denominator=2).filter(bool)
@@ -244,37 +265,56 @@ def test_complete_and_strip_on_unbuilt_blocks(models, name, degree):
             rhs[key] = rhs.get(key, 0) + w
         return {k: _num(x) for k, x in rhs.items() if x}
 
+    def components(rhs):
+        return [_build([(x, f) for (c, f), x in rhs.items() if c == comp])
+                for comp in (0, 1)]
+
     extras = st.lists(st.tuples(st.sampled_from(sorted(ws.columns)), weight),
                       max_size=2)
 
-    @hyp.settings(max_examples=12, deadline=None, derandomize=True)
+    @hyp.settings(max_examples=30, deadline=None, derandomize=True)
     @hyp.given(a=combos, b=combos, extra_a=extras, extra_b=extras,
-               components=st.sampled_from([(0, 1), (0,)]))
-    def check(a, b, extra_a, extra_b, components):
-        rhs, col = law(a, extra_a), law(b, extra_b)
-        fresh = WitnessSpace(entry.system, theta)
-        for cols in ((), (col,)):
-            got = fresh.complete(rhs, components, cols)
-            want = _complete_over_every_block(ws, rhs, components, cols)
-            assert (got is None) == (want is None)
-            if got is not None:
-                assert got.particular == want.particular
-                assert ({v[0] != 0 for v in got.basis if cols}
-                        == {v[0] != 0 for v in want.basis if cols})
+               tie=st.sampled_from([None, None, 1, -2, Fraction(1, 2)]))
+    def check(a, b, extra_a, extra_b, tie):
+        rhs_b = law(b, extra_b)
+        if tie is None:
+            rhs_a = law(a, extra_a)
+        else:   # a is tie*b plus a curl
+            rhs_a = law(a + [(m, tie * w) for m, w in b],
+                        [(key, tie * w) for key, w in extra_b])
+        fresh = WitnessSpace(system, theta)
+        A, B = components(rhs_a), components(rhs_b)
+        for allow_scale in (False, True):
+            got = vectors_equivalent_mod_trivial(
+                system, A, B, allow_scale=allow_scale, witness_space=fresh)
+            assert got == _equivalent_by_solve(ws, rhs_a, rhs_b, (0, 1),
+                                               allow_scale)
+            verdicts.add(("vector", allow_scale, got))
+            got = density_equivalent_mod_trivial(
+                system, A[0], B[0], allow_scale=allow_scale,
+                witness_space=fresh)
+            density = [{k: x for k, x in rhs.items() if k[0] == 0}
+                       for rhs in (rhs_a, rhs_b)]
+            assert got == _equivalent_by_solve(ws, *density, (0,),
+                                               allow_scale)
+            verdicts.add(("density", allow_scale, got))
         coeffs = [0] * ws.ncols
         for m, w in a:
             coeffs[m] += w
-        reds = tuple(entry.system.reduce(e) for e in
+        reds = tuple(system.reduce(e) for e in
                      (parse("u^2*x", entry.table), parse("t*u", entry.table)))
         assert fresh.strip(reds, coeffs) == ws.strip(reds, coeffs)
 
+    verdicts = set()
     check()
+    assert verdicts == {(kind, scale, v) for kind in ("vector", "density")
+                        for scale in (False, True) for v in (False, True)}
 
 
-def test_complete_on_one_gas1d_block(gas1d):
-    """`rho + u` has no single gas1d weight, so the default ansatz with it
-    is one block of 498 columns, and `complete` eliminates all of them at
-    once: the energy density is equivalent to itself."""
+def test_density_equivalence_on_one_gas1d_block(gas1d):
+    """`rho + u` has no single gas1d grade, so the default ansatz with it
+    is one block of 498 columns, and the forward pass runs over all of
+    them at once: the energy density is equivalent to itself."""
     theta = default_theta_ansatz(gas1d.table)
     theta = make_ansatz(theta.basis + (parse("rho + u", gas1d.table),), "th")
     ws = WitnessSpace(gas1d.system, theta)
@@ -282,6 +322,94 @@ def test_complete_on_one_gas1d_block(gas1d):
     energy = gas1d.laws["energy"].components[0]
     assert density_equivalent_mod_trivial(gas1d.system, energy, energy,
                                           witness_space=ws)
+
+
+def test_witness_space_needs_two_independent_variables(gas3d):
+    theta = default_theta_ansatz(gas3d.table, degree=1, jet_order=1)
+    with pytest.raises(ValueError, match="^a witness space needs two "
+                                         "independent variables, not 4$"):
+        WitnessSpace(gas3d.system, theta)
+
+
+def test_gas3d_triviality_builds_no_witness_space(gas3d):
+    """With four independent variables each gas3d reference law is
+    nontrivial with no witness, with or without a theta ansatz, stripping
+    only reduces, a vector vanishing on solutions is still trivial, and
+    the equivalence tests refuse."""
+    system = gas3d.system
+    theta = default_theta_ansatz(gas3d.table, degree=1, jet_order=1)
+    for law in gas3d.laws.values():
+        reds = tuple(system.reduce(c) for c in law.components)
+        for given in (None, theta):
+            report = is_trivial(system, law.components, theta_ansatz=given)
+            assert (report.trivial, report.kind, report.witness) == \
+                (False, None, None)
+            assert strip_trivial(system, law.components,
+                                 theta_ansatz=given) == reds
+    zero = parse("0", gas3d.table)
+    report = is_trivial(system, [system.equations[0].expr] + [zero] * 3)
+    assert (report.trivial, report.kind) == (True, "vanishing")
+    mass = gas3d.laws["mass"].components
+    with pytest.raises(ValueError, match="two independent variables"):
+        vectors_equivalent_mod_trivial(system, mass, mass)
+    with pytest.raises(ValueError, match="two independent variables"):
+        density_equivalent_mod_trivial(system, mass[0], mass[0])
+
+
+def test_lattice_matches_sympy_hermite_normal_form():
+    """`_lattice` of random rational rows (integer rows over a common
+    denominator d) is in Hermite normal form and spans the lattice of the
+    sympy Hermite normal form of the integer rows, scaled by 1/d; `_coset`
+    is constant on each coset of it, and two vectors get one coset only
+    when their difference is in the sympy lattice."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import hermite_normal_form
+
+    @hyp.settings(max_examples=150, deadline=None, derandomize=True)
+    @hyp.given(dim=st.integers(1, 5), d=st.sampled_from([1, 2, 3]),
+               data=st.data())
+    def check(dim, d, data):
+        vec = st.lists(st.integers(-4, 4), min_size=dim, max_size=dim)
+        ints = data.draw(st.lists(vec, max_size=5))
+        rows = [[_num(Fraction(a, d)) for a in r] for r in ints]
+        hnf = _lattice(rows, dim)
+        for i, (c, row) in enumerate(hnf):
+            assert not any(row[:c]) and row[c] > 0
+            assert all(0 <= h[c] < row[c] for _, h in hnf[:i])
+        assert [c for c, _ in hnf] == sorted({c for c, _ in hnf})
+        # the sympy lattice: the columns of the HNF of the integer rows
+        span = (hermite_normal_form(sympy.Matrix(ints).T)
+                if any(map(any, ints)) else sympy.zeros(dim, 0))
+
+        def member(v):
+            if not span.cols:
+                return not any(v)
+            try:
+                sol, _ = span.gauss_jordan_solve(
+                    sympy.Matrix([sympy.Rational(x * d) for x in v]))
+            except ValueError:
+                return False
+            return all(x.is_integer for x in sol)
+
+        zero = (0,) * dim
+        assert len(hnf) == span.cols
+        assert all(member(row) for _, row in hnf)
+        assert all(_coset([Fraction(int(x), d) for x in span.col(j)],
+                          hnf) == zero for j in range(span.cols))
+        v = data.draw(vec)
+        coef = data.draw(st.lists(st.integers(-3, 3), min_size=len(ints),
+                                  max_size=len(ints)))
+        shifted = [_num(a + sum(k * r[i] for k, r in zip(coef, rows)))
+                   for i, a in enumerate(v)]
+        assert _coset(shifted, hnf) == _coset(v, hnf)
+        w = data.draw(st.one_of(st.just(shifted), vec))
+        same = _coset(w, hnf) == _coset(v, hnf)
+        assert same == member([a - b for a, b in zip(w, v)])
+        verdicts.add(same)
+
+    verdicts = set()
+    check()
+    assert verdicts == {True, False}
 
 
 def _weight(factors, n, w):
@@ -314,25 +442,23 @@ def _sympy_scalings(system):
 @pytest.mark.parametrize("name,expected", [
     ("kdv", [(-3, -1, 2)]), ("sp", [(-1, 1, 1)]), ("gas1d", 3), ("fw", 0)])
 def test_scaling_weights(models, name, expected):
-    """The scalings the space splits by are primitive integer vectors and
-    span the sympy nullspace: kdv and sp have one each (t, x, u), gas1d
-    three, and fw none, so fw splits by its sign grading alone."""
+    """The lattice is orthogonal to every scaling of the sympy nullspace
+    and its rank is the number of variables less theirs, so every scaling
+    weight is constant on a lattice class: kdv and sp have one scaling
+    each (t, x, u), gas1d three, and fw none, so its lattice has full
+    rank."""
     sympy = pytest.importorskip("sympy")
     entry = models[name]
     ws = WitnessSpace(entry.system, default_theta_ansatz(entry.table))
     oracle = _sympy_scalings(entry.system)
-    dim = expected if isinstance(expected, int) else len(expected)
-    assert len(oracle) == dim
-    assert all(type(x) is int for w in ws._scales for x in w)
-    assert all(math.gcd(*w) == 1 for w in ws._scales)
+    count = expected if isinstance(expected, int) else len(expected)
+    assert len(oracle) == count
     if not isinstance(expected, int):
-        assert ws._scales == expected
-    if not dim:
-        assert ws._scales == [] and sorted(ws._blocks) == [(0,), (1,)]
-        return
-    got = sympy.Matrix([list(v) for v in ws._scales])
-    assert got.rank() == dim
-    assert got.col_join(sympy.Matrix.hstack(*oracle).T).rank() == dim
+        assert sympy.Matrix.hstack(oracle[0],
+                                   sympy.Matrix(expected[0])).rank() == 1
+    assert len(ws._lattice) == entry.table.n + entry.table.m - count
+    assert all(sum(x * w[i] for i, x in enumerate(row)) == 0
+               for _, row in ws._lattice for w in oracle)
 
 
 def _sign_oracle(system):
@@ -348,66 +474,50 @@ def _sign_oracle(system):
     return out
 
 
-def _span_gf2(vectors, dim):
-    return {tuple(sum(c * v[i] for c, v in zip(cs, vectors)) % 2
-                  for i in range(dim))
-            for cs in itertools.product((0, 1), repeat=len(vectors))}
-
-
 SIGN_CASES = ["kdv", "fw", "sp", "gas1d", "heat", "fractional"]
 
 
 @pytest.mark.parametrize("name", SIGN_CASES)
 def test_sign_gradings(models, name):
-    """The sign gradings, with the scalings taken mod 2, span the sign
-    changes of the variables that leave every equation homogeneous, and
-    none of them is in the span of the scalings mod 2 and the others: fw
-    has the t+x parity, sp one parity besides its scaling, kdv, gas1d and
-    the heat equation nothing beyond their scalings mod 2, and a model
-    with u^(1/2) in its equation has no sign grading."""
+    """The sign changes of the variables that leave every equation
+    homogeneous (the sign oracle) are exactly those under which every
+    lattice vector has even weight: fw has the t+x parity and no scaling,
+    sp the sign u -> -u besides its scaling, kdv only its scaling mod 2,
+    and the u^(1/2) of the fractional model leaves u no sign."""
     entry = (models[name] if name in models
              else parse_model_text(GRADING_MODELS[name]))
     ws = WitnessSpace(entry.system, default_theta_ansatz(entry.table))
     dim = entry.table.n + entry.table.m
-    if name == "fractional":
-        assert ws._signs == () and len(ws._scales) == 2
-        return
+    even = {s for s in itertools.product((0, 1), repeat=dim)
+            if all(sum(map(operator.mul, s, row)) % 2 == 0
+                   for _, row in ws._lattice)}
     oracle = _sign_oracle(entry.system)
-    scales_mod2 = [[x % 2 for x in w] for w in ws._scales]
-    by_scaling = _span_gf2(scales_mod2, dim)
-    both = _span_gf2(list(ws._signs) + scales_mod2, dim)
-    assert len(both) == 2 ** len(ws._signs) * len(by_scaling)
-    assert both == oracle
-    assert by_scaling <= oracle
-    if name in ("kdv", "gas1d", "heat"):
-        assert ws._signs == []
+    assert even == oracle
+    if name in ("kdv", "fw", "fractional"):
+        assert oracle == {(0, 0, 0), (1, 1, 0)}
     if name == "sp":
-        assert len(ws._signs) == 1
-    if name == "kdv":
-        assert oracle == by_scaling == {(0, 0, 0), (1, 1, 0)}
-    if name == "fw":
-        assert oracle == {(0, 0, 0), (1, 1, 0)} and not ws._scales
-    if name == "sp":
-        assert (0, 0, 1) in oracle - by_scaling
+        assert (0, 0, 1) in oracle
 
 
 @pytest.mark.parametrize("name", SIGN_CASES + ["kdv-c0"])
 def test_redundant_signs_split_no_block(models, name):
-    """Grading by every sign change of the sign oracle as well partitions
-    the theta entries into the same blocks as the kept signs and the
-    scalings do."""
+    """The blocks partition the theta entries as their weights under
+    every scaling of the sympy nullspace and their parities under every
+    sign change of the sign oracle do.  kdv-c0 has a parameter in its
+    equation, so it has no lattice and one block."""
     entry = (models[name] if name in models
              else parse_model_text(GRADING_MODELS[name]))
     ws = WitnessSpace(entry.system, default_theta_ansatz(entry.table))
-    n = entry.table.n
-    signs = sorted(_sign_oracle(entry.system)) if ws._integral else []
-    if not ws._graded:
-        assert len(ws._blocks) == 1
+    if name == "kdv-c0":
+        assert ws._lattice is None and len(ws._blocks) == 1
         return
+    n = entry.table.n
+    scalings = _sympy_scalings(entry.system)
+    signs = sorted(_sign_oracle(entry.system))
     by_grade = {}
     for m, b in enumerate(ws.theta.basis):
         _, f = b.terms[0]
-        grade = (tuple(_weight(f, n, w) for w in ws._scales)
+        grade = (tuple(_weight(f, n, w) for w in scalings)
                  + tuple(_weight(f, n, s) % 2 for s in signs))
         by_grade.setdefault(grade, []).append(m)
     assert sorted(by_grade.values()) == \
@@ -416,19 +526,17 @@ def test_redundant_signs_split_no_block(models, name):
 
 @pytest.mark.parametrize("name", ["kdv", "fw", "sp", "gas1d"])
 def test_every_key_carries_its_block_weight(models, name):
-    """Each theta entry of a block has the block's grade: its weight under
-    every scaling and its parity under every sign grading.  Each key of
-    its curl has it once the monomial is multiplied by the variable of its
-    component (x for D_x, t for D_t)."""
+    """Each theta entry of a block has the block's lattice class, and so
+    has each key of its curl once the monomial is multiplied by the
+    variable of its component (x for D_x, t for D_t)."""
     entry = models[name]
     ws = WitnessSpace(entry.system, _theta(entry, name))
-    n = entry.table.n
+    n, dim = entry.table.n, entry.table.n + entry.table.m
     t, x = entry.table.indep
     var = {0: ((x, 1),), 1: ((t, 1),)}
 
     def grade(f):
-        return (tuple(_weight(f, n, w) for w in ws._scales)
-                + tuple(_weight(f, n, s) % 2 for s in ws._signs))
+        return _coset(_exponents(f, n, dim), ws._lattice)
 
     curls = _curls(ws)
     for label, blk in ws._blocks.items():

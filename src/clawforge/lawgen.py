@@ -644,17 +644,18 @@ def is_trivial(system, T, theta_ansatz=None, witness_space=None):
     return _triviality(reds, ws)[0]
 
 
-def _equivalent(system, witness_space, theta_ansatz, a, b, allow_scale):
-    """Is a - s*b a reduced curl of the witness ansatz over the components
-    that the laws a and b hold, for some s != 0 when scaling is allowed,
-    else for s = 1?  The leftover of a forward pass is linear in the law
-    and empty exactly on curls, so this asks whether leftover(a) is s
-    times leftover(b)."""
+def _equivalent(system, witness_space, theta_ansatz, a, b, ncomp,
+                allow_scale):
+    """Is a - s*b a reduced curl of the witness ansatz over the first
+    `ncomp` components, for some s != 0 when scaling is allowed, else for
+    s = 1?  The leftover of a forward pass is linear in the law and empty
+    exactly on curls, so this asks whether leftover(a) is s times
+    leftover(b)."""
     ws = _witness_space(system, witness_space, theta_ansatz)
     if ws is None:
         raise ValueError("equivalence tests need two independent variables")
     la, lb = (ws._forward(_law_rhs_map([system.reduce(c) for c in law]),
-                          len(law))[1] for law in (a, b))
+                          ncomp)[1] for law in (a, b))
     if not (allow_scale and lb):
         return la == lb
     key = next(iter(lb))
@@ -666,7 +667,7 @@ def vectors_equivalent_mod_trivial(system, A, B, theta_ansatz=None,
                                    allow_scale=True, witness_space=None):
     """True when A - s*B is a trivial law for some scale s (s != 0 when
     scaling is allowed, s = 1 otherwise)."""
-    return _equivalent(system, witness_space, theta_ansatz, A, B,
+    return _equivalent(system, witness_space, theta_ansatz, A, B, 2,
                        allow_scale)
 
 
@@ -675,7 +676,7 @@ def density_equivalent_mod_trivial(system, a, b, theta_ansatz=None,
     """True when density a matches density b up to scaling, total
     x-derivatives, and terms vanishing on solutions (two independent
     variables): reduce(a - s*b - D_x theta) == 0 is solvable."""
-    return _equivalent(system, witness_space, theta_ansatz, [a], [b],
+    return _equivalent(system, witness_space, theta_ansatz, [a], [b], 1,
                        allow_scale)
 
 

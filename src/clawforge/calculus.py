@@ -86,10 +86,15 @@ def euler(e, alpha, table):
     return _sorted_expr(_euler(_gradient(e.terms), alpha))
 
 
-def divergence(T, table):
-    """D_i T^i over the table's independent variables."""
+def _check_components(T, table):
+    """A vector field has one component per independent variable."""
     if len(T) != table.n:
         raise ValueError(f"expected {table.n} components, got {len(T)}")
+
+
+def divergence(T, table):
+    """D_i T^i over the table's independent variables."""
+    _check_components(T, table)
     out = []
     for comp, v in zip(T, table.indep):
         out.extend(total_derivative(comp, v).terms)

@@ -12,6 +12,13 @@ parameters, times rational powers of distinct polynomial bases, times formal
 function symbols).  No algebraic relations are assumed between distinct
 opaque bases; this is a stated limitation, not an oversight.
 
+Powers of one opaque base are kept in a base-adic form (`_radical_reduce`):
+the terms that share a signature, the opaque factors after a term's atoms,
+form a group; each round divides each group's polynomial part once, by the
+first non-constant base whose leading monomial divides a term, taking the
+largest divisible term by `_lm_key` (total degree, then `_monokey`) at each
+step, and moves each exact multiple up one power of that base.
+
 Numbers are exact: a coefficient or exponent is stored as a plain `int`
 when it is integral and as a reduced `Fraction` when it is not, never as a
 float or an integral `Fraction`.  Every division goes through `_quot`.
@@ -552,57 +559,32 @@ def _build(raw_terms):
     return _sorted_expr(_normal(raw_terms))
 
 
-def _split_radical(factors):
-    plain, rad = [], []
-    for b, e in factors:
-        if isinstance(b, Atom):
-            plain.append((b, e))
-        else:
-            rad.append((b, e))
-    return tuple(plain), tuple(rad)
-
-
 def _lm_key(factors):
     return (sum(e for _, e in factors), _monokey(factors))
 
 
-def _divides(lm, mono):
-    need = dict(lm)
-    have = {b: e for b, e in mono}
-    return all(have.get(b, 0) >= k for b, k in need.items())
-
-
-def _mono_quot(mono, lm):
-    out = dict(mono)
-    for b, k in lm:
-        out[b] -= k
-        if out[b] == 0:
-            del out[b]
-    return tuple(sorted(out.items(), key=lambda fe: fe[0]._bkey))
-
-
 def _radical_reduce(acc):
-    """Keep opaque-base powers canonical: for each group of terms sharing a
-    radical signature, divide the polynomial part by each (non-constant)
-    base and move exact multiples up one power.  The resulting base-adic
-    form is unique, which is what makes syntactic zero-testing sound.
-    Takes and returns accumulated terms, keyed like `_accumulate`."""
+    """Keep opaque-base powers canonical by the rule in the module
+    docstring: a term's signature is the suffix of opaque factors after its
+    atoms (factors sort atoms first); each round divides each group once
+    (`_reduce_group`) and re-emits a stable group as it stands, until no
+    group changes.  The base-adic form is unique, which is what makes
+    syntactic zero-testing sound.  Takes and returns accumulated terms,
+    keyed like `_accumulate`, each group's terms together, the groups in
+    the order they first appear."""
     while True:
         groups = {}
         for f, c in acc.items():
-            plain, rad = _split_radical(f)
-            groups.setdefault(rad, []).append((c, plain))
+            i = len(f)
+            while i and type(f[i - 1][0]) is Expr:
+                i -= 1
+            groups.setdefault(f[i:], {})[f[:i]] = c
         changed = False
         out = []
-        for rad, polyterms in groups.items():
-            if not rad:
-                out.extend((c, p) for c, p in polyterms)
-                continue
-            moved = _reduce_group(rad, polyterms)
+        for rad, poly in groups.items():
+            moved = _reduce_group(rad, poly) if rad else None
             if moved is None:
-                out.extend((c, tuple(sorted(dict(p + rad).items(),
-                                            key=lambda fe: fe[0]._bkey)))
-                           for c, p in polyterms)
+                out.extend((c, p + rad) for p, c in poly.items())
             else:
                 changed = True
                 out.extend(moved)
@@ -612,46 +594,49 @@ def _radical_reduce(acc):
             return acc
 
 
-def _reduce_group(rad, polyterms):
-    """Try to extract one exact multiple of one base from the group's
-    polynomial part.  Returns replacement raw terms, or None if stable."""
-    for b, e in rad:
+def _reduce_group(rad, poly):
+    """Divide a group's polynomial part `poly` (monomial -> coefficient,
+    changed in place) by the first non-constant base of its signature `rad`
+    whose leading monomial (the largest by `_lm_key`) divides a term, and
+    move the quotient up one power of that base.  Each step divides the
+    largest divisible term, chosen afresh: `_lm_key` is not a monomial
+    order (t < x but t*t > t*x), so a step can bring in a larger term than
+    the one it removed.  Returns the replacement raw terms, or None if no
+    base divides a term (the group is stable)."""
+    for i, (b, e) in enumerate(rad):
         if b.is_rational():
             continue  # opaque constants like 2^(1/2) are inert
-        lm_c, lm_f = max(b.terms, key=lambda t: _lm_key(t[1]))
-        # polynomial division of the group content by b
-        poly = _accumulate(polyterms)
-        quot = {}
-        progress = True
-        while progress:
-            progress = False
-            for mono in sorted(poly, key=_lm_key, reverse=True):
-                if _divides(lm_f, mono):
-                    q = _mono_quot(mono, lm_f)
-                    ratio = _quot(poly[mono], lm_c)
-                    quot[q] = quot.get(q, 0) + ratio
-                    for bc, bf in b.terms:
-                        prods = _term_product(-ratio * bc, q, 1, bf)
-                        for pc, pf in prods:
-                            # products stay polynomial here: q and bf are atom factors
-                            poly[pf] = poly.get(pf, 0) + pc
-                            if poly[pf] == 0:
-                                del poly[pf]
-                    progress = True
-                    break
-        if not quot:
-            continue
-        rest = tuple(fe for fe in rad if fe[0] is not b and fe != (b, e))
-        up = [(b, e + 1)] if e + 1 != 0 else []
-        moved = []
-        for q, c in quot.items():
-            if c == 0:
-                continue
-            moved.extend(_expand_term(c, dict(q + rest + tuple(up))))
-        for mono, c in poly.items():
-            moved.extend(_expand_term(c, dict(mono + rad)))
-        return moved
-    return None
+        lm_c, lm = max(b.terms, key=lambda t: _lm_key(t[1]))
+
+        def divides(mono):
+            have = dict(mono)
+            return all(have.get(a, 0) >= k for a, k in lm)
+
+        todo = {m: _lm_key(m) for m in poly if divides(m)}
+        if todo:
+            break
+    else:
+        return None
+    need, quot = dict(lm), {}
+    while todo:
+        mono = max(todo, key=todo.get)
+        q = tuple((a, k - need.get(a, 0)) for a, k in mono if k != need.get(a))
+        ratio = _quot(poly[mono], lm_c)
+        quot[q] = quot.get(q, 0) + ratio
+        for bc, bf in b.terms:
+            # products stay polynomial here: q and bf are atom factors
+            for pc, pf in _term_product(-ratio * bc, q, 1, bf):
+                c = poly.get(pf, 0) + pc
+                if c:
+                    poly[pf] = c
+                    if pf not in todo and divides(pf):
+                        todo[pf] = _lm_key(pf)
+                else:
+                    del poly[pf]
+                    todo.pop(pf, None)
+    sig = rad[:i] + (((b, e + 1),) if e + 1 else ()) + rad[i + 1:]
+    return ([(c, q + sig) for q, c in quot.items() if c]
+            + [(c, m + rad) for m, c in poly.items()])
 
 
 def _accumulate(terms):

@@ -18,8 +18,8 @@ from types import SimpleNamespace
 from .expr import (Expr, IndepVar, Jet, Param, Unknown, ZERO,
                    _build, _collect, _monokey, _normal, _num, _product_terms,
                    _quot, _sorted_expr, _term_product, _terms, collect)
-from .calculus import (Prolongation, _euler, _gradient, apply_generator,
-                       divergence, total_derivative)
+from .calculus import (Prolongation, _check_components, _euler, _gradient,
+                       apply_generator, divergence, total_derivative)
 from .calculus import characteristic  # re-exported
 from . import linsolve
 from .linsolve import RationalMatrix
@@ -324,8 +324,7 @@ def verify(system, T):
     Each component is reduced first and then differentiated through the
     reduced-jet memo, which equals reduce(D_i T^i) since reduction commutes
     with total derivatives."""
-    if len(T) != system.table.n:
-        raise ValueError(f"expected {system.table.n} components, got {len(T)}")
+    _check_components(T, system.table)
     return _sorted_expr(_reduced_divergence(
         system, [system.reduce(c) for c in T]))
 
@@ -638,6 +637,7 @@ def is_trivial(system, T, theta_ansatz=None, witness_space=None):
     (first kind) or, for two independent variables, when it differs from a
     curl (D_x theta, -D_t theta) with theta in the witness ansatz by a
     vector vanishing on solutions (second kind)."""
+    _check_components(T, system.table)
     reds = [system.reduce(c) for c in T]
     ws = (None if all(r.is_zero for r in reds)
           else _witness_space(system, witness_space, theta_ansatz))
@@ -667,6 +667,8 @@ def vectors_equivalent_mod_trivial(system, A, B, theta_ansatz=None,
                                    allow_scale=True, witness_space=None):
     """True when A - s*B is a trivial law for some scale s (s != 0 when
     scaling is allowed, s = 1 otherwise)."""
+    _check_components(A, system.table)
+    _check_components(B, system.table)
     return _equivalent(system, witness_space, theta_ansatz, A, B, 2,
                        allow_scale)
 
@@ -690,6 +692,7 @@ def strip_trivial(system, T, theta_ansatz=None, witness_space=None):
     to zero as many jet-heavy monomial coefficients as remain consistent
     using a curl witness from the ansatz (`WitnessSpace.fit`).  The result
     is a conserved vector equivalent to T modulo trivial laws."""
+    _check_components(T, system.table)
     base = tuple(system.reduce(c) for c in T)
     ws = _witness_space(system, witness_space, theta_ansatz)
     if ws is None:

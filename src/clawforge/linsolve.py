@@ -29,7 +29,9 @@ class RationalMatrix:
     """rows x cols matrix of exact rationals, stored as sparse rows: one dict
     column -> nonzero value per row.  A row may be given as a dict or as
     a dense sequence; `ncols` defaults to the length of the first row and
-    must be passed for dict rows or for a system that may have no rows."""
+    must be passed for dict rows or for a system that may have no rows.
+    A dict row with no zero entry is kept as given, not copied, so the
+    caller must not change it afterwards."""
 
     def __init__(self, rows, ncols=None):
         rows = list(rows)
@@ -43,7 +45,8 @@ class RationalMatrix:
             if isinstance(r, dict):
                 if r and (min(r) < 0 or max(r) >= ncols):
                     raise ValueError("column index out of range")
-                r = _sparse(r)
+                if not all(r.values()):
+                    r = _sparse(r)
             else:
                 if len(r) != ncols:
                     raise ValueError("ragged matrix")

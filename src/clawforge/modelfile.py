@@ -212,13 +212,14 @@ def _model_from_text(text, name="model"):
                 raise ModelFormatError(f"coefficient {coef.strip()!r} of "
                                        f"generator {label} contains a "
                                        "parameter", lineno)
-            if var in xi:
-                xi[var] = ce
-            elif var in eta:
-                eta[var] = ce
-            else:
+            coefs = xi if var in xi else eta if var in eta else None
+            if coefs is None:
                 raise ModelFormatError(f"unknown variable {var!r} in generator "
                                        f"{label}", lineno)
+            if coefs[var] is not None:
+                raise ModelFormatError(f"duplicate coefficient {var!r} in "
+                                       f"generator {label}", lineno)
+            coefs[var] = ce
         zero = parse("0", table)
         generators[label] = Generator(
             tuple(xi[v.name] if xi[v.name] is not None else zero

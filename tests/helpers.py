@@ -2,8 +2,10 @@
 jet polynomials and jet terms, a reference prolongation, the exact
 linear-algebra checks that only tests use (reduced row-echelon form, rank,
 matrix-vector product, span equality), three user models that grade their
-witness spaces differently, two whose equations hold opaque bases, and an oracle in sympy that reads printed laws
-and model equations without clawforge's parser."""
+witness spaces differently, two whose equations hold opaque bases, the
+opaque-base reduction as it was written before its one-division form (the
+oracle for `expr._radical_reduce`), and an oracle in sympy that reads
+printed laws and model equations without clawforge's parser."""
 
 import importlib.util
 import itertools
@@ -12,7 +14,8 @@ import re
 
 from clawforge import corpus
 from clawforge.calculus import total_derivative
-from clawforge.expr import Atom, Expr, SymbolTable, _num
+from clawforge.expr import (Atom, Expr, SymbolTable, _accumulate, _expand_term,
+                            _monokey, _num, _quot, _term_product)
 from clawforge.lawgen import _law_rhs_map
 from clawforge.linsolve import RationalMatrix, _echelon, _reduced
 from clawforge.parse import parse
@@ -198,6 +201,105 @@ def reference_zeta(g, table, alpha, mi):
         jet = table.jet_by_alpha(alpha, rest + (xk,)).as_expr()
         out = out - jet * total_derivative(xi, v)
     return out
+
+
+# -- the opaque-base reduction before its one-division form -----------------
+# `expr._radical_reduce` must give the same accumulated terms, in the same
+# order, as this implementation: it splits each term into atoms and opaque
+# bases by type, re-sorts a group's whole polynomial part after every
+# division step and re-sorts the factors of every stable group each round.
+
+def _split_radical(factors):
+    plain, rad = [], []
+    for b, e in factors:
+        if isinstance(b, Atom):
+            plain.append((b, e))
+        else:
+            rad.append((b, e))
+    return tuple(plain), tuple(rad)
+
+
+def _lm_key(factors):
+    return (sum(e for _, e in factors), _monokey(factors))
+
+
+def _divides(lm, mono):
+    need = dict(lm)
+    have = {b: e for b, e in mono}
+    return all(have.get(b, 0) >= k for b, k in need.items())
+
+
+def _mono_quot(mono, lm):
+    out = dict(mono)
+    for b, k in lm:
+        out[b] -= k
+        if out[b] == 0:
+            del out[b]
+    return tuple(sorted(out.items(), key=lambda fe: fe[0]._bkey))
+
+
+def oracle_radical_reduce(acc):
+    """Accumulated terms with every opaque-base group reduced to a
+    fixpoint, by the reduction `expr._radical_reduce` replaced."""
+    while True:
+        groups = {}
+        for f, c in acc.items():
+            plain, rad = _split_radical(f)
+            groups.setdefault(rad, []).append((c, plain))
+        changed = False
+        out = []
+        for rad, polyterms in groups.items():
+            if not rad:
+                out.extend((c, p) for c, p in polyterms)
+                continue
+            moved = _oracle_reduce_group(rad, polyterms)
+            if moved is None:
+                out.extend((c, tuple(sorted(dict(p + rad).items(),
+                                            key=lambda fe: fe[0]._bkey)))
+                           for c, p in polyterms)
+            else:
+                changed = True
+                out.extend(moved)
+        acc = _accumulate(out)
+        if not changed:
+            return acc
+
+
+def _oracle_reduce_group(rad, polyterms):
+    for b, e in rad:
+        if b.is_rational():
+            continue
+        lm_c, lm_f = max(b.terms, key=lambda t: _lm_key(t[1]))
+        poly = _accumulate(polyterms)
+        quot = {}
+        progress = True
+        while progress:
+            progress = False
+            for mono in sorted(poly, key=_lm_key, reverse=True):
+                if _divides(lm_f, mono):
+                    q = _mono_quot(mono, lm_f)
+                    ratio = _quot(poly[mono], lm_c)
+                    quot[q] = quot.get(q, 0) + ratio
+                    for bc, bf in b.terms:
+                        for pc, pf in _term_product(-ratio * bc, q, 1, bf):
+                            poly[pf] = poly.get(pf, 0) + pc
+                            if poly[pf] == 0:
+                                del poly[pf]
+                    progress = True
+                    break
+        if not quot:
+            continue
+        rest = tuple(fe for fe in rad if fe[0] is not b and fe != (b, e))
+        up = [(b, e + 1)] if e + 1 != 0 else []
+        moved = []
+        for q, c in quot.items():
+            if c == 0:
+                continue
+            moved.extend(_expand_term(c, dict(q + rest + tuple(up))))
+        for mono, c in poly.items():
+            moved.extend(_expand_term(c, dict(mono + rad)))
+        return moved
+    return None
 
 
 def rref(matrix):

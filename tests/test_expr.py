@@ -9,12 +9,15 @@ import pytest
 
 from clawforge.expr import (ZERO, Atom, DomainError, Expr, FuncSym, IndepVar,
                             Jet, NonlinearError, Param, SymbolTable, Unknown,
-                            _build, _expand_term, _num, _term_product,
-                            collect, make_power, pdiff, substitute)
+                            _accumulate, _build, _expand_term, _num,
+                            _product_terms, _radical_reduce, _sorted_expr,
+                            _term_product, collect, make_power, pdiff,
+                            substitute)
 from clawforge.lawgen import make_ansatz
 from clawforge.parse import parse
 
-from helpers import RADICALS, jet_polys, jet_pool, jet_terms, two_var_table
+from helpers import (RADICALS, jet_polys, jet_pool, jet_terms,
+                     oracle_radical_reduce, two_var_table)
 
 
 @pytest.fixture()
@@ -539,6 +542,64 @@ def test_normal_forms_keep_opaque_bases_last():
 
     check()
 
+
+# raw terms left * right - minus: the shapes of the two strict xfails
+# above, and a division by x + t (leading monomial x) in which the step on
+# x^3 brings in t*x^2, larger than x^2 by `_lm_key` and divisible by x
+_DIVISION_SHAPES = (("2^(3/2)", "1", "2*2^(1/2)"),
+                    ("((t+u)^(1/3)*(1+u)^(1/2))^4", "(t+u)^(1/3)*(1+u)^(1/2)",
+                     "(t+u)^(5/3)*(1+u)^(5/2)"),
+                    ("x^3 + x^2", "(x+t)^(-1/2)", "0"))
+
+
+def _assert_reduces_as_oracle(acc):
+    new, old = _radical_reduce(dict(acc)), oracle_radical_reduce(dict(acc))
+    assert _sorted_expr(new) == _sorted_expr(old)
+    # the same terms in the same order, so later rounds match too
+    assert list(new.items()) == list(old.items())
+
+
+def test_radical_reduce_matches_the_oracle():
+    """The one-division reduction gives the accumulated terms, in order,
+    that the reduction it replaced (`helpers.oracle_radical_reduce`) gives:
+    on the shapes above, and on random terms that share a few signatures of
+    several opaque bases (the RADICALS bases, the constant 2 among them,
+    the bases of the shapes and random jet polynomials) under negative and
+    fractional exponents, times jet monomials that the bases' leading
+    monomials often divide."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    tab = SymbolTable(["t", "x"], ["u"], params=["c0", "c1"], funcs=["f"])
+    for left, right, minus in _DIVISION_SHAPES:
+        raw = _product_terms(P(tab, left).terms, P(tab, right).terms)
+        _assert_reduces_as_oracle(_accumulate(raw + list(
+            (-P(tab, minus)).terms)))
+
+    bases = [P(tab, s).terms[0][1][0][0] for s in RADICALS]
+    bases += [P(tab, "t+u"), P(tab, "1+u"), P(tab, "x+t")]
+    base = st.one_of(st.sampled_from(bases), jet_polys(
+        st, tab, max_order=1, max_terms=3).filter(lambda p: len(p.terms) > 1))
+    opaque = st.tuples(base, st.sampled_from(
+        [-1, -2, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2),
+         Fraction(1, 3), Fraction(5, 3), Fraction(5, 2), Fraction(-5, 2)]))
+    atoms = [e.terms[0][1][0][0] for e in jet_pool(tab, 1)]
+    monomial = st.lists(st.tuples(st.sampled_from(atoms), st.sampled_from(
+        [1, 1, 2, 3, -1, Fraction(1, 2)])), max_size=4)
+    coeff = st.fractions(min_value=-4, max_value=4,
+                         max_denominator=3).filter(bool)
+
+    @hyp.settings(max_examples=200, deadline=None, derandomize=True,
+                  phases=[hyp.Phase.explicit, hyp.Phase.generate])
+    @hyp.given(sigs=st.lists(st.lists(opaque, min_size=1, max_size=3),
+                             min_size=1, max_size=3),
+               terms=st.lists(st.tuples(coeff, monomial, st.integers(0, 2)),
+                              min_size=1, max_size=8))
+    def check(sigs, terms):
+        _assert_reduces_as_oracle(_accumulate(
+            t for c, mono, k in terms
+            for t in _expand_term(c, dict(mono + sigs[k % len(sigs)]))))
+
+    check()
 
 # -- interned atoms ----------------------------------------------------------
 

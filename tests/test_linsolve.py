@@ -25,6 +25,15 @@ def test_sparse_rows_out_of_range():
                                                           [0, 0, 5]]
 
 
+def test_sparse_rows_are_kept_unless_they_hold_a_zero():
+    """A dict row with no zero entry is stored as given; one with a zero
+    entry is stored without it, and the given dict is left alone."""
+    kept, zeroed = {0: 1, 2: Fraction(1, 2)}, {0: 0, 1: 3}
+    m = RationalMatrix([kept, zeroed], ncols=3)
+    assert m.sparse_rows[0] is kept
+    assert m.sparse_rows[1] == {1: 3} and zeroed == {0: 0, 1: 3}
+
+
 def test_rref_examples():
     assert rref(RationalMatrix([[2, 4], [1, 2]])).rows == [[1, 2], [0, 0]]
     assert rref(RationalMatrix([[0, 0], [0, 0]])).rows == [[0, 0], [0, 0]]

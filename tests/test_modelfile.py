@@ -115,10 +115,15 @@ def test_negative_ansatz_integer():
      "unknown section '[generator]'"),
     ("X4: x = 1", "X4: x = c0", "X4: x = c0",
      "coefficient 'c0' of generator X4 contains a parameter"),
+    ("X4: x = 1", "X4: x = t; x = 2*t; u = -1", "X4: x = t; x = 2*t; u = -1",
+     "duplicate coefficient 'x' in generator X4"),
+    ("X4: x = 1", "X4: x = 1; v = u", "X4: x = 1; v = u",
+     "unknown variable 'v' in generator X4"),
 ], ids=["duplicate-law", "duplicate-law-attribute", "duplicate-generator",
         "duplicate-model-key", "duplicate-vars-key", "duplicate-ansatz-key",
         "unknown-model-key", "unknown-vars-key", "unknown-section",
-        "generator-parameter"])
+        "generator-parameter", "duplicate-generator-coefficient",
+        "unknown-generator-variable"])
 def test_input_error_names_the_line(old, new, bad, message):
     # a repeated name would silently replace the first one, and a misspelt
     # key or section would be ignored; each is an error at its own line

@@ -32,7 +32,7 @@ from clawforge.lawgen import (WitnessSpace, _coset, _exponents, _lattice,
                               _law_rhs_map, default_theta_ansatz,
                               density_equivalent_mod_trivial, is_trivial,
                               make_ansatz, mixed_method, strip_trivial,
-                              vectors_equivalent_mod_trivial)
+                              vectors_equivalent_mod_trivial, verify)
 from clawforge.linsolve import (ColumnSpace, IncrementalSystem,
                                 RationalMatrix, solve)
 from clawforge.modelfile import ansatz_spaces, parse_model_text
@@ -354,6 +354,27 @@ def test_gas3d_triviality_builds_no_witness_space(gas3d):
         vectors_equivalent_mod_trivial(system, mass, mass)
     with pytest.raises(ValueError, match="two independent variables"):
         density_equivalent_mod_trivial(system, mass[0], mass[0])
+
+
+@pytest.mark.parametrize("name,count", [("kdv", 1), ("kdv", 3), ("gas3d", 2)])
+def test_wrong_component_count_is_refused(models, name, count):
+    """`is_trivial`, `strip_trivial` and `vectors_equivalent_mod_trivial`
+    refuse a vector whose length is not the number of independent
+    variables with `verify`'s message, before any witness space is built
+    or any verdict given; on gas3d a four-component vector still reaches
+    the refusal of the equivalence tests."""
+    entry = models[name]
+    system, n = entry.system, entry.table.n
+    T = [parse(entry.table.dep_names[0], entry.table)] * count
+    message = f"^expected {n} components, got {count}$"
+    for check in (is_trivial, strip_trivial, verify):
+        with pytest.raises(ValueError, match=message):
+            check(system, T)
+    with pytest.raises(ValueError, match=message):
+        vectors_equivalent_mod_trivial(system, T, T)
+    if name == "gas3d":
+        with pytest.raises(ValueError, match="two independent variables"):
+            vectors_equivalent_mod_trivial(system, T * 2, T * 2)
 
 
 def test_lattice_matches_sympy_hermite_normal_form():

@@ -37,9 +37,7 @@ DEFAULT_MAX_DEGREE = 8
 
 
 class CliError(Exception):
-    def __init__(self, message, code=2):
-        super().__init__(message)
-        self.code = code
+    """An input error found by the front end (exit 2)."""
 
 
 def _max_degree():
@@ -188,10 +186,7 @@ def cmd_multipliers(args):
     basis = monomial_basis(table, args.degree, jet_order=args.order)
     ansatz = [make_ansatz(basis, f"v{i}_")
               for i in range(len(model.system.equations))]
-    try:
-        det, mults = solve_multipliers(model.system, ansatz)
-    except AnsatzError as exc:
-        raise CliError(str(exc))
+    det, mults = solve_multipliers(model.system, ansatz)
     payload = {
         "model": model.name,
         "order": args.order,
@@ -220,12 +215,9 @@ def cmd_mixed(args):
     spaces = ansatz_spaces(model, psi_degree=args.psi_degree,
                            psi_jets=args.psi_jets, h_degree=args.h_degree,
                            h_jets=args.h_jets)
-    try:
-        result = mixed_method(model.system, g, spaces["psi"], spaces["h"],
-                              theta_ansatz=spaces["theta"],
-                              include_xi_l=args.include_xi_l)
-    except AnsatzError as exc:
-        raise CliError(str(exc))
+    result = mixed_method(model.system, g, spaces["psi"], spaces["h"],
+                          theta_ansatz=spaces["theta"],
+                          include_xi_l=args.include_xi_l)
     payload = {
         "model": model.name,
         "generator": args.generator,
@@ -380,11 +372,8 @@ def main(argv=None):
         # at exit from raising again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (ParseError, ModelFormatError, SolvedFormError, NonlinearError,
-            DomainError) as exc:
+    except (CliError, ParseError, ModelFormatError, SolvedFormError,
+            NonlinearError, DomainError, AnsatzError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -10,7 +10,8 @@ Normal forms are canonical: syntactic equality of normal forms decides
 zero-equivalence for this expression class (polynomials in jets and
 parameters, times rational powers of distinct polynomial bases, times formal
 function symbols).  No algebraic relations are assumed between distinct
-opaque bases; this is a stated limitation, not an oversight.
+opaque bases; this is a stated limitation, not an oversight.  Every base is
+taken on the positive real branch, so `(u^2)^(1/2)` is `u`.
 
 Powers of one opaque base are kept in a base-adic form (`_radical_reduce`):
 the terms that share a signature, the opaque factors after a term's atoms,

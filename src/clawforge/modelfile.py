@@ -52,7 +52,7 @@ from __future__ import annotations
 import os
 from functools import cached_property
 
-from .expr import Jet, Param, SymbolTable
+from .expr import ZERO, Jet, Param, SymbolTable
 from .calculus import Equation, Generator, PdeSystem, SolvedFormError
 from .lawgen import _jets, default_theta_ansatz, make_ansatz, monomial_basis
 from .parse import ParseError, parse
@@ -160,25 +160,25 @@ def _model_from_text(text, name="model"):
                   {"independent", "dependent", "parameters", "functions"})
     if "independent" not in vars_kv or "dependent" not in vars_kv:
         raise ModelFormatError("[vars] needs 'independent:' and 'dependent:'")
-    table = SymbolTable(
-        _names(vars_kv["independent"][1]),
-        _names(vars_kv["dependent"][1]),
-        params=_names(vars_kv["parameters"][1]) if "parameters" in vars_kv else (),
-        funcs=_names(vars_kv["functions"][1]) if "functions" in vars_kv else (),
-    )
+    declared, seen = {}, set()
+    for key, (lineno, value) in vars_kv.items():    # in line order
+        declared[key] = _names(value)
+        for n in declared[key]:
+            if n in seen:
+                raise ModelFormatError(f"duplicate [vars] name {n!r}", lineno)
+            seen.add(n)
+    table = SymbolTable(declared["independent"], declared["dependent"],
+                        params=declared.get("parameters", ()),
+                        funcs=declared.get("functions", ()))
+    variables = set(declared["independent"]) | set(declared["dependent"])
 
     equations = []
     for lineno, line in sections["equations"]:
         if "=" not in line:
             raise ModelFormatError("equation must be 'lead = rhs'", lineno)
-        lhs, rhs = line.split("=", 1)
-        try:
-            lead_expr = parse(lhs.strip(), table)
-            rhs_expr = parse(rhs.strip(), table)
-        except ParseError as exc:
-            raise ModelFormatError(str(exc), lineno)
-        lead = _as_jet(lead_expr, lineno)
-        equations.append(Equation(lead, rhs_expr))
+        lead, rhs = (_parse_at(side, table, lineno)
+                     for side in line.split("=", 1))
+        equations.append(Equation(_as_jet(lead, lineno), rhs))
     try:
         system = PdeSystem(name, table, equations)
     except SolvedFormError as exc:
@@ -193,8 +193,7 @@ def _model_from_text(text, name="model"):
         label = label.strip()
         if label in generators:
             raise ModelFormatError(f"duplicate generator {label!r}", lineno)
-        xi = {v.name: None for v in table.indep}
-        eta = {nm: None for nm in table.dep_names}
+        coefs = {}
         for piece in body.split(";"):
             piece = piece.strip()
             if not piece:
@@ -204,28 +203,21 @@ def _model_from_text(text, name="model"):
                     f"generator coefficient must be 'var = expr': {piece!r}", lineno)
             var, coef = piece.split("=", 1)
             var = var.strip()
-            try:
-                ce = parse(coef.strip(), table)
-            except ParseError as exc:
-                raise ModelFormatError(str(exc), lineno)
+            ce = _parse_at(coef, table, lineno)
             if any(isinstance(a, Param) for a in ce.atoms()):
                 raise ModelFormatError(f"coefficient {coef.strip()!r} of "
                                        f"generator {label} contains a "
                                        "parameter", lineno)
-            coefs = xi if var in xi else eta if var in eta else None
-            if coefs is None:
+            if var not in variables:
                 raise ModelFormatError(f"unknown variable {var!r} in generator "
                                        f"{label}", lineno)
-            if coefs[var] is not None:
+            if var in coefs:
                 raise ModelFormatError(f"duplicate coefficient {var!r} in "
                                        f"generator {label}", lineno)
             coefs[var] = ce
-        zero = parse("0", table)
         generators[label] = Generator(
-            tuple(xi[v.name] if xi[v.name] is not None else zero
-                  for v in table.indep),
-            tuple(eta[nm] if eta[nm] is not None else zero
-                  for nm in table.dep_names),
+            tuple(coefs.get(v.name, ZERO) for v in table.indep),
+            tuple(coefs.get(nm, ZERO) for nm in table.dep_names),
             label=label)
 
     ansatz = {}
@@ -234,8 +226,7 @@ def _model_from_text(text, name="model"):
     for key, (lineno, value) in ansatz_kv.items():
         if key in _ANSATZ_LIST_KEYS:
             ansatz[key] = _names(value)
-            known = {v.name for v in table.indep} | set(table.dep_names)
-            bad = [n for n in ansatz[key] if n not in known]
+            bad = [n for n in ansatz[key] if n not in variables]
             if bad:
                 raise ModelFormatError(
                     f"unknown ansatz variable {bad[0]!r}", lineno)
@@ -265,12 +256,7 @@ def parse_laws(lines, table):
         if "." in head:
             attrs.append((lineno, head, body.strip()))
             continue
-        comps = []
-        for piece in body.split("|"):
-            try:
-                comps.append(parse(piece.strip(), table))
-            except ParseError as exc:
-                raise ModelFormatError(str(exc), lineno)
+        comps = [_parse_at(piece, table, lineno) for piece in body.split("|")]
         if len(comps) != table.n:
             raise ModelFormatError(
                 f"law {head!r} has {len(comps)} components; "
@@ -290,6 +276,15 @@ def parse_laws(lines, table):
         seen.add(head)
         setattr(laws[lawname], attr, value)
     return laws
+
+
+def _parse_at(text, table, lineno):
+    """The expression of `text`, stripped; a parse error is a format error
+    at `lineno`."""
+    try:
+        return parse(text.strip(), table)
+    except ParseError as exc:
+        raise ModelFormatError(str(exc), lineno)
 
 
 def _as_jet(e, lineno):

@@ -19,6 +19,10 @@ normalize only where a normal form is read: both operands of a product of
 two sums (no sum multiplies a sum before it cancels), a power's base, a
 divisor, a function argument, and the result.  A zero divisor, or any other
 power that normalization leaves undefined, is a ParseError at its factor.
+
+Parentheses and function arguments nest at most `MAX_DEPTH` levels; a
+deeper '(' is a ParseError at its position, before the recursion of the
+rules (or of the derivatives of nested function symbols) runs out of stack.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ class ParseError(ValueError):
 
 
 _SYMBOLS = set("+-*/^()[],'")
+MAX_DEPTH = 64     # nesting of parentheses and function arguments
 
 
 def _read_int(digits):
@@ -82,6 +87,7 @@ class _Parser:
     def __init__(self, text, table):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.table = table
 
     def next(self):
@@ -167,15 +173,24 @@ class _Parser:
             self.expect(")")
         return e
 
+    def group(self, pos):
+        """The raw terms of the expr after the '(' at `pos`, up to its ')';
+        one level deeper than `MAX_DEPTH` is an error at `pos`."""
+        if self.depth == MAX_DEPTH:
+            raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", pos)
+        self.depth += 1
+        raw = self.expr()
+        self.expect(")")
+        self.depth -= 1
+        return raw
+
     def base(self):
         """The raw terms of one base; those of a name or a jet are shared."""
         kind, name, pos = self.next()
         if kind == "int":
             return ((name, ()),) if name else ()
         if kind == "(":
-            raw = self.expr()
-            self.expect(")")
-            return raw
+            return self.group(pos)
         if kind != "ident":
             raise ParseError(f"unexpected token {_shown((kind, name))}", pos)
         table = self.table
@@ -203,9 +218,7 @@ class _Parser:
                 order += 1
             if name not in table.funcs:
                 raise ParseError(f"undeclared function symbol {name!r}", pos)
-            self.expect("(")
-            arg = _build(self.expr())
-            self.expect(")")
+            arg = _build(self.group(self.expect("(")[2]))
             return ((1, ((table.func(name, order, arg), 1),)),)
         terms = table._atom_terms.get(name)
         if terms is None:

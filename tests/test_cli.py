@@ -11,7 +11,8 @@ import pytest
 import clawforge
 from clawforge.cli import main
 from clawforge.corpus import get_model
-from clawforge.parse import parse
+from clawforge.lawgen import AnsatzError
+from clawforge.parse import MAX_DEPTH, parse
 
 
 CORRECTED_KDV_LAWS = """
@@ -328,6 +329,24 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     assert err == "error: internal error: RuntimeError: unexpected\n"
 
 
+@pytest.mark.parametrize("command,argv", [
+    ("solve_multipliers", ["multipliers", "kdv"]),
+    ("mixed_method", ["mixed", "kdv", "--generator", "X4"]),
+], ids=["multipliers", "mixed"])
+def test_ansatz_error_is_an_input_error(monkeypatch, capsys, command, argv):
+    import clawforge.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AnsatzError("psi ansatz must be polynomial in jets and "
+                          "variables; got u^(1/2)")
+
+    monkeypatch.setattr(cli, command, refuse)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: psi ansatz must be polynomial in jets and variables; "
+        "got u^(1/2)\n")
+
+
 def test_parser_built_once(capsys):
     from clawforge.cli import build_parser
     assert build_parser() is build_parser()
@@ -356,6 +375,67 @@ def test_undefined_input_is_a_positioned_input_error(capsys, expr, message):
     # with a position, not internal errors
     assert main(["euler", "kdv", expr]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+FUNCTION_MODEL = """
+[vars]
+independent: t, x
+dependent: u
+functions: f
+
+[equations]
+u[t] = u*u[x]
+"""
+
+
+@pytest.mark.parametrize("opener", ["(", "f("],
+                         ids=["parentheses", "function-arguments"])
+@pytest.mark.parametrize("depth", [MAX_DEPTH, MAX_DEPTH + 1, 1000])
+def test_nesting_past_the_limit_is_an_input_error(tmp_path, capsys, opener,
+                                                   depth):
+    # deeper nesting would run the parser, or the derivative of nested
+    # function symbols, out of stack: an internal error, not an input error
+    model = tmp_path / "f.model"
+    model.write_text(FUNCTION_MODEL)
+    expr = opener * depth + "u" + ")" * depth
+    rc = main(["tderiv", str(model), "x", expr])
+    captured = capsys.readouterr()
+    if depth <= MAX_DEPTH:
+        assert rc == 0 and captured.err == ""
+        return
+    pos = len(opener) * (MAX_DEPTH + 1) - 1     # the first '(' too deep
+    assert rc == 2
+    assert captured.err == (f"error: nesting deeper than {MAX_DEPTH} levels "
+                            f"(at position {pos})\n")
+
+
+def test_name_declared_twice_is_an_input_error(tmp_path, capsys):
+    model = tmp_path / "twice.model"
+    model.write_text(FUNCTION_MODEL.replace("functions: f", "functions: u"))
+    assert main(["tderiv", str(model), "x", "u"]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {model}: duplicate [vars] name 'u' (line 5)\n"
+
+
+@pytest.mark.parametrize("job", ["mixed kdv --generator X4",
+                                 "mixed gas1d --generator X0 --psi-degree 1"])
+def test_include_xi_l_changes_only_the_unreduced_fluxes(capsys, job):
+    # xi^i L vanishes on solutions, so keeping it in the symmetry flux moves
+    # only what is printed before reduction: each law's raw fluxes and the
+    # fluxes of each trivial law
+    def run(*flags):
+        assert main(job.split() + ["--verbose", "--json", *flags]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    plain, with_l = run(), run("--include-xi-l")
+    assert plain["laws"] and plain["trivial"]
+    for key, kind in (("raw_fluxes", "laws"), ("fluxes", "trivial")):
+        assert ([law[key] for law in plain[kind]] !=
+                [law[key] for law in with_l[kind]])
+        for payload in (plain, with_l):
+            for law in payload[kind]:
+                del law[key]
+    assert plain == with_l
 
 
 def test_verify_missing_laws_file(capsys):

@@ -119,14 +119,52 @@ def test_negative_ansatz_integer():
      "duplicate coefficient 'x' in generator X4"),
     ("X4: x = 1", "X4: x = 1; v = u", "X4: x = 1; v = u",
      "unknown variable 'v' in generator X4"),
+    # a name declared twice, at the [vars] line that repeats it
+    ("dependent: u", "dependent: u, u", "dependent: u, u",
+     "duplicate [vars] name 'u'"),
+    ("parameters: c0", "parameters: x", "parameters: x",
+     "duplicate [vars] name 'x'"),
+    ("functions: f", "functions: u", "functions: u",
+     "duplicate [vars] name 'u'"),
+    ("independent: t, x", "independent: t, u", "dependent: u",
+     "duplicate [vars] name 'u'"),
+    # malformed lines of each section
+    ("[model]", "junk\n[model]", "junk", "content before any section: 'junk'"),
+    ("title: a demo model", "a demo model", "a demo model",
+     "expected 'key: value' in [model]"),
+    ("u[t] = u[x,x,x] + u*u[x]", "u[t] u[x]", "u[t] u[x]",
+     "equation must be 'lead = rhs'"),
+    ("X4: x = 1", "X4 x = 1", "X4 x = 1",
+     "generator must be 'LABEL: var = expr; ...'"),
+    ("X4: x = 1", "X4: x 1", "X4: x 1",
+     "generator coefficient must be 'var = expr': 'x 1'"),
+    ("psi_degree: 1", "psi_degree: one", "psi_degree: one",
+     "[ansatz] psi_degree must be an integer"),
+    ("basic: u | -(u^2/2 + u[x,x])", "basic u", "basic u",
+     "law must be 'name: T1 | T2 | ...'"),
+    # a parse error in an equation, a generator coefficient and a law
+    ("u[t] = u[x,x,x] + u*u[x]", "u[t] = u[y]", "u[t] = u[y]",
+     "undeclared independent variable 'y' (at position 2)"),
+    ("X4: x = 1", "X4: x = g(u)", "X4: x = g(u)",
+     "undeclared identifier 'g' (at position 0)"),
+    ("basic: u | -(u^2/2 + u[x,x])", "basic: u | u^(1/0)",
+     "basic: u | u^(1/0)", "zero denominator (at position 5)"),
 ], ids=["duplicate-law", "duplicate-law-attribute", "duplicate-generator",
         "duplicate-model-key", "duplicate-vars-key", "duplicate-ansatz-key",
         "unknown-model-key", "unknown-vars-key", "unknown-section",
         "generator-parameter", "duplicate-generator-coefficient",
-        "unknown-generator-variable"])
+        "unknown-generator-variable", "dependent-twice",
+        "parameter-named-like-a-variable", "function-named-like-a-variable",
+        "variable-independent-and-dependent", "content-before-section",
+        "model-line-without-key", "equation-without-equals",
+        "generator-without-colon", "coefficient-without-equals",
+        "non-integer-ansatz-value", "law-without-colon",
+        "undeclared-jet-index", "undeclared-function-symbol",
+        "zero-exponent-denominator"])
 def test_input_error_names_the_line(old, new, bad, message):
     # a repeated name would silently replace the first one, and a misspelt
-    # key or section would be ignored; each is an error at its own line
+    # key or section would be ignored; each is an error at its own line, as
+    # is a malformed line or a bad expression
     text = GOOD.replace(old, new)
     line = text.splitlines().index(bad) + 1
     with pytest.raises(ModelFormatError) as info:

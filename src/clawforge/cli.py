@@ -205,12 +205,16 @@ def cmd_multipliers(args):
 
 
 def cmd_mixed(args):
-    for value, what in ((args.psi_degree, "--psi-degree"),
-                        (args.psi_jets, "--psi-jets"),
-                        (args.h_degree, "--h-degree"),
-                        (args.h_jets, "--h-jets")):
-        _check_degree(value, what)
+    flags = {"psi_degree": args.psi_degree, "psi_jets": args.psi_jets,
+             "h_degree": args.h_degree, "h_jets": args.h_jets}
+    for key, value in flags.items():
+        _check_degree(value, "--" + key.replace("_", "-"))
     model = _resolve_model(args.model)
+    # the effective settings: a model's [ansatz] value that no flag
+    # overrides is held to the same cap
+    for key, value in model.ansatz.items():
+        if type(value) is int and flags.get(key) is None:
+            _check_degree(value, f"[ansatz] {key}")
     g = _parse_generator_spec(model, args.generator)
     spaces = ansatz_spaces(model, psi_degree=args.psi_degree,
                            psi_jets=args.psi_jets, h_degree=args.h_degree,

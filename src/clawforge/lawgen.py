@@ -280,21 +280,141 @@ def _instantiate(exprs, column, vectors):
 # Multiplier determining system (direct route)
 # ---------------------------------------------------------------------------
 
+def _packed_rows(system, ansatz_list, column):
+    """The rows of `multiplier_determining_system` built over packed
+    exponent monomials, or None when a factor of an equation or a basis
+    entry is not an independent variable, jet or parameter to an int
+    power, or is one of the unknowns: the generic path then runs.
+
+    A key is one int.  Its low C bits hold the column of the term's
+    unknown; generator i (each atom, numbered on first sight) adds its
+    exponent e as the signed digit e << (C + W*i), so a product of
+    monomials is a sum of keys.  An exponent of L lies in [-Se, Sb + Se]
+    (Se, Sb: the largest total |degree| of an equation term and of a
+    basis entry); the partial by a jet lowers one exponent by one, and
+    each of the at most M total derivatives after it (M: the largest jet
+    order) moves two by one.  So every digit lies in [-(B + 1), B] for
+    B = Sb + Se + M, which W = B.bit_length() + 1 signed bits hold.  D_v
+    keeps one list of (multiplier, key delta) pairs per distinct
+    monomial.  Rows come per dependent variable, one per monomial,
+    ordered by its (rank, exponent) pairs, rank by `_bkey`: that is
+    `_monokey`'s order."""
+    eqs = [eq.expr.terms for eq in system.equations]
+    bases = [t for a in ansatz_list for b in a.basis for t in b.terms]
+    every = [f for _, f in itertools.chain(bases, *eqs)]
+    if not all(type(e) is int and isinstance(a, (IndepVar, Jet, Param))
+               and a not in column for f in every for a, e in f):
+        return None
+
+    def size(terms):
+        return max((sum(abs(e) for _, e in f) for _, f in terms), default=0)
+
+    B = (size(bases) + max(map(size, eqs), default=0)
+         + max((a.order for f in every for a, _ in f if type(a) is Jet),
+               default=0))
+    W, C = B.bit_length() + 1, len(column).bit_length()
+    atoms, units, index, shifts, dig = [], [], {}, {}, {}
+
+    def gen(a):
+        if a not in index:
+            index[a] = len(atoms)
+            atoms.append(a)
+            units.append(1 << (C + W * index[a]))
+        return index[a]
+
+    def pack(f):
+        return sum(e * units[gen(a)] for a, e in f)
+
+    def digits(m):
+        """The (generator, exponent) pairs of the monomial m = key >> C."""
+        if m not in dig:
+            out, r = dig.setdefault(m, []), m
+            while r:
+                s = ((r & -r).bit_length() - 1) // W * W
+                e = (r >> s) & ((1 << W) - 1)
+                e -= (e >> (W - 1)) << W
+                out.append((s // W, e))
+                r -= e << s
+        return dig[m]
+
+    L = {}
+    for a, F in zip(ansatz_list, eqs):
+        fs = [(c, pack(f)) for c, f in F]
+        for p, b in zip(a.unknowns, a.basis):
+            for cb, f in b.terms:
+                mb = pack(f) + column[p]
+                for cf, mf in fs:
+                    L[mb + mf] = L.get(mb + mf, 0) + cb * cf
+    grad = {}
+    for k, c in L.items():
+        for i, e in digits(k >> C):
+            if type(atoms[i]) is Jet:
+                acc = grad.setdefault(i, {})
+                acc[k - units[i]] = acc.get(k - units[i], 0) + c * e
+    memos = {v: {} for v in system.table.indep}
+
+    def dv(acc, v, out, sign=1):
+        """out += sign * D_v(acc)."""
+        memo = memos[v]
+        for k, c in acc.items():
+            pairs = memo.get(k >> C)
+            if pairs is None:
+                pairs = memo[k >> C] = []
+                for i, e in digits(k >> C):
+                    if atoms[i] is v:
+                        pairs.append((e, -units[i]))
+                    elif type(atoms[i]) is Jet:
+                        if (i, v) not in shifts:
+                            shifts[i, v] = gen(atoms[i].shifted(v))
+                        pairs.append((e, units[shifts[i, v]] - units[i]))
+            c *= sign
+            for e, d in pairs:
+                out[k + d] = out.get(k + d, 0) + c * e
+        return out
+
+    res = [{} for _ in range(system.table.m)]
+    for i, acc in grad.items():
+        jet, out = atoms[i], res[atoms[i].alpha]
+        for v in jet.mi[:-1]:
+            acc = dv(acc, v, {})
+        if jet.mi:
+            dv(acc, jet.mi[-1], out, -1 if jet.order % 2 else 1)
+        else:
+            for k, c in acc.items():
+                out[k] = out.get(k, 0) + c
+    rank = {i: r for r, i in enumerate(
+        sorted(range(len(atoms)), key=lambda i: atoms[i]._bkey))}
+    rows = []
+    for out in res:
+        by = {}
+        for k, c in out.items():
+            if c:
+                by.setdefault(k >> C, {})[k & ((1 << C) - 1)] = _num(c)
+        rows += [by[m] for m in sorted(by, key=lambda m: sorted(
+            (rank[i], e) for i, e in digits(m)))]
+    return rows
+
+
 def multiplier_determining_system(system, ansatz_list):
     """The full jet-space identity euler(sum v^a F_a) == 0 per dependent
     variable, collected by monomials into a homogeneous linear system for
     the ansatz unknowns, one row per collected monomial coefficient.  No
-    reduction modulo the system is applied."""
+    reduction modulo the system is applied.  When every factor packs
+    (`_packed_rows`) the rows are built over packed monomials; otherwise
+    from the normal forms of the formal Lagrangian and its Euler
+    residuals, with the same rows in the same order."""
     table = system.table
     if len(ansatz_list) != len(system.equations):
         raise ValueError("need one multiplier ansatz per equation")
     for a in ansatz_list:
         a.require_polynomial("multiplier")
     column = _columns(ansatz_list)
-    L = _lagrangian(system, [a.expr for a in ansatz_list])
-    rows, rhs = _linear_rows(_euler_residuals(_terms(L), table), column)
-    if any(b != 0 for b in rhs):
-        raise AnsatzError("multiplier system is not homogeneous")
+    rows = _packed_rows(system, ansatz_list, column)
+    if rows is None:
+        L = _lagrangian(system, [a.expr for a in ansatz_list])
+        rows, rhs = _linear_rows(_euler_residuals(_terms(L), table), column)
+        if any(b != 0 for b in rhs):
+            raise AnsatzError("multiplier system is not homogeneous")
     return RationalMatrix(rows, ncols=len(column))
 
 

@@ -31,7 +31,9 @@ comment.  Expressions use the grammar from the parse module.
 
 Only the sections shown are read, and only the keys shown in [model] and
 [vars]; any other section or key is an error.  A key, a generator label,
-a law name or a law attribute given twice is an error too.
+a law name or a law attribute given twice is an error too, and so is an
+empty generator label or law name, or a [vars] name that is not an
+identifier of the expression grammar.
 
 Law components are separated by '|' in independent-variable order; a law
 named N may carry attribute lines `N.status:` / `N.note:` / `N.source:`,
@@ -137,6 +139,13 @@ def _names(value):
     return [n.strip() for n in value.split(",") if n.strip()]
 
 
+def _is_identifier(name):
+    """True if `name` reads as one identifier of the expression grammar
+    (`parse._tokenize`): a letter or '_', then letters, digits or '_'."""
+    return ((name[0].isalpha() or name[0] == "_")
+            and all(c.isalnum() or c == "_" for c in name))
+
+
 def parse_model_text(text, name="model"):
     """The model of a model text, its [laws] parsed and checked."""
     model = _model_from_text(text, name)
@@ -164,6 +173,9 @@ def _model_from_text(text, name="model"):
     for key, (lineno, value) in vars_kv.items():    # in line order
         declared[key] = _names(value)
         for n in declared[key]:
+            if not _is_identifier(n):
+                raise ModelFormatError(
+                    f"[vars] name {n!r} is not an identifier", lineno)
             if n in seen:
                 raise ModelFormatError(f"duplicate [vars] name {n!r}", lineno)
             seen.add(n)
@@ -191,6 +203,8 @@ def _model_from_text(text, name="model"):
                                    lineno)
         label, body = line.split(":", 1)
         label = label.strip()
+        if not label:
+            raise ModelFormatError("empty generator label", lineno)
         if label in generators:
             raise ModelFormatError(f"duplicate generator {label!r}", lineno)
         coefs = {}
@@ -253,6 +267,8 @@ def parse_laws(lines, table):
             raise ModelFormatError("law must be 'name: T1 | T2 | ...'", lineno)
         head, body = line.split(":", 1)
         head = head.strip()
+        if not head:
+            raise ModelFormatError("empty law name", lineno)
         if "." in head:
             attrs.append((lineno, head, body.strip()))
             continue

@@ -219,6 +219,43 @@ def test_mixed_jet_orders_checked(monkeypatch, capsys):
     assert "--h-jets 2 exceeds the cap 1" in capsys.readouterr().err
 
 
+def test_model_ansatz_held_to_the_degree_cap(monkeypatch, tmp_path, capsys):
+    # a model's [ansatz] setting is checked like the flag that overrides it
+    monkeypatch.delenv("CLAWFORGE_MAX_DEGREE", raising=False)
+    model = tmp_path / "kdv9.model"
+    model.write_text("[vars]\nindependent: t, x\ndependent: u\n"
+                     "[equations]\nu[t] = u[x,x,x] + u*u[x]\n"
+                     "[generators]\nX1: x = 1\n"
+                     "[ansatz]\npsi_degree: 9\nh_degree: 0\n")
+    for extra in ([], ["--h-degree", "1"]):
+        assert main(["mixed", str(model), "--generator", "X1", *extra]) == 2
+        assert capsys.readouterr().err == (
+            "error: [ansatz] psi_degree 9 exceeds the cap 8 "
+            "(set CLAWFORGE_MAX_DEGREE to raise it)\n")
+    assert main(["mixed", str(model), "--generator", "X1",
+                 "--psi-degree", "9"]) == 2
+    assert capsys.readouterr().err.startswith("error: --psi-degree 9 exceeds")
+    # a flag overrides the setting, which then is not the effective one
+    assert main(["mixed", str(model), "--generator", "X1",
+                 "--psi-degree", "1"]) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("CLAWFORGE_MAX_DEGREE", "9")
+    text = model.read_text().replace("psi_degree: 9", "theta_jets: 10")
+    model.write_text(text)
+    assert main(["mixed", str(model), "--generator", "X1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: [ansatz] theta_jets 10 exceeds the cap 9 "
+        "(set CLAWFORGE_MAX_DEGREE to raise it)\n")
+
+
+def test_empty_law_name_is_an_input_error(tmp_path, capsys):
+    laws = tmp_path / "laws.txt"
+    laws.write_text("[laws]\n: u | -(u^2/2 + u[x,x])\n")
+    assert main(["verify", "kdv", str(laws)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {laws}: empty law name (line 2)\n"
+
+
 def test_mixed_unknown_model(capsys):
     assert main(["mixed", "nope", "--generator", "X1"]) == 2
 

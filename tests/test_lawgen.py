@@ -7,7 +7,8 @@ from clawforge.calculus import (Equation, Generator, PdeSystem,
                                 total_derivative)
 from clawforge.expr import Expr, Jet, SymbolTable, _build, collect, pdiff
 from clawforge.lawgen import (Ansatz, AnsatzError, WitnessSpace,
-                              characteristic, default_theta_ansatz,
+                              _columns, _packed_rows, characteristic,
+                              default_theta_ansatz,
                               density_equivalent_mod_trivial,
                               fluxes_from_multipliers, formal_lagrangian,
                               symmetry_flux, is_trivial, make_ansatz,
@@ -17,12 +18,13 @@ from clawforge.lawgen import (Ansatz, AnsatzError, WitnessSpace,
                               self_adjointness_check, solve_multipliers,
                               strip_trivial, vectors_equivalent_mod_trivial,
                               verify)
+from clawforge import lawgen
 from clawforge.linsolve import RationalMatrix
 from clawforge.modelfile import parse_model_text
 from clawforge.parse import parse
 
-from helpers import (OPAQUE_MODELS, expr_span_equal, jet_polys,
-                     total_derivative_mi, two_var_table)
+from helpers import (GRADING_MODELS, OPAQUE_MODELS, expr_span_equal,
+                     jet_polys, total_derivative_mi, two_var_table)
 
 
 @pytest.fixture()
@@ -250,12 +252,46 @@ def _reference_determining(system, ansatz_list):
     return RationalMatrix(rows, ncols=len(column))
 
 
+def _user_model(vars_, equation):
+    return (f"[vars]\nindependent: t, x\ndependent: u\n{vars_}\n"
+            f"[equations]\nu[t] = {equation}\n")
+
+
+# user models for the two paths of the determining system: a function
+# symbol (normal forms), a fourth-order equation (long D chains, packed),
+# large exponents, one of them negative (wide packed digits), and a fifth
+# derivative under u^(-4): at degree 1, order 0 its D chain takes u's
+# exponent to -9, out of the range the total degrees alone (1 + 5) would
+# give the packed digits, so their width must count the jet orders too
+PACKING_MODELS = {
+    "function-symbol": _user_model("functions: f", "f(u)*u[x] + u[x,x]"),
+    "fourth-order": _user_model("", "u[x,x,x,x] + u*u[x] + u[x,x]"),
+    "large-exponent": _user_model("", "u^40*u[x] + x^(-3)*u[x,x]"),
+    "negative-power": _user_model("", "u^(-4)*u[x,x,x,x,x] + u[x]"),
+}
+USER_MODELS = {**GRADING_MODELS, **OPAQUE_MODELS, **PACKING_MODELS}
+
+
+def _multiplier_ansatz(models, name, degree, order):
+    entry = (models[name] if name in models
+             else parse_model_text(USER_MODELS[name]))
+    basis = monomial_basis(entry.table, degree, jet_order=order)
+    return entry.system, [make_ansatz(basis, f"v{i}_")
+                          for i in range(len(entry.system.equations))]
+
+
 # (model, degree, jet order): the multipliers-direct jobs of the benchmark,
-# sp at order 1 and two models whose equations hold opaque bases
+# sp at order 1, two models whose equations hold opaque bases, a parameter,
+# a fractional exponent, a function symbol, a fourth-order equation (at
+# degree 7 its u^8 needs the ansatz degree in the packed width), large
+# exponents and a negative power under a fifth derivative
 DETERMINING_CASES = [("kdv", 4, 1), ("gas1d", 2, 1), ("fw", 3, 1),
                      ("gas3d", 1, 0), ("sp", 3, 1),
                      ("radical-heat", 2, 1), ("radical-heat", 3, 0),
-                     ("radical-advection", 2, 1)]
+                     ("radical-advection", 2, 1), ("kdv-c0", 3, 1),
+                     ("fractional", 2, 1), ("function-symbol", 2, 1),
+                     ("fourth-order", 2, 1), ("fourth-order", 7, 0),
+                     ("large-exponent", 2, 1), ("negative-power", 1, 0)]
 
 
 @pytest.mark.parametrize("name,degree,order", DETERMINING_CASES,
@@ -265,17 +301,34 @@ def test_determining_system_matches_sorted_composition(models, name, degree,
     """The determining matrix, built from accumulated terms sorted once per
     row set, equals the one composed from sorted expressions: the same
     rows in the same order, and the same columns."""
-    entry = (models[name] if name in models
-             else parse_model_text(OPAQUE_MODELS[name]))
-    system = entry.system
-    basis = monomial_basis(entry.table, degree, jet_order=order)
-    ansatz = [make_ansatz(basis, f"v{i}_")
-              for i in range(len(system.equations))]
+    system, ansatz = _multiplier_ansatz(models, name, degree, order)
     got = multiplier_determining_system(system, ansatz)
     want = _reference_determining(system, ansatz)
     assert got.ncols == want.ncols
     assert got.sparse_rows == want.sparse_rows
     assert got.nrows > 0
+
+
+@pytest.mark.parametrize("name,packed", [
+    ("kdv", True), ("fw", True), ("sp", True), ("gas1d", True),
+    ("gas3d", True), ("kdv-c0", True), ("fourth-order", True),
+    ("large-exponent", True), ("negative-power", True),
+    ("radical-heat", False),
+    ("radical-advection", False), ("fractional", False),
+    ("function-symbol", False)])
+def test_packed_rows_run_exactly_where_every_factor_packs(models, name,
+                                                          packed, monkeypatch):
+    """The packed determining system runs on every built-in and on
+    integer powers of atoms, parameters included, and declines opaque
+    bases, fractional exponents and function symbols; where it runs, the
+    normal-form path is not entered, so a silent fallback cannot pass."""
+    system, ansatz = _multiplier_ansatz(models, name, 1, 0)
+    rows = _packed_rows(system, ansatz, _columns(ansatz))
+    assert (rows is not None) == packed
+    if packed:
+        monkeypatch.setattr(lawgen, "_lagrangian", None)
+        assert multiplier_determining_system(system,
+                                             ansatz).sparse_rows == rows
 
 
 # -- verification and triviality -------------------------------------------------------

@@ -149,6 +149,17 @@ def test_negative_ansatz_integer():
      "undeclared identifier 'g' (at position 0)"),
     ("basic: u | -(u^2/2 + u[x,x])", "basic: u | u^(1/0)",
      "basic: u | u^(1/0)", "zero denominator (at position 5)"),
+    # a [vars] name the grammar cannot read, at its own line
+    ("independent: t, x", "independent: t, x y", "independent: t, x y",
+     "[vars] name 'x y' is not an identifier"),
+    ("parameters: c0", "parameters: 2c", "parameters: 2c",
+     "[vars] name '2c' is not an identifier"),
+    ("functions: f", "functions: f'", "functions: f'",
+     "[vars] name \"f'\" is not an identifier"),
+    # an empty law name or generator label
+    ("basic: u | -(u^2/2 + u[x,x])", ": u | -(u^2/2 + u[x,x])",
+     ": u | -(u^2/2 + u[x,x])", "empty law name"),
+    ("X4: x = 1", ": x = 1", ": x = 1", "empty generator label"),
 ], ids=["duplicate-law", "duplicate-law-attribute", "duplicate-generator",
         "duplicate-model-key", "duplicate-vars-key", "duplicate-ansatz-key",
         "unknown-model-key", "unknown-vars-key", "unknown-section",
@@ -160,7 +171,9 @@ def test_negative_ansatz_integer():
         "generator-without-colon", "coefficient-without-equals",
         "non-integer-ansatz-value", "law-without-colon",
         "undeclared-jet-index", "undeclared-function-symbol",
-        "zero-exponent-denominator"])
+        "zero-exponent-denominator", "vars-name-with-a-space",
+        "vars-name-with-a-leading-digit", "vars-name-with-a-prime",
+        "empty-law-name", "empty-generator-label"])
 def test_input_error_names_the_line(old, new, bad, message):
     # a repeated name would silently replace the first one, and a misspelt
     # key or section would be ignored; each is an error at its own line, as

@@ -27,8 +27,8 @@ from .calculus import Generator, SolvedFormError, euler, total_derivative
 from .expr import ZERO, DomainError, NonlinearError, SymbolTable, collect
 from .lawgen import (AnsatzError, mixed_method, make_ansatz, monomial_basis,
                      solve_multipliers, verify)
-from .modelfile import (ModelFormatError, ansatz_spaces, laws_from_text,
-                        load_model, read_text)
+from .modelfile import (ModelFormatError, ansatz_settings, ansatz_spaces,
+                        laws_from_text, load_model, read_text)
 from .parse import ParseError, parse
 from . import corpus
 
@@ -210,15 +210,14 @@ def cmd_mixed(args):
     for key, value in flags.items():
         _check_degree(value, "--" + key.replace("_", "-"))
     model = _resolve_model(args.model)
-    # the effective settings: a model's [ansatz] value that no flag
-    # overrides is held to the same cap
-    for key, value in model.ansatz.items():
+    # the effective settings that no flag gives, a model's [ansatz] value
+    # or a default, are held to the same cap
+    for key, value in ansatz_settings(model, **flags).items():
         if type(value) is int and flags.get(key) is None:
-            _check_degree(value, f"[ansatz] {key}")
+            source = "[ansatz]" if key in model.ansatz else "default"
+            _check_degree(value, f"{source} {key}")
     g = _parse_generator_spec(model, args.generator)
-    spaces = ansatz_spaces(model, psi_degree=args.psi_degree,
-                           psi_jets=args.psi_jets, h_degree=args.h_degree,
-                           h_jets=args.h_jets)
+    spaces = ansatz_spaces(model, **flags)
     result = mixed_method(model.system, g, spaces["psi"], spaces["h"],
                           theta_ansatz=spaces["theta"],
                           include_xi_l=args.include_xi_l)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import threading
 from collections import Counter
-from functools import cached_property
+from functools import cached_property, partial
 from math import factorial
 from types import SimpleNamespace
 
@@ -280,11 +280,39 @@ def _instantiate(exprs, column, vectors):
 # Multiplier determining system (direct route)
 # ---------------------------------------------------------------------------
 
+def _digits(m, W):
+    """The (generator, exponent) pairs of the packed monomial m, W-bit
+    signed digits (see `_packed_rows`), lowest generator first."""
+    out = []
+    while m:
+        s = ((m & -m).bit_length() - 1) // W * W
+        e = (m >> s) & ((1 << W) - 1)
+        e -= (e >> (W - 1)) << W
+        out.append((s // W, e))
+        m -= e << s
+    return out
+
+
+def _packed_order(blocks, atoms, W):
+    """The order of `_packed_rows`' rows, as indices: block by block (one
+    per dependent variable), each row by its monomial's (rank, exponent)
+    pairs, rank by `_bkey`.  That is `_monokey`'s order."""
+    rank = {i: r for r, i in enumerate(
+        sorted(range(len(atoms)), key=lambda i: atoms[i]._bkey))}
+    order = []
+    for monos in blocks:
+        keys = {len(order) + j: sorted((rank[i], e) for i, e in _digits(m, W))
+                for j, m in enumerate(monos)}
+        order += sorted(keys, key=keys.get)
+    return order
+
+
 def _packed_rows(system, ansatz_list, column):
     """The rows of `multiplier_determining_system` built over packed
-    exponent monomials, or None when a factor of an equation or a basis
-    entry is not an independent variable, jet or parameter to an int
-    power, or is one of the unknowns: the generic path then runs.
+    exponent monomials, with the function that returns their order, or
+    None when a factor of an equation or a basis entry is not an
+    independent variable, jet or parameter to an int power, or is one of
+    the unknowns: the generic path then runs.
 
     A key is one int.  Its low C bits hold the column of the term's
     unknown; generator i (each atom, numbered on first sight) adds its
@@ -296,9 +324,9 @@ def _packed_rows(system, ansatz_list, column):
     order) moves two by one.  So every digit lies in [-(B + 1), B] for
     B = Sb + Se + M, which W = B.bit_length() + 1 signed bits hold.  D_v
     keeps one list of (multiplier, key delta) pairs per distinct
-    monomial.  Rows come per dependent variable, one per monomial,
-    ordered by its (rank, exponent) pairs, rank by `_bkey`: that is
-    `_monokey`'s order."""
+    monomial.  Rows come per dependent variable, one per monomial, in the
+    order they are built; `_packed_order` sorts them into `_monokey`'s
+    order when it is read, keeping alive only the monomials and atoms."""
     eqs = [eq.expr.terms for eq in system.equations]
     bases = [t for a in ansatz_list for b in a.basis for t in b.terms]
     every = [f for _, f in itertools.chain(bases, *eqs)]
@@ -328,13 +356,7 @@ def _packed_rows(system, ansatz_list, column):
     def digits(m):
         """The (generator, exponent) pairs of the monomial m = key >> C."""
         if m not in dig:
-            out, r = dig.setdefault(m, []), m
-            while r:
-                s = ((r & -r).bit_length() - 1) // W * W
-                e = (r >> s) & ((1 << W) - 1)
-                e -= (e >> (W - 1)) << W
-                out.append((s // W, e))
-                r -= e << s
+            dig[m] = _digits(m, W)
         return dig[m]
 
     L = {}
@@ -382,17 +404,15 @@ def _packed_rows(system, ansatz_list, column):
         else:
             for k, c in acc.items():
                 out[k] = out.get(k, 0) + c
-    rank = {i: r for r, i in enumerate(
-        sorted(range(len(atoms)), key=lambda i: atoms[i]._bkey))}
-    rows = []
+    rows, blocks = [], []
     for out in res:
         by = {}
         for k, c in out.items():
             if c:
                 by.setdefault(k >> C, {})[k & ((1 << C) - 1)] = _num(c)
-        rows += [by[m] for m in sorted(by, key=lambda m: sorted(
-            (rank[i], e) for i, e in digits(m)))]
-    return rows
+        rows += by.values()
+        blocks.append(list(by))
+    return rows, partial(_packed_order, blocks, atoms, W)
 
 
 def multiplier_determining_system(system, ansatz_list):
@@ -402,19 +422,22 @@ def multiplier_determining_system(system, ansatz_list):
     reduction modulo the system is applied.  When every factor packs
     (`_packed_rows`) the rows are built over packed monomials; otherwise
     from the normal forms of the formal Lagrangian and its Euler
-    residuals, with the same rows in the same order."""
+    residuals, with the same rows in the same order.  The packed rows are
+    put in that order only when it is read (`RationalMatrix`)."""
     table = system.table
     if len(ansatz_list) != len(system.equations):
         raise ValueError("need one multiplier ansatz per equation")
     for a in ansatz_list:
         a.require_polynomial("multiplier")
     column = _columns(ansatz_list)
-    rows = _packed_rows(system, ansatz_list, column)
-    if rows is None:
-        L = _lagrangian(system, [a.expr for a in ansatz_list])
-        rows, rhs = _linear_rows(_euler_residuals(_terms(L), table), column)
-        if any(b != 0 for b in rhs):
-            raise AnsatzError("multiplier system is not homogeneous")
+    packed = _packed_rows(system, ansatz_list, column)
+    if packed is not None:
+        rows, order = packed
+        return RationalMatrix(rows, ncols=len(column), order=order)
+    L = _lagrangian(system, [a.expr for a in ansatz_list])
+    rows, rhs = _linear_rows(_euler_residuals(_terms(L), table), column)
+    if any(b != 0 for b in rhs):
+        raise AnsatzError("multiplier system is not homogeneous")
     return RationalMatrix(rows, ncols=len(column))
 
 

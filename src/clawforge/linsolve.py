@@ -10,9 +10,12 @@ the echelon rows, last row first.  `nullspace` and `solve` (the latter
 only for `lawgen.fluxes_from_multipliers`) back-substitute it, last row
 first, into the reduced row-echelon form.
 That form is unique, so a basis or a particular solution depends only on
-the column order.  Values are exact rationals in the engine's
-representation: an `int` when integral, else a reduced `Fraction`, never a
-float; every division goes through `expr._quot`.
+the column order, not on the row order: the routines read a matrix's rows
+as stored, and run its deferred order (`RationalMatrix`) only to match
+the rows to a nonzero right-hand side, which is indexed by that order.
+Values are exact rationals in the engine's representation: an `int` when
+integral, else a reduced `Fraction`, never a float; every division goes
+through `expr._quot`.
 
 `ColumnSpace` is not used by the library; it is kept as the test oracle
 for `WitnessSpace.fit` and for the benchmark tracer
@@ -21,6 +24,7 @@ for `WitnessSpace.fit` and for the benchmark tracer
 from __future__ import annotations
 
 import heapq
+from functools import cached_property
 
 from .expr import _num, _quot
 
@@ -31,16 +35,24 @@ class RationalMatrix:
     a dense sequence; `ncols` defaults to the length of the first row and
     must be passed for dict rows or for a system that may have no rows.
     A dict row with no zero entry is kept as given, not copied, so the
-    caller must not change it afterwards."""
+    caller must not change it afterwards.
 
-    def __init__(self, rows, ncols=None):
+    The rows are in the order given unless `order` is passed: a function
+    of no arguments that returns the rows' order as a permutation of the
+    given rows' indices.  It runs once, on the first read of
+    `sparse_rows` or `rows`, which publishes the ordered list in one
+    assignment.  `nrows`, `shape` and the solvers of this module do not
+    run it, except `solve` with a nonzero right-hand side."""
+
+    def __init__(self, rows, ncols=None, order=None):
         rows = list(rows)
         if ncols is None:
             if rows and isinstance(rows[0], dict):
                 raise ValueError("ncols is required for sparse rows")
             ncols = len(rows[0]) if rows else 0
         self.ncols = ncols
-        self.sparse_rows = []
+        self._order = order
+        self._stored = []
         for r in rows:
             if isinstance(r, dict):
                 if r and (min(r) < 0 or max(r) >= ncols):
@@ -51,11 +63,18 @@ class RationalMatrix:
                 if len(r) != ncols:
                     raise ValueError("ragged matrix")
                 r = _sparse(dict(enumerate(r)))
-            self.sparse_rows.append(r)
+            self._stored.append(r)
+
+    @cached_property
+    def sparse_rows(self):
+        """The stored rows, in their order."""
+        if self._order is None:
+            return self._stored
+        return [self._stored[i] for i in self._order()]
 
     @property
     def nrows(self):
-        return len(self.sparse_rows)
+        return len(self._stored)
 
     @property
     def shape(self):
@@ -232,10 +251,14 @@ def _echelon(matrix, rhs=None):
     None when the system is inconsistent.  Each distinct (row, rhs) pair is
     fed once: a repeat would reduce to 0 = 0.  Short rows go first: a
     singleton row forces its column, which later rows then lose at the cost
-    of one entry each."""
+    of one entry each.  The rows are read as stored unless a right-hand
+    side is nonzero, since that is indexed by the rows' order."""
     inc = IncrementalSystem(matrix.ncols)
-    pairs = {(frozenset(row.items()), b): row
-             for row, b in zip(matrix.sparse_rows, rhs or [0] * matrix.nrows)}
+    if any(rhs or ()):
+        fed = zip(matrix.sparse_rows, rhs)
+    else:
+        fed = ((row, 0) for row in matrix._stored)
+    pairs = {(frozenset(row.items()), b): row for row, b in fed}
     for (_, b), row in sorted(pairs.items(), key=lambda p: len(p[1])):
         if not inc.try_add(row, b):
             return None

@@ -365,21 +365,29 @@ def _gens_from_names(table, names, jet_order):
     return gens
 
 
+def ansatz_settings(model, **overrides):
+    """The settings that `ansatz_spaces` uses, by key: each keyword
+    override that is not None, else the model's [ansatz] value, else for
+    a degree or jet order its default.  The theta settings are left out
+    unless the model has two independent variables, the only case where
+    the witness space is built."""
+    cfg = {**_DEFAULTS, **model.ansatz,
+           **{k: v for k, v in overrides.items() if v is not None}}
+    return {k: v for k, v in cfg.items()
+            if model.table.n == 2 or not k.startswith("theta_")}
+
+
 def ansatz_spaces(model, **overrides):
     """Build the psi, H, and triviality-witness spaces for a model from its
     [ansatz] settings, with keyword overrides (psi_degree, psi_jets,
     psi_vars, h_degree, h_jets, h_vars, theta_degree, theta_jets,
     theta_vars)."""
     table = model.table
-    cfg = dict(model.ansatz)
-    cfg.update({k: v for k, v in overrides.items() if v is not None})
-
-    def setting(key):
-        return cfg.get(key, _DEFAULTS.get(key))
+    cfg = ansatz_settings(model, **overrides)
 
     def basis_for(kind):
-        degree = setting(f"{kind}_degree")
-        jets = setting(f"{kind}_jets")
+        degree = cfg[f"{kind}_degree"]
+        jets = cfg[f"{kind}_jets"]
         names = cfg.get(f"{kind}_vars")
         gens = _gens_from_names(table, names, jets) if names else None
         return monomial_basis(table, degree, jet_order=jets, gens=gens)
@@ -393,7 +401,7 @@ def ansatz_spaces(model, **overrides):
     if table.n == 2:
         names = cfg.get("theta_vars")
         gens = (_gens_from_names(table, names, 1) if names else None)
-        theta = default_theta_ansatz(table, degree=setting("theta_degree"),
-                                     jet_order=setting("theta_jets"),
+        theta = default_theta_ansatz(table, degree=cfg["theta_degree"],
+                                     jet_order=cfg["theta_jets"],
                                      gens=gens)
     return {"psi": psi, "h": h, "theta": theta}

@@ -246,6 +246,19 @@ def test_model_ansatz_held_to_the_degree_cap(monkeypatch, tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: [ansatz] theta_jets 10 exceeds the cap 9 "
         "(set CLAWFORGE_MAX_DEGREE to raise it)\n")
+    # a default that neither a flag nor the model gives is held too
+    model.write_text(text.split("[ansatz]")[0])
+    monkeypatch.setenv("CLAWFORGE_MAX_DEGREE", "1")
+    for flags, key, value in ([[], "psi_degree", 2],
+                              [["--psi-degree", "1", "--h-degree", "1"],
+                               "theta_degree", 3]):
+        assert main(["mixed", str(model), "--generator", "X1", *flags]) == 2
+        assert capsys.readouterr().err == (
+            f"error: default {key} {value} exceeds the cap 1 "
+            "(set CLAWFORGE_MAX_DEGREE to raise it)\n")
+    assert main(["mixed", str(model), "--generator", "X1",
+                 "--psi-degree", "2"]) == 2
+    assert capsys.readouterr().err.startswith("error: --psi-degree 2 exceeds")
 
 
 def test_empty_law_name_is_an_input_error(tmp_path, capsys):

@@ -321,14 +321,41 @@ def test_packed_rows_run_exactly_where_every_factor_packs(models, name,
     """The packed determining system runs on every built-in and on
     integer powers of atoms, parameters included, and declines opaque
     bases, fractional exponents and function symbols; where it runs, the
-    normal-form path is not entered, so a silent fallback cannot pass."""
+    normal-form path is not entered, so a silent fallback cannot pass, and
+    the matrix reads its rows in the order that `_packed_rows` returns."""
     system, ansatz = _multiplier_ansatz(models, name, 1, 0)
-    rows = _packed_rows(system, ansatz, _columns(ansatz))
-    assert (rows is not None) == packed
+    got = _packed_rows(system, ansatz, _columns(ansatz))
+    assert (got is not None) == packed
     if packed:
+        rows, order = got
         monkeypatch.setattr(lawgen, "_lagrangian", None)
-        assert multiplier_determining_system(system,
-                                             ansatz).sparse_rows == rows
+        assert multiplier_determining_system(system, ansatz).sparse_rows == \
+            [rows[i] for i in order()]
+
+
+def test_multiplier_route_never_orders_the_packed_rows(models, monkeypatch,
+                                                        capsys):
+    """Solving a packed determining system, and the `multipliers` command,
+    never put its rows in order; a later read of the rows runs the order
+    once and gives the normal-form path's rows."""
+    from clawforge.cli import main
+    calls, ordered = [], lawgen._packed_order
+
+    def counted(*args):
+        calls.append(args)
+        return ordered(*args)
+    monkeypatch.setattr(lawgen, "_packed_order", counted)
+    system, ansatz = _multiplier_ansatz(models, "kdv", 4, 1)
+    det, mults = solve_multipliers(system, ansatz)
+    assert main(["multipliers", "kdv", "--degree", "4", "--order", "1"]) == 0
+    assert capsys.readouterr().out.startswith(
+        f"determining system: {det.nrows} equations")
+    assert calls == [] and len(mults) == 3
+    with monkeypatch.context() as m:
+        m.setattr(lawgen, "_packed_rows", lambda *args: None)
+        want = multiplier_determining_system(system, ansatz).sparse_rows
+    assert det.sparse_rows == want and det.sparse_rows == want
+    assert len(calls) == 1
 
 
 # -- verification and triviality -------------------------------------------------------

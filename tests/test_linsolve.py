@@ -32,6 +32,8 @@ def test_sparse_rows_are_kept_unless_they_hold_a_zero():
     m = RationalMatrix([kept, zeroed], ncols=3)
     assert m.sparse_rows[0] is kept
     assert m.sparse_rows[1] == {1: 3} and zeroed == {0: 0, 1: 3}
+    m = RationalMatrix([zeroed, kept], ncols=3, order=lambda: [1, 0])
+    assert m.sparse_rows[0] is kept and m.sparse_rows[1] == {1: 3}
 
 
 def test_rref_examples():
@@ -198,6 +200,46 @@ def test_linsolve_matches_sympy():
         assert list(got.particular) == _fractions(want)
         assert got.dimension == len(params)
     assert 10 < inconsistent < 140
+
+
+def _typed(values):
+    return [(type(x), x) for x in values]
+
+
+def _results(M, rhs):
+    """Every result of the solvers on M, with the type of each value."""
+    got = solve(M, rhs)
+    return (rank(M), [_typed(r) for r in rref(M).rows],
+            [_typed(v) for v in nullspace(M).basis],
+            got and (_typed(got.particular), [_typed(v) for v in got.basis]))
+
+
+def test_linsolve_results_do_not_depend_on_row_order():
+    """The same systems as `test_linsolve_matches_sympy`, with their rows
+    shuffled, and stored shuffled under a deferred order that restores
+    them: the solvers give equal values of equal types, and the deferred
+    order runs only where a nonzero right-hand side is indexed by it."""
+    rng = random.Random(34)
+    for _ in range(150):
+        rows, rhs = _random_system(rng)
+        want = _results(RationalMatrix(rows), rhs)
+        perm = list(range(len(rows)))
+        rng.shuffle(perm)
+        shuffled = [rows[i] for i in perm]
+        assert _results(RationalMatrix(shuffled),
+                        [rhs[i] for i in perm]) == want
+        calls = []
+
+        def order():
+            calls.append(1)
+            return sorted(range(len(perm)), key=perm.__getitem__)
+        M, zero = RationalMatrix(shuffled, order=order), [0] * len(rows)
+        assert M.shape == (len(rows), len(rows[0]))
+        assert _results(M, zero) == _results(RationalMatrix(rows), zero)
+        assert calls == []
+        assert M.rows == rows and calls == [1]
+        assert _results(M, rhs) == want
+        assert M.rows == rows and calls == [1]
 
 
 def test_repeated_rows_reach_the_echelon_once(monkeypatch):

@@ -1,7 +1,7 @@
 import pytest
 
-from clawforge.modelfile import (ModelFormatError, ansatz_spaces, load_model,
-                                 parse_model_text)
+from clawforge.modelfile import (ModelFormatError, ansatz_settings,
+                                 ansatz_spaces, load_model, parse_model_text)
 
 
 GOOD = """
@@ -221,6 +221,20 @@ def test_ansatz_spaces_overrides():
     m = parse_model_text(GOOD)
     spaces = ansatz_spaces(m, psi_degree=0)
     assert len(spaces["psi"][0].basis) == 1
+
+
+def test_ansatz_settings_are_the_effective_ones():
+    """An override beats the model's [ansatz] value, which beats the
+    default; theta's settings count only for two independent variables."""
+    m = parse_model_text(GOOD)
+    assert ansatz_settings(m, psi_degree=None, h_degree=0) == {
+        "psi_degree": 1, "psi_jets": 0, "h_degree": 0, "h_jets": 0,
+        "theta_degree": 3, "theta_jets": 2, "h_vars": ["u"]}
+    three = parse_model_text(GOOD.replace("independent: t, x",
+                                          "independent: t, x, y")
+                             .replace("u | -(", "u | 0 | -(")
+                             + "theta_degree: 9\n")
+    assert not any(k.startswith("theta_") for k in ansatz_settings(three))
 
 
 @pytest.mark.parametrize("key", ["psi_vars", "h_vars", "theta_vars"])
